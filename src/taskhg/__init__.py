@@ -17,11 +17,8 @@ from .errors import (
     TaskHGError,
 )
 from .evaluate import EvalReport, MetricRow, evaluate, ndcg_at_k, recall_at_k
-from .gradients import GradientTape, PretrainBatch, pretrain_loss_and_grad
 from .hypergraph import (
     Hypergraph,
-    aggregate_hyperedges_to_nodes,
-    aggregate_nodes_to_hyperedges,
     build_hypergraph,
     hypergraph_convolve,
 )
@@ -37,23 +34,7 @@ from .io import (
     save_checkpoint,
     write_synthetic_dataset,
 )
-from .losses import alignment_loss, au_loss, bpr_loss, bpr_pos_loss, joint_loss
-from .model import (
-    EmbeddingTable,
-    TAConfig,
-    TaskActivations,
-    encode_auxiliary_task,
-    forward_pretrain,
-    init_embeddings,
-    score_node_hyperedge,
-    score_user_item,
-    ta_attention,
-    ta_forward,
-    ta_fuse,
-    ta_hyperedge_init,
-    ta_node_update,
-)
-from .optim import AdamState, adam_step
+from .model import EmbeddingTable, init_embeddings
 from .protocols import AblationReport, cold_start_eval, run_ablation
 from .tasks import (
     AttributeTable,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -48,29 +49,34 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
 
     def validate(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not (self.gamma >= 0.0 and self.gamma == self.gamma):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        for name in ("epochs_pretrain", "epochs_finetune"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in (
-            "batch_size",
-            "negatives_per_positive",
-            "ta_layers",
-            "aux_encoder_layers",
-            "quantization_bins",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        """Raise ValueError naming the first field whose value is out of range."""
+        rules = (
+            ("dim", self.dim >= 1, ">= 1"),
+            ("gamma", self.gamma >= 0.0, "finite and >= 0"),
+            ("beta", 0.0 <= self.beta <= 1.0, "in [0, 1]"),
+            ("lambda_reg", self.lambda_reg >= 0.0, "finite and >= 0"),
+            ("lr", self.lr > 0.0, "finite and > 0"),
+            ("epochs_pretrain", self.epochs_pretrain >= 0, ">= 0"),
+            ("epochs_finetune", self.epochs_finetune >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("negatives_per_positive", self.negatives_per_positive >= 1, ">= 1"),
+            ("ta_layers", self.ta_layers >= 1, ">= 1"),
+            ("aux_encoder_layers", self.aux_encoder_layers >= 1, ">= 1"),
+            ("quantization_bins", self.quantization_bins >= 2, ">= 2"),
+            ("uniformity_weight", self.uniformity_weight >= 0.0, "finite and >= 0"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_epsilon", self.adam_epsilon > 0.0, "finite and > 0"),
+        )
+        for name, ok, rule in rules:
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{name} must be {rule}, got {value}")
         ks = tuple(self.eval_ks)
         if not ks:
             raise ValueError("eval_ks must not be empty")
         if list(ks) != sorted(ks) or any(k < 1 for k in ks):
-            raise ValueError("eval_ks must be positive and sorted ascending")
+            raise ValueError(f"eval_ks must be positive and sorted ascending, got {ks}")
         return self
 
     def fingerprint(self) -> str:

@@ -17,7 +17,6 @@ from .tasks import (
 )
 
 # Deterministic sub-stream tags for the master seed.
-STREAM_INIT = 0
 STREAM_SPLIT = 1
 STREAM_SHUFFLE = 2
 STREAM_NEGATIVES = 3

@@ -4,9 +4,11 @@ The computation graph is fixed and shallow (encoders -> transitional
 attention -> losses), so instead of a general autograd engine each forward
 operator has a matching adjoint here, chained in reverse. Every path is
 covered: the attention softmax and tanh, the degree-normalized
-aggregations, both loss families, and the optional linear heads of the
-ablation variants. Correctness is pinned by central finite differences in
-the test suite.
+aggregations, every recommendation loss, the auxiliary hyperedge-ranking
+and attribute cross-entropy losses, and the optional linear heads of the
+ablation variants. Each loss exists once, as a (value, gradients) function
+with batch-mean normalization. Correctness is pinned by central finite
+differences and by independent scalar oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from .hypergraph import (
     aggregate_hyperedges_to_nodes_adjoint,
     aggregate_nodes_to_hyperedges_adjoint,
 )
-from .losses import log_sigmoid, sigmoid
 from .model import (
     EmbeddingTable,
     EncoderTrace,
-    TAConfig,
     TATrace,
     encode_auxiliary_task_traced,
     forward_pretrain,
@@ -39,14 +39,11 @@ class GradientTape:
 
     grad_user: np.ndarray
     grad_item: np.ndarray
-    scalar_loss: float
     extra: dict = field(default_factory=dict)
 
     def allfinite(self) -> bool:
         blocks = [self.grad_user, self.grad_item, *self.extra.values()]
-        return math.isfinite(self.scalar_loss) and all(
-            np.isfinite(b).all() for b in blocks
-        )
+        return all(np.isfinite(b).all() for b in blocks)
 
 
 def encoder_backward(trace: EncoderTrace, g_node, g_edge=None) -> np.ndarray:
@@ -56,11 +53,10 @@ def encoder_backward(trace: EncoderTrace, g_node, g_edge=None) -> np.ndarray:
     gradient on the final layer's hyperedge embeddings (may be None).
     """
     graph = trace.graph
-    num_layers = len(trace.layer_inputs)
     g = np.asarray(g_node, dtype=np.float64)
-    for layer in range(num_layers - 1, -1, -1):
+    for layer in range(trace.layers - 1, -1, -1):
         g_y = aggregate_hyperedges_to_nodes_adjoint(graph, g)
-        if layer == num_layers - 1 and g_edge is not None:
+        if layer == trace.layers - 1 and g_edge is not None:
             g_y = g_y + g_edge
         g = aggregate_nodes_to_hyperedges_adjoint(graph, g_y)
     return g
@@ -115,10 +111,24 @@ def ta_backward(trace: TATrace, g_out):
 # Loss gradients (all batch-mean normalized).
 
 
+def log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log(sigmoid(x)) computed without overflow for any magnitude."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
 def alignment_grad(user_out, item_out, users, items):
     n = len(users)
-    if n == 0:
-        raise ValueError("empty recommendation batch")
     diff = user_out[users] - item_out[items]
     loss = float((diff**2).sum()) / n
     g = (2.0 / n) * diff
@@ -131,8 +141,6 @@ def alignment_grad(user_out, item_out, users, items):
 
 def bpr_grad(user_out, item_out, users, pos, neg):
     n = len(users)
-    if n == 0:
-        raise ValueError("empty recommendation batch")
     u = user_out[users]
     margins = (u * (item_out[pos] - item_out[neg])).sum(axis=1)
     loss = float(-log_sigmoid(margins).sum()) / n
@@ -147,8 +155,6 @@ def bpr_grad(user_out, item_out, users, pos, neg):
 
 def bpr_pos_grad(user_out, item_out, users, pos):
     n = len(users)
-    if n == 0:
-        raise ValueError("empty recommendation batch")
     u = user_out[users]
     scores = (u * item_out[pos]).sum(axis=1)
     loss = float(-log_sigmoid(scores).sum()) / n
@@ -192,8 +198,6 @@ def _uniformity_grad(hat_rows):
 
 def au_grad(user_out, item_out, users, items, uniformity_weight):
     n = len(users)
-    if n == 0:
-        raise ValueError("empty recommendation batch")
     user_hat, user_norms = _normalize_with_cache(user_out)
     item_hat, item_norms = _normalize_with_cache(item_out)
     diff = user_hat[users] - item_hat[items]
@@ -216,6 +220,8 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
 
 def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0):
     """Dispatch to the configured recommendation-term loss."""
+    if len(users) == 0:
+        raise ValueError("empty recommendation batch")
     if kind == LossKind.ALIGNMENT:
         return alignment_grad(user_out, item_out, users, pos)
     if kind == LossKind.BPR:
@@ -229,19 +235,9 @@ def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformit
     raise ValueError(f"unknown loss kind: {kind}")
 
 
-def aux_bpr_grad(node_emb, edge_emb, nodes, pos_edges, neg_edges):
-    """Hyperedge-ranking BPR over (node, positive edge, negative edge) triples."""
-    n = len(nodes)
-    v = node_emb[nodes]
-    margins = (v * (edge_emb[pos_edges] - edge_emb[neg_edges])).sum(axis=1)
-    loss = float(-log_sigmoid(margins).sum()) / n
-    coef = (-sigmoid(-margins) / n)[:, None]
-    g_node = np.zeros_like(node_emb)
-    g_edge = np.zeros_like(edge_emb)
-    np.add.at(g_node, nodes, coef * (edge_emb[pos_edges] - edge_emb[neg_edges]))
-    np.add.at(g_edge, pos_edges, coef * v)
-    np.add.at(g_edge, neg_edges, -coef * v)
-    return loss, g_node, g_edge
+# Hyperedge ranking over (node, positive edge, negative edge) triples is the
+# same BPR; the separate name lets the per-layer trace time it on its own.
+aux_bpr_grad = bpr_grad
 
 
 def attr_softmax_ce_grad(node_emb, weight, nodes, labels):
@@ -298,21 +294,12 @@ def pretrain_loss_and_grad(
     its batch size) plus the L2 term on both embedding blocks.
     """
     extra_params = extra_params or {}
-    ta_cfg = TAConfig(cfg.gamma, cfg.ta_layers, cfg.ta_variant)
     concat_weights = {
         key: extra_params[f"ta_concat_{key}"]
         for key in ("user", "item")
         if f"ta_concat_{key}" in extra_params
     }
-    acts = forward_pretrain(
-        table,
-        rec_user_task,
-        rec_item_task,
-        aux_tasks,
-        ta_cfg,
-        cfg.aux_encoder_layers,
-        concat_weights,
-    )
+    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, concat_weights)
     rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
         cfg.pretrain_loss,
         acts.ta_user_out,
@@ -335,8 +322,8 @@ def pretrain_loss_and_grad(
             if len(nodes) == 0:
                 continue
             t_loss, g_n, g_e = aux_bpr_grad(
-                acts.per_task_node_emb[tid],
-                acts.per_task_edge_emb[tid],
+                acts.encoder_traces[tid].node_emb,
+                acts.encoder_traces[tid].edge_emb,
                 nodes,
                 pos_edges,
                 neg_edges,
@@ -350,7 +337,7 @@ def pretrain_loss_and_grad(
                 continue
             head = extra_params[f"attr_head:{tid}"]
             t_loss, g_n, g_w = attr_softmax_ce_grad(
-                acts.per_task_node_emb[tid], head, nodes, labels
+                acts.encoder_traces[tid].node_emb, head, nodes, labels
             )
             aux_total += t_loss
             aux_node_grads[tid] = one_minus_beta * g_n
@@ -380,7 +367,7 @@ def pretrain_loss_and_grad(
         if g_node is None and g_edge is None:
             continue
         if g_node is None:
-            g_node = np.zeros_like(acts.per_task_node_emb[tid])
+            g_node = np.zeros_like(acts.encoder_traces[tid].node_emb)
         g_x0 = encoder_backward(acts.encoder_traces[tid], g_node, g_edge)
         if task.side == NodeSide.USERS:
             grad_user += g_x0
@@ -388,7 +375,7 @@ def pretrain_loss_and_grad(
             grad_item += g_x0
     grad_user += (2.0 * cfg.lambda_reg) * table.user_emb
     grad_item += (2.0 * cfg.lambda_reg) * table.item_emb
-    tape = GradientTape(grad_user, grad_item, total, extra_grads)
+    tape = GradientTape(grad_user, grad_item, extra_grads)
     return total, tape, acts
 
 
@@ -417,5 +404,5 @@ def finetune_loss_and_grad(
     total = loss + cfg.lambda_reg * reg
     grad_user = encoder_backward(trace_u, g_u_out) + (2.0 * cfg.lambda_reg) * table.user_emb
     grad_item = encoder_backward(trace_i, g_i_out) + (2.0 * cfg.lambda_reg) * table.item_emb
-    tape = GradientTape(grad_user, grad_item, total)
+    tape = GradientTape(grad_user, grad_item)
     return total, tape, (trace_u.node_emb, trace_i.node_emb)

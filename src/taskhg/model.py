@@ -5,7 +5,9 @@ item embeddings. Auxiliary tasks are encoded with weight-free hypergraph
 convolutions; the transitional attention (TA) layer then fuses, per
 recommendation hyperedge, an attention-weighted mix of the corresponding
 entity's task-specific embeddings into the hyperedge before the node
-update. Forward functions record the intermediates the reverse pass needs.
+update. Each operator has a single form that records the intermediates
+the reverse pass in `gradients` needs; the TA settings (gamma, depth,
+variant) and the encoder depth are read from the `TrainConfig`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TAVariant
+from .config import TAVariant, TrainConfig
 from .hypergraph import (
     Hypergraph,
     aggregate_hyperedges_to_nodes,
@@ -73,90 +75,28 @@ def init_embeddings(num_users: int, num_items: int, dim: int, seed: int) -> Embe
 
 
 @dataclass
-class TAConfig:
-    """Transitional attention settings: transition intensity and depth."""
-
-    gamma: float = 1.0
-    num_layers: int = 1
-    variant: TAVariant = TAVariant.FULL
-
-    def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-
-
-@dataclass
 class EncoderTrace:
     """Intermediates of one auxiliary-task encoder forward."""
 
     graph: Hypergraph
-    layer_inputs: list = field(repr=False)  # node embeddings entering each layer
+    layers: int
     edge_emb: np.ndarray = field(repr=False)  # hyperedge embeddings, final layer
     node_emb: np.ndarray = field(repr=False)  # node embeddings, final layer
-
-
-def encode_auxiliary_task(task: TaskHypergraph, table: EmbeddingTable, layers: int = 1):
-    """Run `layers` hypergraph convolutions over one task.
-
-    Returns (node_emb, edge_emb): the final node embeddings and the
-    hyperedge embeddings from the final layer's inner aggregation.
-    """
-    trace = encode_auxiliary_task_traced(task.graph, table.side_emb(task.side), layers)
-    return trace.node_emb, trace.edge_emb
 
 
 def encode_auxiliary_task_traced(graph: Hypergraph, x0: np.ndarray, layers: int) -> EncoderTrace:
     if layers < 1:
         raise ValueError("layers must be >= 1")
     x = np.asarray(x0, dtype=np.float64)
-    inputs = []
     edge = None
     for _ in range(layers):
-        inputs.append(x)
         edge = aggregate_nodes_to_hyperedges(graph, x)
         x = aggregate_hyperedges_to_nodes(graph, edge)
-    return EncoderTrace(graph=graph, layer_inputs=inputs, edge_emb=edge, node_emb=x)
-
-
-def ta_hyperedge_init(rec_task: TaskHypergraph, input_emb: np.ndarray) -> np.ndarray:
-    """Initialize recommendation hyperedges by averaging connected nodes."""
-    return aggregate_nodes_to_hyperedges(rec_task.graph, input_emb)
-
-
-def ta_attention(edge_emb_row, task_rows, dim: int):
-    """Attention of one hyperedge over the task-specific embeddings.
-
-    task_rows is a non-empty list of (task_id, vector). Returns the fused
-    vector a = tanh(sum_t alpha_t * e_t) and the softmax weights alpha,
-    computed with max-subtraction for stability.
-    """
-    if not task_rows:
-        raise ValueError("ta_attention requires at least one auxiliary task row")
-    edge = np.asarray(edge_emb_row, dtype=np.float64)
-    vecs = np.stack([np.asarray(v, dtype=np.float64) for _, v in task_rows])
-    logits = vecs @ edge / math.sqrt(dim)
-    logits = logits - logits.max()
-    weights = np.exp(logits)
-    weights /= weights.sum()
-    fused = np.tanh(weights @ vecs)
-    return fused, weights
-
-
-def ta_fuse(edge_emb_row, a, gamma: float) -> np.ndarray:
-    """Fused hyperedge embedding q = e + gamma * a."""
-    return np.asarray(edge_emb_row, dtype=np.float64) + gamma * np.asarray(a, dtype=np.float64)
-
-
-def ta_node_update(rec_task: TaskHypergraph, fused_edge_emb: np.ndarray) -> np.ndarray:
-    """Update nodes by averaging their connected fused hyperedges."""
-    return aggregate_hyperedges_to_nodes(rec_task.graph, fused_edge_emb)
+    return EncoderTrace(graph=graph, layers=layers, edge_emb=edge, node_emb=x)
 
 
 @dataclass
 class TALayerTrace:
-    x_in: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
     alpha: np.ndarray | None = field(repr=False)  # (num_hyperedges, T), FULL only
     a: np.ndarray | None = field(repr=False)  # tanh output, None when attention is off
@@ -182,10 +122,10 @@ def ta_forward_traced(
     side_input: np.ndarray,
     graph: Hypergraph,
     opposite_tasks,
-    cfg: TAConfig,
+    cfg: TrainConfig,
     concat_weight: np.ndarray | None = None,
 ):
-    """Matrix-form transitional attention over `cfg.num_layers` layers.
+    """Matrix-form transitional attention over `cfg.ta_layers` layers.
 
     opposite_tasks is a list of (task_id, node_emb) pairs for auxiliary
     tasks on the entity type playing the hyperedge role; each layer feeds
@@ -201,24 +141,24 @@ def ta_forward_traced(
                 "opposite task embeddings must have one row per hyperedge: "
                 f"expected {(graph.num_hyperedges, x.shape[1])}, got {z.shape}"
             )
-    attend = bool(zs) and cfg.variant != TAVariant.NO_TA
-    if cfg.variant == TAVariant.CONCAT and attend and concat_weight is None:
+    attend = bool(zs) and cfg.ta_variant != TAVariant.NO_TA
+    if cfg.ta_variant == TAVariant.CONCAT and attend and concat_weight is None:
         raise ValueError("CONCAT variant requires a concat weight matrix")
     trace = TATrace(
         graph=graph,
         gamma=cfg.gamma,
-        variant=cfg.variant,
+        variant=cfg.ta_variant,
         task_ids=task_ids,
         task_embs=zs,
         concat_weight=concat_weight if attend else None,
     )
     sqrt_d = math.sqrt(x.shape[1])
-    for _ in range(cfg.num_layers):
+    for _ in range(cfg.ta_layers):
         eps = aggregate_nodes_to_hyperedges(graph, x)
         alpha = None
         a = None
         if attend:
-            if cfg.variant == TAVariant.FULL:
+            if cfg.ta_variant == TAVariant.FULL:
                 logits = np.stack([(eps * z).sum(axis=1) for z in zs], axis=1) / sqrt_d
                 logits -= logits.max(axis=1, keepdims=True)
                 expw = np.exp(logits)
@@ -227,7 +167,7 @@ def ta_forward_traced(
                 for t, z in enumerate(zs):
                     s += alpha[:, t : t + 1] * z
                 a = np.tanh(s)
-            elif cfg.variant == TAVariant.SUM:
+            elif cfg.ta_variant == TAVariant.SUM:
                 a = np.tanh(sum(zs) / len(zs))
             else:  # CONCAT
                 stacked = np.concatenate(zs, axis=1)
@@ -236,59 +176,24 @@ def ta_forward_traced(
         else:
             q = eps
         out = aggregate_hyperedges_to_nodes(graph, q)
-        trace.layers.append(TALayerTrace(x_in=x, eps=eps, alpha=alpha, a=a))
+        trace.layers.append(TALayerTrace(eps=eps, alpha=alpha, a=a))
         x = out
     return x, trace
 
 
-def ta_forward(
-    side_input: np.ndarray,
-    rec_task: TaskHypergraph,
-    opposite_task_embs,
-    cfg: TAConfig,
-    concat_weight: np.ndarray | None = None,
-    return_trace: bool = False,
-):
-    """Public transitional-attention forward over a recommendation hypergraph.
-
-    opposite_task_embs may be a dict task_id -> node embeddings or a list
-    of (task_id, node_emb) pairs; iteration order fixes the attention axis.
-    """
-    if isinstance(opposite_task_embs, dict):
-        pairs = list(opposite_task_embs.items())
-    else:
-        pairs = list(opposite_task_embs)
-    out, trace = ta_forward_traced(side_input, rec_task.graph, pairs, cfg, concat_weight)
-    if return_trace:
-        return out, trace
-    return out
-
-
 @dataclass
 class TaskActivations:
-    """All per-forward activations: encoder outputs, TA outputs, attention."""
+    """All per-forward activations: encoder traces, TA outputs and traces."""
 
-    per_task_node_emb: dict
-    per_task_edge_emb: dict
     ta_user_out: np.ndarray
     ta_item_out: np.ndarray
-    user_side_task_ids: list  # tasks feeding the user-side TA (item tasks)
-    item_side_task_ids: list  # tasks feeding the item-side TA (user tasks)
-    encoder_traces: dict = field(repr=False)
+    encoder_traces: dict = field(repr=False)  # task_id -> EncoderTrace
     ta_user_trace: TATrace = field(repr=False)
     ta_item_trace: TATrace = field(repr=False)
 
-    @property
-    def attention_user(self) -> list:
-        return self.ta_user_trace.attention
-
-    @property
-    def attention_item(self) -> list:
-        return self.ta_item_trace.attention
-
     def attention_arrays(self) -> list:
         """Every recorded attention-weight array from this forward pass."""
-        return self.attention_user + self.attention_item
+        return self.ta_user_trace.attention + self.ta_item_trace.attention
 
 
 def forward_pretrain(
@@ -296,54 +201,31 @@ def forward_pretrain(
     rec_user_task: TaskHypergraph,
     rec_item_task: TaskHypergraph,
     aux_tasks,
-    ta_cfg: TAConfig,
-    aux_encoder_layers: int = 1,
+    cfg: TrainConfig,
     concat_weights: dict | None = None,
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides."""
     concat_weights = concat_weights or {}
-    node_embs, edge_embs, traces = {}, {}, {}
-    for task in aux_tasks:
-        trace = encode_auxiliary_task_traced(
-            task.graph, table.side_emb(task.side), aux_encoder_layers
+    traces = {
+        task.task_id: encode_auxiliary_task_traced(
+            task.graph, table.side_emb(task.side), cfg.aux_encoder_layers
         )
-        traces[task.task_id] = trace
-        node_embs[task.task_id] = trace.node_emb
-        edge_embs[task.task_id] = trace.edge_emb
-    item_side = [(t.task_id, node_embs[t.task_id]) for t in aux_tasks if t.side == NodeSide.ITEMS]
-    user_side = [(t.task_id, node_embs[t.task_id]) for t in aux_tasks if t.side == NodeSide.USERS]
+        for task in aux_tasks
+    }
+    item_side = [(t.task_id, traces[t.task_id].node_emb) for t in aux_tasks
+                 if t.side == NodeSide.ITEMS]
+    user_side = [(t.task_id, traces[t.task_id].node_emb) for t in aux_tasks
+                 if t.side == NodeSide.USERS]
     ta_user_out, ta_user_trace = ta_forward_traced(
-        table.user_emb, rec_user_task.graph, item_side, ta_cfg, concat_weights.get("user")
+        table.user_emb, rec_user_task.graph, item_side, cfg, concat_weights.get("user")
     )
     ta_item_out, ta_item_trace = ta_forward_traced(
-        table.item_emb, rec_item_task.graph, user_side, ta_cfg, concat_weights.get("item")
+        table.item_emb, rec_item_task.graph, user_side, cfg, concat_weights.get("item")
     )
     return TaskActivations(
-        per_task_node_emb=node_embs,
-        per_task_edge_emb=edge_embs,
         ta_user_out=ta_user_out,
         ta_item_out=ta_item_out,
-        user_side_task_ids=[tid for tid, _ in item_side],
-        item_side_task_ids=[tid for tid, _ in user_side],
         encoder_traces=traces,
         ta_user_trace=ta_user_trace,
         ta_item_trace=ta_item_trace,
-    )
-
-
-def score_user_item(source, u: int, i: int) -> float:
-    """Ranking score of a user-item pair: inner product of their final rows."""
-    if isinstance(source, TaskActivations):
-        user_rows, item_rows = source.ta_user_out, source.ta_item_out
-    elif isinstance(source, EmbeddingTable):
-        user_rows, item_rows = source.user_emb, source.item_emb
-    else:
-        raise TypeError(f"cannot score from {type(source).__name__}")
-    return float(user_rows[u] @ item_rows[i])
-
-
-def score_node_hyperedge(node_emb_row, edge_emb_row) -> float:
-    """Prediction score of a (node, hyperedge) pair: inner product."""
-    return float(
-        np.asarray(node_emb_row, dtype=np.float64) @ np.asarray(edge_emb_row, dtype=np.float64)
     )

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .gradients import GradientTape
-from .model import EmbeddingTable
 
 
 @dataclass
@@ -46,15 +44,3 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-
-
-def adam_step(state: AdamState, tape: GradientTape, table: EmbeddingTable, extra_params: dict | None = None):
-    """Apply one Adam step to the embedding table (and any extra blocks)."""
-    params = {"user": table.user_emb, "item": table.item_emb}
-    grads = {"user": tape.grad_user, "item": tape.grad_item}
-    if extra_params:
-        params.update(extra_params)
-        for name in extra_params:
-            grads[name] = tape.extra[name]
-    state.apply(grads, params)
-    return table, state

@@ -1,10 +1,11 @@
-"""Pretraining and finetuning loops.
+"""Pretraining and finetuning.
 
 Pretraining jointly optimizes the recommendation loss (through the
 transitional attention stack) and one ranking loss per auxiliary task,
 all against the shared embedding table. Finetuning continues with a
 single weight-free convolution on the recommendation hypergraphs only.
-Both loops are deterministic for a fixed seed: shuffling, negative
+Both stages run through one minibatch loop and differ only in their step
+function. They are deterministic for a fixed seed: shuffling, negative
 sampling, and initialization each draw from their own seeded stream.
 """
 
@@ -56,7 +57,6 @@ class AttentionAudit:
 class TrainingLog:
     epoch_losses: list = field(default_factory=list)
     attention: AttentionAudit = field(default_factory=AttentionAudit)
-    steps: int = 0
 
 
 @dataclass
@@ -78,14 +78,12 @@ def _init_extra_params(dataset: InteractionDataset, config: TrainConfig) -> dict
     extra: dict = {}
     d = config.dim
     if config.ta_variant == TAVariant.CONCAT:
-        n_item_tasks = len(dataset.tasks_on(NodeSide.ITEMS))
-        n_user_tasks = len(dataset.tasks_on(NodeSide.USERS))
-        if n_item_tasks:
-            fan_in = n_item_tasks * d
-            extra["ta_concat_user"] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, d))
-        if n_user_tasks:
-            fan_in = n_user_tasks * d
-            extra["ta_concat_item"] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, d))
+        # Each side's TA head reads the stacked tasks of the opposite side.
+        heads = (("ta_concat_user", NodeSide.ITEMS), ("ta_concat_item", NodeSide.USERS))
+        for name, side in heads:
+            fan_in = len(dataset.tasks_on(side)) * d
+            if fan_in:
+                extra[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, d))
     if not config.unified_attributes:
         for task in dataset.auxiliary_tasks:
             if task.kind == TaskKind.ATTRIBUTE_PREDICTION:
@@ -96,10 +94,50 @@ def _init_extra_params(dataset: InteractionDataset, config: TrainConfig) -> dict
     return extra
 
 
-def _chunk_bounds(total: int, steps: int, step: int):
-    lo = (step * total) // steps
-    hi = ((step + 1) * total) // steps
-    return lo, hi
+def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params, step_for_epoch):
+    """Minibatch Adam over the shuffled training pairs; returns the log.
+
+    Owns everything the two stages share: the shuffle, the repeat for k
+    negatives, negative sampling, the divergence check, the Adam update and
+    the per-epoch mean loss. `step_for_epoch(steps)` runs once per epoch
+    after the shuffle and returns the step function, which maps
+    (step, users, items, negs) to (loss, tape, attention arrays).
+    """
+    log = TrainingLog()
+    shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + stream_offset)
+    neg_rng = rng_for(config.seed, STREAM_NEGATIVES + stream_offset)
+    adam = AdamState.for_params(
+        params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    )
+    pos_pairs = np.array(sorted(dataset.train_edges), dtype=np.int64)
+    train_by_user = dataset.train_by_user()
+    need_negatives = loss_kind == LossKind.BPR
+    n_pos = len(pos_pairs)
+    steps = max(1, math.ceil(n_pos / config.batch_size))
+    for epoch in range(epochs):
+        perm = shuffle_rng.permutation(n_pos)
+        step_fn = step_for_epoch(steps)
+        epoch_loss = 0.0
+        for step in range(steps):
+            idx = perm[step * config.batch_size : (step + 1) * config.batch_size]
+            users = pos_pairs[idx, 0]
+            items = pos_pairs[idx, 1]
+            negs = None
+            if need_negatives:
+                k = config.negatives_per_positive
+                users = np.repeat(users, k)
+                items = np.repeat(items, k)
+                negs = sample_negative_items(neg_rng, users, train_by_user, dataset.num_items)
+            loss, tape, attention = step_fn(step, users, items, negs)
+            if not (math.isfinite(loss) and tape.allfinite()):
+                raise DivergenceError(
+                    f"non-finite loss or gradient at {stage} epoch {epoch}, batch {step}"
+                )
+            log.attention.update(attention)
+            adam.apply({"user": tape.grad_user, "item": tape.grad_item, **tape.extra}, params)
+            epoch_loss += loss
+        log.epoch_losses.append(epoch_loss / steps)
+    return log
 
 
 def pretrain(
@@ -113,19 +151,10 @@ def pretrain(
     else:
         table = table.copy()
     extra = _init_extra_params(dataset, config)
-    log = TrainingLog()
     if config.epochs_pretrain == 0:
-        return PretrainResult(table, log, extra)
+        return PretrainResult(table, TrainingLog(), extra)
 
-    shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE)
-    neg_rng = rng_for(config.seed, STREAM_NEGATIVES)
     aux_rng = rng_for(config.seed, STREAM_AUX)
-    params = {"user": table.user_emb, "item": table.item_emb, **extra}
-    adam = AdamState.for_params(
-        params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
-    )
-    pos_pairs = np.array(sorted(dataset.train_edges), dtype=np.int64)
-    train_by_user = dataset.train_by_user()
     aux_tasks = dataset.auxiliary_tasks
     ce_attr = {
         t.task_id
@@ -138,29 +167,17 @@ def pretrain(
             aux_pairs[task.task_id] = task.graph.memberships()
         else:
             aux_pairs[task.task_id] = task_positive_pairs(task)
-    need_rec_negatives = config.pretrain_loss == LossKind.BPR
-    n_pos = len(pos_pairs)
-    steps = max(1, math.ceil(n_pos / config.batch_size))
 
-    for epoch in range(config.epochs_pretrain):
-        perm = shuffle_rng.permutation(n_pos)
+    def step_for_epoch(steps):
         aux_perm = {tid: aux_rng.permutation(len(p)) for tid, p in aux_pairs.items()}
-        epoch_loss = 0.0
-        for step in range(steps):
-            idx = perm[step * config.batch_size : (step + 1) * config.batch_size]
-            users = pos_pairs[idx, 0]
-            items = pos_pairs[idx, 1]
-            negs = None
-            if need_rec_negatives:
-                k = config.negatives_per_positive
-                users = np.repeat(users, k)
-                items = np.repeat(items, k)
-                negs = sample_negative_items(neg_rng, users, train_by_user, dataset.num_items)
+
+        def step(index, users, items, negs):
             batch = PretrainBatch(users, items, negs)
             for task in aux_tasks:
                 tid = task.task_id
                 pairs = aux_pairs[tid]
-                lo, hi = _chunk_bounds(len(pairs), steps, step)
+                # Each step takes the index-th of `steps` near-equal chunks.
+                lo, hi = index * len(pairs) // steps, (index + 1) * len(pairs) // steps
                 chunk = pairs[aux_perm[tid][lo:hi]]
                 if tid in ce_attr:
                     batch.attr_ce[tid] = (chunk[:, 0], chunk[:, 1])
@@ -170,17 +187,15 @@ def pretrain(
             loss, tape, acts = pretrain_loss_and_grad(
                 table, rec_user_task, rec_item_task, aux_tasks, config, batch, extra
             )
-            if not (math.isfinite(loss) and tape.allfinite()):
-                raise DivergenceError(
-                    f"non-finite loss or gradient at pretrain epoch {epoch}, batch {step}"
-                )
-            log.attention.update(acts.attention_arrays())
-            adam.apply(
-                {"user": tape.grad_user, "item": tape.grad_item, **tape.extra}, params
-            )
-            epoch_loss += loss
-            log.steps += 1
-        log.epoch_losses.append(epoch_loss / steps)
+            return loss, tape, acts.attention_arrays()
+
+        return step
+
+    params = {"user": table.user_emb, "item": table.item_emb, **extra}
+    log = _train_loop(
+        "pretrain", dataset, config, config.epochs_pretrain, config.pretrain_loss, 0,
+        params, step_for_epoch,
+    )
     return PretrainResult(table, log, extra)
 
 
@@ -192,43 +207,19 @@ def finetune(
     if table.dim != config.dim:
         raise ValueError(f"table dim {table.dim} does not match config dim {config.dim}")
     table = table.copy()
-    log = TrainingLog()
     if config.epochs_finetune == 0:
-        return FinetuneResult(table, log)
+        return FinetuneResult(table, TrainingLog())
     rec_user_task, rec_item_task = dataset.rec_pair()
-    shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + 100)
-    neg_rng = rng_for(config.seed, STREAM_NEGATIVES + 100)
+
+    def step(index, users, items, negs):
+        loss, tape, _ = finetune_loss_and_grad(
+            table, rec_user_task, rec_item_task, config, users, items, negs
+        )
+        return loss, tape, ()
+
     params = {"user": table.user_emb, "item": table.item_emb}
-    adam = AdamState.for_params(
-        params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    log = _train_loop(
+        "finetune", dataset, config, config.epochs_finetune, config.finetune_loss, 100,
+        params, lambda steps: step,
     )
-    pos_pairs = np.array(sorted(dataset.train_edges), dtype=np.int64)
-    train_by_user = dataset.train_by_user()
-    need_negatives = config.finetune_loss == LossKind.BPR
-    n_pos = len(pos_pairs)
-    steps = max(1, math.ceil(n_pos / config.batch_size))
-    for epoch in range(config.epochs_finetune):
-        perm = shuffle_rng.permutation(n_pos)
-        epoch_loss = 0.0
-        for step in range(steps):
-            idx = perm[step * config.batch_size : (step + 1) * config.batch_size]
-            users = pos_pairs[idx, 0]
-            items = pos_pairs[idx, 1]
-            negs = None
-            if need_negatives:
-                k = config.negatives_per_positive
-                users = np.repeat(users, k)
-                items = np.repeat(items, k)
-                negs = sample_negative_items(neg_rng, users, train_by_user, dataset.num_items)
-            loss, tape, _ = finetune_loss_and_grad(
-                table, rec_user_task, rec_item_task, config, users, items, negs
-            )
-            if not (math.isfinite(loss) and tape.allfinite()):
-                raise DivergenceError(
-                    f"non-finite loss or gradient at finetune epoch {epoch}, batch {step}"
-                )
-            adam.apply({"user": tape.grad_user, "item": tape.grad_item}, params)
-            epoch_loss += loss
-            log.steps += 1
-        log.epoch_losses.append(epoch_loss / steps)
     return FinetuneResult(table, log)

@@ -96,3 +96,81 @@ def random_hypergraph_dense(rng, max_nodes=50, max_edges=30, density=0.15):
     m = int(rng.integers(1, max_edges + 1))
     H = (rng.random((n, m)) < density).astype(float)
     return H
+
+
+# ---------------------------------------------------------------------------
+# Scalar loss values. Each takes the full output tables plus the batch's row
+# indices, like the trained (value, gradients) functions, and uses the same
+# normalization: the mean over the batch, with AU uniformity over the
+# batch's unique rows. The log-sigmoid and row normalization are written
+# out per scalar here, so no arithmetic is shared with the package.
+
+
+def _log_sigmoid(x: float) -> float:
+    if x >= 0:
+        return -math.log1p(math.exp(-x))
+    return x - math.log1p(math.exp(x))
+
+
+def _batch_mean(terms) -> float:
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a loss needs a non-empty batch")
+    return math.fsum(terms) / len(terms)
+
+
+def _sq_dist(x, y) -> float:
+    return math.fsum((float(a) - float(b)) ** 2 for a, b in zip(x, y))
+
+
+def _dot(x, y) -> float:
+    return math.fsum(float(a) * float(b) for a, b in zip(x, y))
+
+
+def alignment_loss(user_rows, item_rows, users, items) -> float:
+    """Mean squared distance between the batch's user and item rows."""
+    return _batch_mean(_sq_dist(user_rows[u], item_rows[i]) for u, i in zip(users, items))
+
+
+def bpr_loss(user_rows, item_rows, users, pos, neg) -> float:
+    """Mean of -log sigmoid(s_pos - s_neg) over (user, positive, negative) triples."""
+    return _batch_mean(
+        -_log_sigmoid(_dot(user_rows[u], item_rows[p]) - _dot(user_rows[u], item_rows[n]))
+        for u, p, n in zip(users, pos, neg)
+    )
+
+
+def bpr_pos_loss(user_rows, item_rows, users, pos) -> float:
+    """Mean of -log sigmoid(s_pos) over the batch's positive pairs."""
+    return _batch_mean(
+        -_log_sigmoid(_dot(user_rows[u], item_rows[p])) for u, p in zip(users, pos)
+    )
+
+
+def _unit(row) -> list:
+    norm = math.hypot(*(float(v) for v in row))
+    return [float(v) / norm if norm > 0 else 0.0 for v in row]
+
+
+def _uniformity(rows) -> float:
+    """log of the mean of exp(-2 ||x - y||^2) over distinct pairs; 0 below two rows."""
+    kernel = [
+        math.exp(-2.0 * _sq_dist(rows[a], rows[b]))
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    ]
+    return math.log(math.fsum(kernel) / len(kernel)) if kernel else 0.0
+
+
+def au_loss(user_rows, item_rows, users, items, uniformity_weight) -> float:
+    """Alignment plus weighted uniformity on L2-normalized rows (zero rows stay zero).
+
+    Uniformity is averaged over the two sides, each taken over the unique
+    rows the batch touches.
+    """
+    align = _batch_mean(
+        _sq_dist(_unit(user_rows[u]), _unit(item_rows[i])) for u, i in zip(users, items)
+    )
+    uniform_users = _uniformity([_unit(user_rows[u]) for u in sorted(set(users))])
+    uniform_items = _uniformity([_unit(item_rows[i]) for i in sorted(set(items))])
+    return align + uniformity_weight * 0.5 * (uniform_users + uniform_items)

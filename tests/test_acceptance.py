@@ -28,7 +28,7 @@ from taskhg.evaluate import evaluate, ndcg_at_k, recall_at_k
 from taskhg.gradients import pretrain_loss_and_grad
 from taskhg.hypergraph import build_hypergraph, hypergraph_convolve
 from taskhg.io import load_checkpoint, save_checkpoint
-from taskhg.model import EmbeddingTable, TAConfig, init_embeddings, ta_forward
+from taskhg.model import EmbeddingTable, init_embeddings, ta_forward_traced
 from taskhg.protocols import cold_start_eval, run_ablation
 from taskhg.tasks import build_recommendation_hypergraphs
 from taskhg.train import finetune, pretrain
@@ -90,8 +90,8 @@ def test_criterion_2_ta_loop_oracle_equivalence():
             user_task, item_task, x_u, x_i, item_zs, user_zs = random_ta_instance(rng)
             gamma = float(rng.uniform(0.0, 2.0))
             layers = int(rng.integers(1, 3))
-            cfg = TAConfig(gamma=gamma, num_layers=layers)
-            out_u = ta_forward(x_u, user_task, item_zs, cfg)
+            cfg = TrainConfig(gamma=gamma, ta_layers=layers)
+            out_u, _ = ta_forward_traced(x_u, user_task.graph, item_zs, cfg)
             ref_u = loop_ta_forward(
                 user_task.graph.incidence.toarray(), x_u,
                 [z for _, z in item_zs], gamma, layers,
@@ -99,7 +99,7 @@ def test_criterion_2_ta_loop_oracle_equivalence():
             assert np.abs(out_u - ref_u).max(initial=0.0) <= 1e-12 * max(
                 1.0, np.abs(ref_u).max(initial=0.0)
             )
-            out_i = ta_forward(x_i, item_task, user_zs, cfg)
+            out_i, _ = ta_forward_traced(x_i, item_task.graph, user_zs, cfg)
             ref_i = loop_ta_forward(
                 item_task.graph.incidence.toarray(), x_i,
                 [z for _, z in user_zs], gamma, layers,
@@ -136,7 +136,7 @@ def test_criterion_4_gamma_zero_reduction():
         rng = np.random.default_rng(4004)
         for _ in range(100):
             user_task, _, x_u, _, item_zs, _ = random_ta_instance(rng)
-            out = ta_forward(x_u, user_task, item_zs, TAConfig(gamma=0.0))
+            out, _ = ta_forward_traced(x_u, user_task.graph, item_zs, TrainConfig(gamma=0.0))
             ref = hypergraph_convolve(user_task.graph, x_u)
             assert np.abs(out - ref).max(initial=0.0) <= 1e-12 * max(
                 1.0, np.abs(ref).max(initial=0.0)

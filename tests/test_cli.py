@@ -137,6 +137,26 @@ class TestExitCodes:
                         "--beta", "1.5", "--out", str(tmp_path / "c.bin")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gamma", "inf"],
+            ["--lr", "-1"],
+            ["--lambda-reg", "-5"],
+            ["--uniformity-weight", "nan", "--pretrain-loss", "au"],
+            ["--quantization-bins", "1"],
+            # No training step runs, so only the config check can reject it.
+            ["--gamma", "inf", "--epochs-pretrain", "0"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_config_value_is_one(self, synth_dir, tmp_path, flags, capsys):
+        code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), *flags])
+        assert code == 1
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "c.bin").exists()
+
     def test_bad_train_fraction_is_one(self, synth_dir, tmp_path):
         code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "1",
                         "--train-fraction", "1.0", "--out", str(tmp_path / "c.bin")])

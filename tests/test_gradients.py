@@ -1,7 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from instances import make_joint_instance
-from oracles import assert_grad_close, central_difference_grad
+from oracles import (
+    alignment_loss,
+    assert_grad_close,
+    au_loss,
+    bpr_loss,
+    bpr_pos_loss,
+    central_difference_grad,
+)
 
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.gradients import (
@@ -9,7 +18,6 @@ from taskhg.gradients import (
     finetune_loss_and_grad,
     pretrain_loss_and_grad,
 )
-from taskhg.losses import alignment_loss, au_loss, bpr_loss
 from taskhg.model import EmbeddingTable
 from taskhg.tasks import build_recommendation_hypergraphs
 
@@ -145,8 +153,6 @@ def test_beta_one_isolates_auxiliary_loss_term():
     table, rec_u, rec_i, aux, cfg, batch, extra = make_joint_instance(
         rng, loss=LossKind.ALIGNMENT, min_tasks=1
     )
-    from dataclasses import replace
-
     cfg = replace(cfg, beta=1.0, lambda_reg=0.0)
     loss_full, tape_full, _ = pretrain_loss_and_grad(
         table, rec_u, rec_i, aux, cfg, batch, extra
@@ -168,50 +174,30 @@ def test_beta_one_isolates_auxiliary_loss_term():
 
 
 def test_loss_values_match_spec_loss_functions():
-    # The vectorized training-path losses must agree with the row-level
-    # loss operations (up to the documented batch-mean normalization).
+    # Every trained recommendation loss equals its independent scalar oracle
+    # (batch mean; AU uniformity over the batch's unique rows).
     rng = np.random.default_rng(31)
     table, rec_u, rec_i, aux, cfg, batch, extra = make_joint_instance(
-        rng, loss=LossKind.ALIGNMENT, max_tasks=0
+        rng, loss=LossKind.BPR, max_tasks=0
     )
-    from dataclasses import replace
-
     cfg = replace(cfg, beta=1.0, lambda_reg=0.0)
-    loss, _, acts = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, batch, {})
-    pairs = [
-        (acts.ta_user_out[u], acts.ta_item_out[i])
-        for u, i in zip(batch.rec_users, batch.rec_pos_items)
-    ]
-    assert loss == pytest.approx(alignment_loss(pairs) / len(pairs), rel=1e-12)
-
-    cfg_bpr = replace(cfg, pretrain_loss=LossKind.BPR)
-    rng2 = np.random.default_rng(32)
-    neg = np.array([int(rng2.integers(table.num_items)) for _ in batch.rec_users])
-    batch_bpr = PretrainBatch(batch.rec_users, batch.rec_pos_items, neg)
-    loss_bpr, _, acts = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg_bpr, batch_bpr, {})
-    score_pairs = [
-        (
-            float(acts.ta_user_out[u] @ acts.ta_item_out[p]),
-            float(acts.ta_user_out[u] @ acts.ta_item_out[n]),
+    # A batch that leaves rows out, so the batch's unique rows are not all rows.
+    users, pos, neg = batch.rec_users[:4], batch.rec_pos_items[:4], batch.rec_neg_items[:4]
+    assert len(set(users)) < table.num_users and len(set(pos)) < table.num_items
+    batch = PretrainBatch(users, pos, neg)
+    oracles = {
+        LossKind.ALIGNMENT: lambda u, i: alignment_loss(u, i, users, pos),
+        LossKind.BPR: lambda u, i: bpr_loss(u, i, users, pos, neg),
+        LossKind.BPR_POS: lambda u, i: bpr_pos_loss(u, i, users, pos),
+        LossKind.AU: lambda u, i: au_loss(u, i, users, pos, cfg.uniformity_weight),
+    }
+    assert set(oracles) == set(LossKind)
+    for kind, oracle in oracles.items():
+        loss, _, acts = pretrain_loss_and_grad(
+            table, rec_u, rec_i, [], replace(cfg, pretrain_loss=kind), batch, {}
         )
-        for u, p, n in zip(batch.rec_users, batch.rec_pos_items, neg)
-    ]
-    assert loss_bpr == pytest.approx(bpr_loss(score_pairs) / len(score_pairs), rel=1e-12)
-
-    cfg_au = replace(cfg, pretrain_loss=LossKind.AU)
-    loss_au, _, acts = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg_au, batch, {})
-    uu = np.unique(batch.rec_users)
-    ii = np.unique(batch.rec_pos_items)
-    expected = au_loss(
-        [
-            (acts.ta_user_out[u], acts.ta_item_out[i])
-            for u, i in zip(batch.rec_users, batch.rec_pos_items)
-        ],
-        acts.ta_user_out[uu],
-        acts.ta_item_out[ii],
-        cfg.uniformity_weight,
-    )
-    assert loss_au == pytest.approx(expected, rel=1e-12)
+        expected = oracle(acts.ta_user_out, acts.ta_item_out)
+        assert loss == pytest.approx(expected, rel=1e-12), kind
 
 
 def test_bpr_requires_negatives():

@@ -1,137 +1,208 @@
+"""Loss values: the scalar oracles on hand values, the trained joint
+objective's combination of its terms, and the overflow-safe helpers."""
+
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from instances import make_joint_instance
+from oracles import alignment_loss, au_loss, bpr_loss, bpr_pos_loss
 
-from taskhg.losses import (
-    alignment_loss,
-    au_loss,
-    bpr_loss,
-    bpr_pos_loss,
-    joint_loss,
-    log_sigmoid,
-    sigmoid,
-)
-from taskhg.model import EmbeddingTable
+from taskhg.config import LossKind, TrainConfig
+from taskhg.gradients import au_grad, log_sigmoid, pretrain_loss_and_grad, sigmoid
+from taskhg.model import EmbeddingTable, forward_pretrain, ta_forward_traced
+from taskhg.tasks import build_recommendation_hypergraphs
+
+
+def rows_of(pairs):
+    """(user_rows, item_rows, users, items) with pair k on row k of each side."""
+    user_rows = [np.asarray(u, float) for u, _ in pairs]
+    item_rows = [np.asarray(i, float) for _, i in pairs]
+    return user_rows, item_rows, range(len(pairs)), range(len(pairs))
+
+
+def bpr_of_scores(score_pairs):
+    """bpr_loss for given (s_pos, s_neg) pairs: one user row [1], 1-d item rows."""
+    n = len(score_pairs)
+    items = [[s] for pair in score_pairs for s in pair]
+    return bpr_loss([[1.0]], items, [0] * n, range(0, 2 * n, 2), range(1, 2 * n, 2))
+
+
+def bpr_pos_of_scores(scores):
+    return bpr_pos_loss([[1.0]], [[s] for s in scores], [0] * len(scores), range(len(scores)))
 
 
 class TestAlignment:
     def test_identical_vectors(self):
-        assert alignment_loss([([1.0, 2.0], [1.0, 2.0])]) == 0.0
+        assert alignment_loss(*rows_of([([1.0, 2.0], [1.0, 2.0])])) == 0.0
 
     def test_hand_norm(self):
-        assert alignment_loss([([1.0, 0.0], [0.0, 1.0])]) == 2.0
+        assert alignment_loss(*rows_of([([1.0, 0.0], [0.0, 1.0])])) == 2.0
 
     def test_quadratic_homogeneity(self):
         pairs = [([1.0, -2.0], [0.5, 3.0]), ([0.0, 1.0], [1.0, 1.0])]
         doubled = [([2 * a for a in u], [2 * b for b in i]) for u, i in pairs]
-        assert math.isclose(alignment_loss(doubled), 4.0 * alignment_loss(pairs))
+        value = alignment_loss(*rows_of(pairs))
+        assert math.isclose(alignment_loss(*rows_of(doubled)), 4.0 * value)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(5)]
-            assert alignment_loss(pairs) >= 0.0
+            assert alignment_loss(*rows_of(pairs)) >= 0.0
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            alignment_loss([])
+            alignment_loss(*rows_of([]))
 
 
 class TestBPR:
     def test_zero_margin(self):
-        assert math.isclose(bpr_loss([(1.0, 1.0)]), math.log(2.0), rel_tol=1e-12)
+        assert math.isclose(bpr_of_scores([(1.0, 1.0)]), math.log(2.0), rel_tol=1e-12)
 
     def test_analytic_margin(self):
         # sigmoid(ln 3) = 3/4, so the loss is ln(4/3).
-        assert math.isclose(bpr_loss([(math.log(3.0), 0.0)]), math.log(4.0 / 3.0), rel_tol=1e-12)
+        value = bpr_of_scores([(math.log(3.0), 0.0)])
+        assert math.isclose(value, math.log(4.0 / 3.0), rel_tol=1e-12)
 
     def test_monotone_decreasing_in_margin(self):
         margins = [-5.0, -1.0, 0.0, 1.0, 5.0, 50.0]
-        values = [bpr_loss([(m, 0.0)]) for m in margins]
+        values = [bpr_of_scores([(m, 0.0)]) for m in margins]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-20
 
     def test_extreme_margin_finite(self):
-        value = bpr_loss([(-1000.0, 0.0)])
+        value = bpr_of_scores([(-1000.0, 0.0)])
         assert math.isfinite(value)
         assert math.isclose(value, 1000.0, rel_tol=1e-12)
 
     def test_sums_over_batch(self):
-        assert math.isclose(bpr_loss([(0.0, 0.0)] * 3), 3 * math.log(2.0), rel_tol=1e-12)
+        # The per-triple terms are summed, then divided by the batch size.
+        batch = [(0.0, 0.0), (math.log(3.0), 0.0), (-1.0, 0.0)]
+        expected = (math.log(2.0) + math.log(4.0 / 3.0) + math.log1p(math.e)) / 3
+        assert math.isclose(bpr_of_scores(batch), expected, rel_tol=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            bpr_loss([])
+            bpr_of_scores([])
 
 
 class TestBPRPos:
     def test_zero_score(self):
-        assert math.isclose(bpr_pos_loss([0.0]), math.log(2.0), rel_tol=1e-12)
+        assert math.isclose(bpr_pos_of_scores([0.0]), math.log(2.0), rel_tol=1e-12)
 
     def test_analytic_score(self):
-        assert math.isclose(bpr_pos_loss([math.log(3.0)]), math.log(4.0 / 3.0), rel_tol=1e-12)
+        value = bpr_pos_of_scores([math.log(3.0)])
+        assert math.isclose(value, math.log(4.0 / 3.0), rel_tol=1e-12)
 
     def test_large_score_vanishes(self):
-        assert bpr_pos_loss([60.0]) < 1e-20
+        assert bpr_pos_of_scores([60.0]) < 1e-20
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            bpr_pos_loss([])
+            bpr_pos_of_scores([])
 
 
 class TestAU:
     def test_identical_unit_vectors_zero(self):
-        v = [1.0, 0.0]
-        rows = np.array([v, v, v])
-        assert math.isclose(au_loss([(v, v)], rows, rows, 1.0), 0.0, abs_tol=1e-15)
+        rows = np.array([[1.0, 0.0]] * 3)
+        assert math.isclose(au_loss(rows, rows, [0, 1, 2], [0, 1, 2], 1.0), 0.0, abs_tol=1e-15)
 
     def test_orthogonal_pair_alignment_two(self):
-        u, i = [1.0, 0.0], [0.0, 1.0]
-        value = au_loss([(u, i)], np.array([u]), np.array([i]), 1.0)
+        value = au_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), [0], [0], 1.0)
         assert math.isclose(value, 2.0, rel_tol=1e-12)  # single rows: uniformity 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(4)]
         users = rng.normal(size=(5, 4))
         items = rng.normal(size=(6, 4))
-        a = au_loss(pairs, users, items, 0.7)
-        scaled_pairs = [(3.0 * u, 5.0 * i) for u, i in pairs]
-        b = au_loss(scaled_pairs, 2.0 * users, 0.25 * items, 0.7)
+        u_idx = rng.integers(5, size=4)
+        i_idx = rng.integers(6, size=4)
+        a = au_loss(users, items, u_idx, i_idx, 0.7)
+        scaled_users = users * rng.uniform(0.1, 10.0, size=(5, 1))
+        scaled_items = items * rng.uniform(0.1, 10.0, size=(6, 1))
+        b = au_loss(scaled_users, scaled_items, u_idx, i_idx, 0.7)
         assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_small_set_uniformity_is_zero(self):
-        u, i = [1.0, 0.0], [1.0, 0.0]
-        with_single = au_loss([(u, i)], np.array([u]), np.array([i]), 10.0)
-        assert math.isclose(with_single, 0.0, abs_tol=1e-15)
+        rows = np.array([[1.0, 0.0]])
+        assert math.isclose(au_loss(rows, rows, [0], [0], 10.0), 0.0, abs_tol=1e-15)
+        # A repeated row is one unique row, so uniformity stays 0.
+        assert math.isclose(au_loss(rows, rows, [0, 0], [0, 0], 10.0), 0.0, abs_tol=1e-15)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            au_loss([], np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+            au_loss(np.zeros((0, 2)), np.zeros((0, 2)), [], [], 1.0)
+
+
+def joint_instance(beta, lambda_reg=0.05):
+    """An alignment-loss instance with at least two auxiliary BPR tasks."""
+    rng = np.random.default_rng(41)
+    while True:
+        table, rec_u, rec_i, aux, cfg, batch, _ = make_joint_instance(
+            rng, loss=LossKind.ALIGNMENT, min_tasks=2
+        )
+        if len(batch.aux_bpr) >= 2:
+            cfg = replace(cfg, beta=beta, lambda_reg=lambda_reg)
+            return table, rec_u, rec_i, aux, cfg, batch
+
+
+def oracle_terms(table, rec_u, rec_i, aux, cfg, batch):
+    """(rec, [aux per task], ||E||^2), each term from the scalar oracles."""
+    acts = forward_pretrain(table, rec_u, rec_i, aux, cfg)
+    rec = alignment_loss(acts.ta_user_out, acts.ta_item_out, batch.rec_users, batch.rec_pos_items)
+    traces = acts.encoder_traces
+    aux_terms = [
+        bpr_loss(traces[tid].node_emb, traces[tid].edge_emb, *triples)
+        for tid, triples in batch.aux_bpr.items()
+    ]
+    reg = float((table.user_emb**2).sum() + (table.item_emb**2).sum())
+    return rec, aux_terms, reg
 
 
 class TestJoint:
+    """The trained total is beta*rec + (1 - beta)*sum(aux) + lambda*||E||^2."""
+
+    def check_total(self, beta):
+        table, rec_u, rec_i, aux, cfg, batch = joint_instance(beta)
+        total = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch)[0]
+        rec, aux_terms, reg = oracle_terms(table, rec_u, rec_i, aux, cfg, batch)
+        expected = beta * rec + (1.0 - beta) * math.fsum(aux_terms) + cfg.lambda_reg * reg
+        assert total == pytest.approx(expected, rel=1e-12)
+        return rec, aux_terms, reg, total
+
     def test_beta_one_ignores_auxiliary(self):
-        table = EmbeddingTable(np.zeros((1, 2)), np.zeros((1, 2)))
-        assert joint_loss(2.5, [4.0, 4.0], 1.0, 0.0, table) == 2.5
+        rec, _, reg, total = self.check_total(1.0)
+        assert total == pytest.approx(rec + 0.05 * reg, rel=1e-12)
 
     def test_hand_combination(self):
-        table = EmbeddingTable(np.zeros((1, 2)), np.zeros((1, 2)))
-        assert joint_loss(2.0, [1.0, 3.0], 0.5, 0.0, table) == 3.0
+        self.check_total(0.3)
+
+    def test_beta_zero_keeps_only_auxiliary(self):
+        _, aux_terms, reg, total = self.check_total(0.0)
+        assert total == pytest.approx(math.fsum(aux_terms) + 0.05 * reg, rel=1e-12)
 
     def test_regularizer_zero_on_zero_embeddings(self):
-        table = EmbeddingTable(np.zeros((3, 2)), np.zeros((2, 2)))
-        assert joint_loss(1.0, [], 1.0, 5.0, table) == 1.0
+        # All-zero embeddings give zero outputs everywhere: alignment 0,
+        # every auxiliary margin 0 (loss ln 2 per task), and no L2 term.
+        table, rec_u, rec_i, aux, cfg, batch = joint_instance(0.4)
+        zeros = EmbeddingTable(np.zeros_like(table.user_emb), np.zeros_like(table.item_emb))
+        total = pretrain_loss_and_grad(zeros, rec_u, rec_i, aux, cfg, batch)[0]
+        assert total == pytest.approx(0.6 * len(batch.aux_bpr) * math.log(2.0), rel=1e-12)
 
     def test_regularizer_frobenius(self):
-        table = EmbeddingTable(np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]))
-        assert joint_loss(0.0, [], 0.5, 0.1, table) == pytest.approx(0.1 * 6.0)
+        table, rec_u, rec_i, aux, cfg, batch = joint_instance(0.5, lambda_reg=0.1)
+        with_reg = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch)[0]
+        no_reg = pretrain_loss_and_grad(
+            table, rec_u, rec_i, aux, replace(cfg, lambda_reg=0.0), batch
+        )[0]
+        frobenius = float((table.user_emb**2).sum() + (table.item_emb**2).sum())
+        assert with_reg - no_reg == pytest.approx(0.1 * frobenius, rel=1e-10)
 
     def test_beta_out_of_range(self):
-        table = EmbeddingTable(np.zeros((1, 1)), np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            joint_loss(1.0, [], 1.5, 0.0, table)
+        with pytest.raises(ValueError, match="beta"):
+            TrainConfig(beta=1.5).validate()
 
 
 class TestStableHelpers:
@@ -145,17 +216,22 @@ class TestStableHelpers:
         assert np.allclose(log_sigmoid(x), naive, rtol=1e-12, atol=1e-12)
 
     def test_au_loss_never_overflows(self):
-        # Normalization happens first, so huge magnitudes stay safe.
+        # The trained AU normalizes rows first, so huge magnitudes stay safe.
         rng = np.random.default_rng(2)
-        pairs = [(1e150 * rng.normal(size=3), 1e150 * rng.normal(size=3))
-                 for _ in range(3)]
-        rows = 1e150 * rng.normal(size=(4, 3))
-        value = au_loss(pairs, rows, rows, 1.0)
+        users = 1e150 * rng.normal(size=(4, 3))
+        items = 1e150 * rng.normal(size=(4, 3))
+        idx = np.array([0, 1, 3])
+        value, g_user, g_item = au_grad(users, items, idx, idx, 1.0)
         assert math.isfinite(value)
+        assert np.isfinite(g_user).all() and np.isfinite(g_item).all()
+        assert value == pytest.approx(au_loss(users, items, idx, idx, 1.0), rel=1e-12)
 
     def test_attention_softmax_never_overflows(self):
-        from taskhg.model import ta_attention
-
-        fused, alpha = ta_attention([1e8, 0.0], [("a", [1e8, 0.0]), ("b", [-1e8, 0.0])], 2)
-        assert np.isfinite(alpha).all() and np.isfinite(fused).all()
+        # One user on one item: the hyperedge is the user's row [1e8, 0], and
+        # the two task rows give logits of +-1e16 / sqrt(2).
+        user_task, _ = build_recommendation_hypergraphs([(0, 0)], 1, 1)
+        zs = [("a", np.array([[1e8, 0.0]])), ("b", np.array([[-1e8, 0.0]]))]
+        out, trace = ta_forward_traced(np.array([[1e8, 0.0]]), user_task.graph, zs, TrainConfig())
+        alpha = trace.attention[0]
+        assert np.isfinite(alpha).all() and np.isfinite(out).all()
         assert alpha.sum() == pytest.approx(1.0)

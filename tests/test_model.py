@@ -1,25 +1,16 @@
 import math
 
 import numpy as np
-import pytest
 from oracles import loop_ta_forward
 
-from taskhg.config import TAVariant
+from taskhg.config import TAVariant, TrainConfig
 from taskhg.hypergraph import build_hypergraph, hypergraph_convolve
 from taskhg.model import (
     EmbeddingTable,
-    TAConfig,
-    encode_auxiliary_task,
+    encode_auxiliary_task_traced,
     forward_pretrain,
     init_embeddings,
-    score_node_hyperedge,
-    score_user_item,
-    ta_attention,
-    ta_forward,
     ta_forward_traced,
-    ta_fuse,
-    ta_hyperedge_init,
-    ta_node_update,
 )
 from taskhg.tasks import (
     NodeSide,
@@ -50,6 +41,25 @@ def random_rec_instance(rng, max_users=10, max_items=10, max_tasks=3, d=None):
     return user_task, item_task, x, item_task_embs, d
 
 
+def ta_forward(x, rec_task, task_embs, cfg, concat_weight=None):
+    return ta_forward_traced(x, rec_task.graph, task_embs, cfg, concat_weight)[0]
+
+
+def encode(task, table, layers):
+    trace = encode_auxiliary_task_traced(task.graph, table.side_emb(task.side), layers)
+    return trace.node_emb, trace.edge_emb
+
+
+def one_edge_attention(edge_row, task_rows, gamma=1.0):
+    """TA on one user and one item: the hyperedge embedding is `edge_row`."""
+    user_task, _ = rec_pair_from_edges([(0, 0)], 1, 1)
+    zs = [(tid, np.array([row], dtype=float)) for tid, row in task_rows]
+    out, trace = ta_forward_traced(
+        np.array([edge_row], dtype=float), user_task.graph, zs, TrainConfig(gamma=gamma)
+    )
+    return out[0], trace.layers[0]
+
+
 class TestInit:
     def test_same_seed_identical(self):
         a = init_embeddings(5, 7, 8, seed=3)
@@ -78,7 +88,7 @@ class TestEncoder:
         graph = build_hypergraph([(0, 0)], 1, 1)
         task = TaskHypergraph("t", TaskKind.RELATION_PREDICTION, NodeSide.ITEMS, graph)
         table = EmbeddingTable(np.zeros((1, 2)), np.array([[1.0, 2.0]]))
-        node, edge = encode_auxiliary_task(task, table, layers=1)
+        node, edge = encode(task, table, layers=1)
         assert node.tolist() == [[1.0, 2.0]]
         assert edge.tolist() == [[1.0, 2.0]]
 
@@ -86,7 +96,7 @@ class TestEncoder:
         graph = build_hypergraph([(0, 0), (1, 0)], 2, 1)
         task = TaskHypergraph("t", TaskKind.RELATION_PREDICTION, NodeSide.ITEMS, graph)
         table = EmbeddingTable(np.zeros((1, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]))
-        node, edge = encode_auxiliary_task(task, table, layers=1)
+        node, edge = encode(task, table, layers=1)
         assert edge.tolist() == [[0.5, 0.5]]
         assert node.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
@@ -96,7 +106,7 @@ class TestEncoder:
         graph = build_hypergraph(edges, 4, 3)
         task = TaskHypergraph("t", TaskKind.RELATION_PREDICTION, NodeSide.USERS, graph)
         table = EmbeddingTable(rng.normal(size=(4, 3)), np.zeros((1, 3)))
-        node, _ = encode_auxiliary_task(task, table, layers=2)
+        node, _ = encode(task, table, layers=2)
         expected = hypergraph_convolve(graph, hypergraph_convolve(graph, table.user_emb))
         assert np.array_equal(node, expected)
 
@@ -105,39 +115,48 @@ class TestTAPieces:
     def test_hyperedge_init_matches_mean(self):
         user_task, _ = rec_pair_from_edges([(0, 0), (1, 0), (2, 0)], 3, 1)
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        out = ta_hyperedge_init(user_task, emb)
-        assert np.allclose(out, [[2 / 3, 2 / 3]])
+        _, trace = ta_forward_traced(emb, user_task.graph, [], TrainConfig())
+        assert np.allclose(trace.layers[0].eps, [[2 / 3, 2 / 3]])
 
     def test_attention_symmetry(self):
-        fused, alpha = ta_attention([1.0, 2.0], [("a", [3.0, 1.0]), ("b", [3.0, 1.0])], 2)
-        assert np.allclose(alpha, [0.5, 0.5])
+        _, layer = one_edge_attention([1.0, 2.0], [("a", [3.0, 1.0]), ("b", [3.0, 1.0])])
+        assert np.allclose(layer.alpha, [[0.5, 0.5]])
 
     def test_attention_single_task(self):
         z = np.array([0.4, -0.2])
-        fused, alpha = ta_attention([1.0, 2.0], [("a", z)], 2)
-        assert np.allclose(alpha, [1.0])
-        assert np.allclose(fused, np.tanh(z))
+        _, layer = one_edge_attention([1.0, 2.0], [("a", z)])
+        assert np.allclose(layer.alpha, [[1.0]])
+        assert np.allclose(layer.a, [np.tanh(z)])
 
     def test_attention_analytic_two_tasks(self):
-        fused, alpha = ta_attention([1.0], [("a", [1.0]), ("b", [-1.0])], 1)
+        _, layer = one_edge_attention([1.0], [("a", [1.0]), ("b", [-1.0])])
+        alpha = layer.alpha[0]
         e, einv = math.exp(1.0), math.exp(-1.0)
         assert np.allclose(alpha, [e / (e + einv), einv / (e + einv)], atol=1e-12)
         assert abs(alpha[0] - 0.8808) < 1e-4 and abs(alpha[1] - 0.1192) < 1e-4
 
-    def test_attention_requires_tasks(self):
-        with pytest.raises(ValueError):
-            ta_attention([1.0], [], 1)
-
     def test_fuse(self):
-        assert ta_fuse([1.0, 1.0], [1.0, -1.0], 0.5).tolist() == [1.5, 0.5]
-        assert ta_fuse([1.0, 1.0], [0.0, 0.0], 9.0).tolist() == [1.0, 1.0]
+        # On one user and one item the node update is the identity, so the
+        # output is the fused hyperedge q = e + gamma * tanh(z).
+        z = [0.5, -0.5]
+        out, _ = one_edge_attention([1.0, 1.0], [("a", z)], gamma=0.5)
+        assert np.allclose(out, [1.0, 1.0] + 0.5 * np.tanh(z), atol=1e-15)
+        out, _ = one_edge_attention([1.0, 1.0], [("a", [0.0, 0.0])], gamma=9.0)
+        assert out.tolist() == [1.0, 1.0]
         e = np.array([0.3, -0.7])
-        assert np.array_equal(ta_fuse(e, [1.0, 1.0], 0.0), e)
+        out, _ = one_edge_attention(e, [("a", [1.0, 1.0])], gamma=0.0)
+        assert np.array_equal(out, e)
 
     def test_node_update_matches_mean(self):
+        # One user on two items: the user's output averages the two fused
+        # hyperedges, which differ only in their task rows.
         user_task, _ = rec_pair_from_edges([(0, 0), (0, 1)], 1, 2)
-        fused = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(ta_node_update(user_task, fused), [[0.5, 0.5]])
+        x = np.array([[0.2, -0.4]])
+        z = np.array([[1.0, 0.0], [0.0, 1.0]])
+        out = ta_forward(x, user_task, [("a", z)], TrainConfig(gamma=0.5))
+        assert np.allclose(out, x + 0.5 * np.tanh(z).mean(axis=0), atol=1e-15)
+        H = user_task.graph.incidence.toarray()
+        assert np.allclose(out, loop_ta_forward(H, x, [z], 0.5), atol=1e-15)
 
 
 class TestTAForward:
@@ -145,7 +164,7 @@ class TestTAForward:
         rng = np.random.default_rng(0)
         for _ in range(30):
             user_task, _, x, task_embs, _ = random_rec_instance(rng)
-            cfg = TAConfig(gamma=0.0, num_layers=1)
+            cfg = TrainConfig(gamma=0.0, ta_layers=1)
             out = ta_forward(x, user_task, task_embs, cfg)
             expected = hypergraph_convolve(user_task.graph, x)
             assert np.allclose(out, expected, rtol=1e-12, atol=1e-15)
@@ -155,7 +174,7 @@ class TestTAForward:
         e_u = np.array([[0.3, -0.5]])
         z = np.array([[1.2, 0.4]])
         gamma = 0.7
-        out = ta_forward(e_u, user_task, [("t", z)], TAConfig(gamma=gamma))
+        out = ta_forward(e_u, user_task, [("t", z)], TrainConfig(gamma=gamma))
         assert np.allclose(out, e_u + gamma * np.tanh(z), atol=1e-15)
 
     def test_matches_loop_oracle(self):
@@ -163,7 +182,7 @@ class TestTAForward:
         for _ in range(30):
             user_task, _, x, task_embs, _ = random_rec_instance(rng)
             layers = int(rng.integers(1, 3))
-            cfg = TAConfig(gamma=float(rng.uniform(0, 2)), num_layers=layers)
+            cfg = TrainConfig(gamma=float(rng.uniform(0, 2)), ta_layers=layers)
             out = ta_forward(x, user_task, task_embs, cfg)
             H = user_task.graph.incidence.toarray()
             expected = loop_ta_forward(H, x, [z for _, z in task_embs], cfg.gamma, layers)
@@ -174,7 +193,7 @@ class TestTAForward:
         user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
         while not task_embs:
             user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
-        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TAConfig(num_layers=2))
+        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(ta_layers=2))
         assert trace.attention
         for alpha in trace.attention:
             assert np.all(alpha >= 0)
@@ -186,7 +205,7 @@ class TestTAForward:
         user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
         while not task_embs:
             user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
-        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TAConfig(gamma=gamma))
+        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(gamma=gamma))
         for layer in trace.layers:
             q = layer.eps + gamma * layer.a
             assert np.abs(q - layer.eps).max() <= gamma + 1e-15
@@ -197,7 +216,7 @@ class TestTAForward:
         user_task, _ = rec_pair_from_edges(edges, 4, 2)
         x = rng.normal(size=(4, 3))
         zs = [("t0", rng.normal(size=(2, 3)))]
-        cfg = TAConfig(gamma=0.8)
+        cfg = TrainConfig(gamma=0.8)
         out = ta_forward(x, user_task, zs, cfg)
         perm = np.array([2, 0, 3, 1])  # new index of each old node
         edges_p = [(int(perm[u]), i) for u, i in edges]
@@ -210,7 +229,7 @@ class TestTAForward:
     def test_no_opposite_tasks_degrades_to_convolution(self):
         rng = np.random.default_rng(4)
         user_task, _, x, _, _ = random_rec_instance(rng, max_tasks=0)
-        out = ta_forward(x, user_task, [], TAConfig(gamma=2.0))
+        out = ta_forward(x, user_task, [], TrainConfig(gamma=2.0))
         assert np.array_equal(out, hypergraph_convolve(user_task.graph, x))
 
     def test_sum_variant_uses_unweighted_mean(self):
@@ -218,7 +237,7 @@ class TestTAForward:
         e_u = np.array([[0.5, 0.5]])
         z1 = np.array([[1.0, 0.0]])
         z2 = np.array([[0.0, 1.0]])
-        cfg = TAConfig(gamma=1.0, variant=TAVariant.SUM)
+        cfg = TrainConfig(gamma=1.0, ta_variant=TAVariant.SUM)
         out = ta_forward(e_u, user_task, [("a", z1), ("b", z2)], cfg)
         expected = e_u + np.tanh((z1 + z2) / 2.0)
         assert np.allclose(out, expected, atol=1e-15)
@@ -229,7 +248,7 @@ class TestTAForward:
         z1 = np.array([[1.0, 0.0]])
         z2 = np.array([[0.0, 2.0]])
         w = np.arange(8.0).reshape(4, 2) / 10.0
-        cfg = TAConfig(gamma=0.5, variant=TAVariant.CONCAT)
+        cfg = TrainConfig(gamma=0.5, ta_variant=TAVariant.CONCAT)
         out = ta_forward(e_u, user_task, [("a", z1), ("b", z2)], cfg, concat_weight=w)
         stacked = np.concatenate([z1, z2], axis=1)
         expected = e_u + 0.5 * np.tanh(stacked @ w)
@@ -252,32 +271,12 @@ class TestForwardPretrain:
             bh([(0, 0), (1, 0), (4, 1), (5, 1)], 6, 2),
         )
         table = EmbeddingTable(rng.normal(size=(6, 5)), rng.normal(size=(4, 5)))
-        acts = forward_pretrain(table, user_task, item_task, [item_aux, user_aux], TAConfig())
+        acts = forward_pretrain(table, user_task, item_task, [item_aux, user_aux], TrainConfig())
         assert acts.ta_user_out.shape == (6, 5)
         assert acts.ta_item_out.shape == (4, 5)
-        assert set(acts.per_task_node_emb) == {"cat", "grp"}
-        assert acts.per_task_edge_emb["cat"].shape == (2, 5)
-        assert acts.user_side_task_ids == ["cat"]
-        assert acts.item_side_task_ids == ["grp"]
+        assert set(acts.encoder_traces) == {"cat", "grp"}
+        assert acts.encoder_traces["cat"].edge_emb.shape == (2, 5)
+        assert acts.ta_user_trace.task_ids == ["cat"]
+        assert acts.ta_item_trace.task_ids == ["grp"]
         assert len(acts.attention_arrays()) == 2
 
-
-class TestScores:
-    def test_orthogonal_rows(self):
-        table = EmbeddingTable(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert score_user_item(table, 0, 0) == 0.0
-
-    def test_hand_dot(self):
-        table = EmbeddingTable(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
-        assert score_user_item(table, 0, 0) == 2.0
-
-    def test_symmetry_under_row_swap(self):
-        a, b = np.array([0.3, -1.2]), np.array([2.0, 0.7])
-        t1 = EmbeddingTable(a[None, :], b[None, :])
-        t2 = EmbeddingTable(b[None, :], a[None, :])
-        assert score_user_item(t1, 0, 0) == score_user_item(t2, 0, 0)
-
-    def test_node_hyperedge_scores(self):
-        assert score_node_hyperedge([1.0, 0.0], [1.0, 0.0]) == 1.0
-        assert score_node_hyperedge([2.0, 0.0], [0.0, 3.0]) == 0.0
-        assert score_node_hyperedge([1.0, 2.0], [3.0, 4.0]) == 11.0

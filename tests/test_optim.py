@@ -2,34 +2,30 @@ import numpy as np
 import pytest
 
 from taskhg.errors import DivergenceError
-from taskhg.gradients import GradientTape
-from taskhg.model import EmbeddingTable
-from taskhg.optim import AdamState, adam_step
+from taskhg.optim import AdamState
 
 
-def scalar_table(u=0.0, i=0.0):
-    return EmbeddingTable(np.array([[u]]), np.array([[i]]))
+def scalar_params(u=0.0, i=0.0):
+    return {"user": np.array([[u]]), "item": np.array([[i]])}
 
 
 def test_first_step_analytic():
     # With g=1 the bias-corrected moments are both exactly 1, so the update
     # is -lr * 1 / (1 + eps) ~ -lr.
-    table = scalar_table()
-    state = AdamState.for_params({"user": table.user_emb, "item": table.item_emb}, lr=0.001)
-    tape = GradientTape(np.array([[1.0]]), np.array([[0.0]]), 0.0)
-    adam_step(state, tape, table)
+    params = scalar_params()
+    state = AdamState.for_params(params, lr=0.001)
+    state.apply({"user": np.array([[1.0]]), "item": np.array([[0.0]])}, params)
     assert state.step_count == 1
-    assert table.user_emb[0, 0] == pytest.approx(-0.001, rel=1e-7)
-    assert table.item_emb[0, 0] == 0.0
+    assert params["user"][0, 0] == pytest.approx(-0.001, rel=1e-7)
+    assert params["item"][0, 0] == 0.0
 
 
 def test_zero_gradient_is_noop():
-    table = scalar_table(0.5, -0.25)
-    state = AdamState.for_params({"user": table.user_emb, "item": table.item_emb})
-    tape = GradientTape(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
-    adam_step(state, tape, table)
-    assert table.user_emb[0, 0] == 0.5
-    assert table.item_emb[0, 0] == -0.25
+    params = scalar_params(0.5, -0.25)
+    state = AdamState.for_params(params)
+    state.apply({"user": np.zeros((1, 1)), "item": np.zeros((1, 1))}, params)
+    assert params["user"][0, 0] == 0.5
+    assert params["item"][0, 0] == -0.25
     assert state.step_count == 1
 
 
@@ -38,35 +34,29 @@ def test_identical_runs_identical_trajectories():
     grads = [rng.normal(size=(3, 2)) for _ in range(10)]
 
     def run():
-        table = EmbeddingTable(np.ones((3, 2)), np.ones((2, 2)))
-        state = AdamState.for_params({"user": table.user_emb, "item": table.item_emb}, lr=0.05)
+        params = {"user": np.ones((3, 2)), "item": np.ones((2, 2))}
+        state = AdamState.for_params(params, lr=0.05)
         for g in grads:
-            tape = GradientTape(g.copy(), np.zeros((2, 2)), 0.0)
-            adam_step(state, tape, table)
-        return table.user_emb.copy()
+            state.apply({"user": g.copy(), "item": np.zeros((2, 2))}, params)
+        return params["user"].copy()
 
     assert np.array_equal(run(), run())
 
 
 def test_nonfinite_gradient_names_block():
-    table = scalar_table()
-    state = AdamState.for_params({"user": table.user_emb, "item": table.item_emb})
-    tape = GradientTape(np.array([[np.nan]]), np.zeros((1, 1)), 0.0)
+    params = scalar_params()
+    state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="user"):
-        adam_step(state, tape, table)
+        state.apply({"user": np.array([[np.nan]]), "item": np.zeros((1, 1))}, params)
 
 
 def test_extra_blocks_updated():
-    table = scalar_table()
-    extra = {"head": np.array([[1.0, 2.0]])}
-    params = {"user": table.user_emb, "item": table.item_emb, **extra}
+    params = {**scalar_params(), "head": np.array([[1.0, 2.0]])}
     state = AdamState.for_params(params, lr=0.1)
-    tape = GradientTape(
-        np.zeros((1, 1)), np.zeros((1, 1)), 0.0, extra={"head": np.array([[1.0, 0.0]])}
-    )
-    adam_step(state, tape, table, extra)
-    assert extra["head"][0, 0] == pytest.approx(1.0 - 0.1, rel=1e-6)
-    assert extra["head"][0, 1] == 2.0
+    grads = {"user": np.zeros((1, 1)), "item": np.zeros((1, 1)), "head": np.array([[1.0, 0.0]])}
+    state.apply(grads, params)
+    assert params["head"][0, 0] == pytest.approx(1.0 - 0.1, rel=1e-6)
+    assert params["head"][0, 1] == 2.0
 
 
 def test_moments_start_at_zero_and_step_counts():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,31 @@ def small_config(**overrides):
     base = dict(dim=8, epochs_pretrain=5, epochs_finetune=5, batch_size=64, seed=3)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+class TestConfig:
+    def test_defaults_are_valid(self):
+        assert TrainConfig().validate() == TrainConfig()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.inf),
+        ("gamma", -0.5),
+        ("beta", math.nan),
+        ("lambda_reg", -5.0),
+        ("lr", 0.0),
+        ("lr", -1.0),
+        ("uniformity_weight", math.nan),
+        ("adam_beta1", 1.0),
+        ("adam_beta2", -0.1),
+        ("adam_epsilon", 0.0),
+        ("adam_epsilon", math.inf),
+        ("dim", 0),
+        ("quantization_bins", 1),
+    ])
+    def test_out_of_range_value_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field) as info:
+            TrainConfig(**{field: value}).validate()
+        assert str(value) in str(info.value)
 
 
 class TestPretrain:
