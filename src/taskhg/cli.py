@@ -33,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     defaults = TrainConfig()
-    p.add_argument("--dim", type=int, default=defaults.dim)
+    # None lets finetune tell an explicit --dim from the checkpoint's value.
+    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--gamma", type=float, default=defaults.gamma)
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--lambda-reg", type=float, default=defaults.lambda_reg)
@@ -78,7 +79,7 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 def _config_from(args, seed: int) -> TrainConfig:
     cfg = TrainConfig(
-        dim=args.dim,
+        dim=TrainConfig().dim if args.dim is None else args.dim,
         gamma=args.gamma,
         beta=args.beta,
         lambda_reg=args.lambda_reg,
@@ -144,6 +145,8 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    if args.dim is not None and args.dim != ckpt.dim:
+        raise ValueError(f"--dim {args.dim} differs from the checkpoint's dim {ckpt.dim}")
     cfg = replace(_config_from(args, args.seed), dim=ckpt.dim)
     dataset = _load(args, cfg.quantization_bins)
     result = finetune(ckpt.to_table(), dataset, cfg)
@@ -269,6 +272,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # Semantically invalid flag values are usage errors.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # Flags (say, --dim) asked for arrays larger than this machine holds.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

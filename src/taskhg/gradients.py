@@ -181,12 +181,23 @@ def _norm_backward(g_hat, hat, norms):
 
 
 def _uniformity_grad(hat_rows):
-    """Value and gradient (in normalized space) of the Gaussian uniformity term."""
+    """Value and gradient (in normalized space) of the Gaussian uniformity term.
+
+    Squared distances come from the Gram matrix, ||x||^2 + ||y||^2 - 2 x.y,
+    clamped at 0 against rounding; the row norms are taken explicitly
+    because zero rows normalize to zero. Memory is a few (n, n) buffers.
+    """
     n = hat_rows.shape[0]
     if n < 2:
         return 0.0, np.zeros_like(hat_rows)
-    d2 = ((hat_rows[:, None, :] - hat_rows[None, :, :]) ** 2).sum(axis=2)
-    kmat = np.exp(-2.0 * d2)
+    sq = np.einsum("ij,ij->i", hat_rows, hat_rows)
+    kmat = hat_rows @ hat_rows.T
+    kmat *= -2.0
+    kmat += sq[:, None]
+    kmat += sq[None, :]
+    np.maximum(kmat, 0.0, out=kmat)
+    kmat *= -2.0
+    np.exp(kmat, out=kmat)
     np.fill_diagonal(kmat, 0.0)
     total = 0.5 * kmat.sum()
     npairs = n * (n - 1) / 2.0

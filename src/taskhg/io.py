@@ -90,14 +90,24 @@ def parse_manifest(path) -> TaskManifest:
         if task_id in seen_ids or task_id == "rec":
             raise DataError(f"duplicate or reserved task id {task_id!r}")
         seen_ids.add(task_id)
+        value_kind = entry.get("value_kind", "categorical")
+        if value_kind not in ("categorical", "continuous"):
+            raise DataError(
+                f"task {task_id!r}: value_kind must be 'categorical' or 'continuous', "
+                f"got {value_kind!r}"
+            )
+        bins = entry.get("bins")
+        # type(...) is int rejects floats, strings and JSON true/false.
+        if bins is not None and (type(bins) is not int or bins < 2):
+            raise DataError(f"task {task_id!r}: bins must be an integer >= 2, got {bins!r}")
         tasks.append(
             TaskDeclaration(
                 task_id=task_id,
                 kind=kind,
                 side=side,
                 path=file_path,
-                value_kind=entry.get("value_kind", "categorical"),
-                bins=entry.get("bins"),
+                value_kind=value_kind,
+                bins=bins,
             )
         )
     return TaskManifest(payload["version"], payload["interactions"], tasks)

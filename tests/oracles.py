@@ -174,3 +174,23 @@ def au_loss(user_rows, item_rows, users, items, uniformity_weight) -> float:
     uniform_users = _uniformity([_unit(user_rows[u]) for u in sorted(set(users))])
     uniform_items = _uniformity([_unit(item_rows[i]) for i in sorted(set(items))])
     return align + uniformity_weight * 0.5 * (uniform_users + uniform_items)
+
+
+def pairwise_uniformity_grad(hat_rows):
+    """Gaussian uniformity value and gradient from explicit pairwise differences.
+
+    The (n, n, d) difference tensor is the reference for the package's Gram
+    form: log of the mean of exp(-2 ||x - y||^2) over distinct pairs, and its
+    gradient with respect to the (already normalized) rows.
+    """
+    hat_rows = np.asarray(hat_rows, dtype=np.float64)
+    n = hat_rows.shape[0]
+    if n < 2:
+        return 0.0, np.zeros_like(hat_rows)
+    diff = hat_rows[:, None, :] - hat_rows[None, :, :]
+    kmat = np.exp(-2.0 * (diff**2).sum(axis=2))
+    np.fill_diagonal(kmat, 0.0)
+    total = 0.5 * kmat.sum()
+    value = math.log(total / (n * (n - 1) / 2.0))
+    grad = (-4.0 / total) * (kmat[:, :, None] * diff).sum(axis=1)
+    return value, grad

@@ -1,9 +1,13 @@
+import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import taskhg.train
 from taskhg.cli import main
+from taskhg.io import load_checkpoint
 
 TRAIN_FLAGS = [
     "--dim", "8", "--epochs-pretrain", "3", "--epochs-finetune", "3",
@@ -22,6 +26,19 @@ def synth_dir(tmp_path_factory):
                     "--interactions-per-user", "4"])
     assert code == 0
     return out
+
+
+def continuous_copy(synth_dir, tmp_path, fields):
+    """A copy of the dataset whose item_block task is continuous, updated by `fields`."""
+    data = tmp_path / "continuous"
+    shutil.copytree(synth_dir, data)
+    blocks = data / "item_blocks.tsv"
+    blocks.write_text(blocks.read_text().replace("block_", ""))
+    manifest = json.loads((data / "manifest.json").read_text())
+    task = next(t for t in manifest["tasks"] if t["id"] == "item_block")
+    task.update({"value_kind": "continuous", **fields})
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data
 
 
 class TestPipeline:
@@ -171,6 +188,71 @@ class TestExitCodes:
                             "--lr", "1e300", "--epochs-pretrain", "30",
                             "--out", str(tmp_path / "c.bin"), "--dim", "8"])
         assert code == 3
+
+    def test_out_of_memory_is_one_line(self, synth_dir, tmp_path, monkeypatch, capsys):
+        message = ("Unable to allocate 149. GiB for an array with shape "
+                   "(200, 100000000) and data type float64")
+
+        def init_embeddings(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(taskhg.train, "init_embeddings", init_embeddings)
+        code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "7",
+                        "--dim", "100000000", "--epochs-pretrain", "1",
+                        "--out", str(tmp_path / "c.bin")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: out of memory: {message}"
+        assert not (tmp_path / "c.bin").exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"bins": "five"},
+            {"bins": 1},
+            {"bins": True},
+            {"bins": 2.5},
+            {"bins": 0},
+            {"value_kind": "ordinal"},
+        ],
+        ids=lambda fields: json.dumps(fields),
+    )
+    def test_bad_manifest_value_is_two(self, synth_dir, tmp_path, fields, capsys):
+        data = continuous_copy(synth_dir, tmp_path, fields)
+        code = run_cli(["pretrain", "--data", str(data), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'item_block'" in err and repr(*fields.values()) in err
+        assert not (tmp_path / "c.bin").exists()
+
+    @pytest.mark.parametrize("fields", [{}, {"bins": None}, {"bins": 2}], ids=json.dumps)
+    def test_good_manifest_bins_are_accepted(self, synth_dir, tmp_path, fields):
+        data = continuous_copy(synth_dir, tmp_path, fields)
+        code = run_cli(["pretrain", "--data", str(data), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 0
+
+    def test_finetune_dim_differing_from_checkpoint_is_one(self, synth_dir, tmp_path, capsys):
+        ckpt = tmp_path / "pre.ckpt"
+        assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",
+                        "--out", str(ckpt), *TRAIN_FLAGS]) == 0
+        code = run_cli(["finetune", "--data", str(synth_dir), "--seed", "3",
+                        "--checkpoint", str(ckpt), "--out", str(tmp_path / "fine.ckpt"),
+                        "--dim", "16", "--epochs-finetune", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--dim 16" in err and "dim 8" in err
+        assert not (tmp_path / "fine.ckpt").exists()
+
+    def test_finetune_without_dim_uses_checkpoint_dim(self, synth_dir, tmp_path):
+        ckpt = tmp_path / "pre.ckpt"
+        fine = tmp_path / "fine.ckpt"
+        assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",
+                        "--out", str(ckpt), *TRAIN_FLAGS]) == 0
+        assert run_cli(["finetune", "--data", str(synth_dir), "--seed", "3",
+                        "--checkpoint", str(ckpt), "--out", str(fine),
+                        "--epochs-finetune", "1"]) == 0
+        assert load_checkpoint(fine).dim == 8
 
     def test_help_is_zero(self):
         proc = subprocess.run(

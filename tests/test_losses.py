@@ -2,15 +2,28 @@
 objective's combination of its terms, and the overflow-safe helpers."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from instances import make_joint_instance
-from oracles import alignment_loss, au_loss, bpr_loss, bpr_pos_loss
+from oracles import (
+    alignment_loss,
+    au_loss,
+    bpr_loss,
+    bpr_pos_loss,
+    pairwise_uniformity_grad,
+)
 
 from taskhg.config import LossKind, TrainConfig
-from taskhg.gradients import au_grad, log_sigmoid, pretrain_loss_and_grad, sigmoid
+from taskhg.gradients import (
+    _uniformity_grad,
+    au_grad,
+    log_sigmoid,
+    pretrain_loss_and_grad,
+    sigmoid,
+)
 from taskhg.model import EmbeddingTable, forward_pretrain, ta_forward_traced
 from taskhg.tasks import build_recommendation_hypergraphs
 
@@ -134,6 +147,81 @@ class TestAU:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             au_loss(np.zeros((0, 2)), np.zeros((0, 2)), [], [], 1.0)
+
+
+def unit_rows(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+
+
+def near_duplicates(seed, d):
+    """Four unit rows about 1e-9 apart, where the Gram form rounds below 0."""
+    rng = np.random.default_rng(seed)
+    return unit_rows(rng.normal(size=(1, d)) + 1e-9 * rng.normal(size=(4, d)))
+
+
+def degenerate_rows():
+    rng = np.random.default_rng(12)
+    row = unit_rows(rng.normal(size=(1, 16)))
+    others = unit_rows(rng.normal(size=(5, 16)))
+    return {
+        "duplicates": np.repeat(row, 3, axis=0),
+        "duplicates_among_others": np.vstack([others, row, row]),
+        "zero_rows": np.vstack([others, np.zeros((2, 16))]),
+        "all_zero": np.zeros((3, 16)),
+        "antipodal": np.vstack([row, -row]),
+        "antipodal_among_others": np.vstack([others, row, -row]),
+        "1e-9_apart": near_duplicates(3, d=64),
+        "1e-9_apart_among_others": np.vstack([others, near_duplicates(4, d=16)]),
+    }
+
+
+class TestUniformityGram:
+    """The Gram-matrix uniformity against the explicit pairwise reference.
+
+    Rows are unit (or zero) vectors, so value and gradient entries are at
+    most O(1); atol 1e-12 covers entries that are 0 or tiny (duplicate rows,
+    rows 1e-9 apart), where rounding in either form dominates a relative error.
+    """
+
+    @staticmethod
+    def check(rows):
+        value, grad = _uniformity_grad(rows)
+        ref_value, ref_grad = pairwise_uniformity_grad(rows)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+        return value
+
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    def test_random_rows_match_pairwise(self, n):
+        rng = np.random.default_rng(n)
+        self.check(unit_rows(rng.normal(size=(n, 64))))
+
+    @pytest.mark.parametrize("name", list(degenerate_rows()))
+    def test_degenerate_rows_match_pairwise(self, name):
+        value = self.check(degenerate_rows()[name])
+        # Every kernel entry is at most 1, so the log-mean is at most 0.
+        # Without the clamp, ||x||^2 + ||y||^2 - 2 x.y rounds below 0 for
+        # duplicate and near-duplicate rows, and the value comes out > 0.
+        assert value <= 0.0
+
+    def test_au_grad_memory_is_quadratic_not_cubic(self):
+        # 1024 unique users and items at d = 64: an (n, n, d) temporary alone
+        # is 512 MB; the Gram form keeps a few 8 MB (n, n) buffers.
+        rng = np.random.default_rng(5)
+        n, d = 1024, 64
+        user_out = rng.normal(size=(n, d))
+        item_out = rng.normal(size=(n, d))
+        users = rng.permutation(n)
+        items = rng.permutation(n)
+        tracemalloc.start()
+        try:
+            au_grad(user_out, item_out, users, items, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"au_grad peaked at {peak / 2**20:.1f} MB"
 
 
 def joint_instance(beta, lambda_reg=0.05):
