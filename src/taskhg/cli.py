@@ -162,8 +162,6 @@ def _cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = _load(args, TrainConfig().quantization_bins)
     ks = tuple(int(k) for k in args.ks.split(",") if k)
-    if not ks:
-        raise ValueError("--ks must name at least one cutoff")
     report = evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed)
     emit_report(report, args.format, args.report)
     print(format_report(report, "table"), end="")

@@ -23,6 +23,14 @@ class TAVariant(Enum):
     CONCAT = "concat"
 
 
+def check_eval_ks(ks) -> tuple:
+    """The cutoffs as a tuple; ValueError unless non-empty, each >= 1, ascending."""
+    ks = tuple(ks)
+    if not ks or any(k < 1 for k in ks) or list(ks) != sorted(ks):
+        raise ValueError(f"eval_ks must be non-empty, each >= 1 and ascending, got {ks}")
+    return ks
+
+
 @dataclass
 class TrainConfig:
     dim: int = 64
@@ -72,11 +80,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not (ok and math.isfinite(value)):
                 raise ValueError(f"{name} must be {rule}, got {value}")
-        ks = tuple(self.eval_ks)
-        if not ks:
-            raise ValueError("eval_ks must not be empty")
-        if list(ks) != sorted(ks) or any(k < 1 for k in ks):
-            raise ValueError(f"eval_ks must be positive and sorted ascending, got {ks}")
+        check_eval_ks(self.eval_ks)
         return self
 
     def fingerprint(self) -> str:

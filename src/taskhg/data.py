@@ -49,15 +49,12 @@ class InteractionDataset:
                 raise DataError(f"edge ({u}, {i}) out of range for "
                                 f"{self.num_users} users x {self.num_items} items")
         self._rec_pair = None
-        self._train_by_user = None
         self._test_by_user = None
 
     def rec_pair(self):
         """The transposed pair of recommendation hypergraphs over train edges."""
         if self._rec_pair is None:
-            self._rec_pair = build_recommendation_hypergraphs(
-                sorted(self.train_edges), self.num_users, self.num_items
-            )
+            self._rec_pair = self.rec_pair_with(())
         return self._rec_pair
 
     def rec_pair_with(self, extra_edges):
@@ -65,13 +62,13 @@ class InteractionDataset:
         edges = sorted(self.train_edges | set(extra_edges))
         return build_recommendation_hypergraphs(edges, self.num_users, self.num_items)
 
-    def train_by_user(self) -> dict:
-        if self._train_by_user is None:
-            by_user: dict = {}
-            for u, i in sorted(self.train_edges):
-                by_user.setdefault(u, set()).add(i)
-            self._train_by_user = by_user
-        return self._train_by_user
+    def check_table(self, table):
+        """Raise DataError unless `table` has one row per user and per item."""
+        if (table.num_users, table.num_items) != (self.num_users, self.num_items):
+            raise DataError(
+                f"embedding table has {table.num_users} users x {table.num_items} items, "
+                f"dataset has {self.num_users} users x {self.num_items} items"
+            )
 
     def test_by_user(self) -> dict:
         if self._test_by_user is None:
@@ -117,20 +114,6 @@ def split_interactions(edges, train_fraction: float, seed: int):
     return train, test
 
 
-def sample_negative_items(rng, users, train_by_user, num_items: int) -> np.ndarray:
-    """One uniform non-interacted item per entry of `users` (rejection sampling)."""
-    out = np.empty(len(users), dtype=np.int64)
-    for k, u in enumerate(users):
-        seen = train_by_user.get(int(u), ())
-        if len(seen) >= num_items:
-            raise DataError(f"user {u} interacted with every item; cannot sample a negative")
-        j = int(rng.integers(num_items))
-        while j in seen:
-            j = int(rng.integers(num_items))
-        out[k] = j
-    return out
-
-
 def task_positive_pairs(task: TaskHypergraph) -> np.ndarray:
     """(node, hyperedge) incidence pairs eligible for ranking training.
 
@@ -145,19 +128,31 @@ def task_positive_pairs(task: TaskHypergraph) -> np.ndarray:
 
 
 def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
-    """One uniform non-incident hyperedge per node entry."""
-    graph = task.graph
-    m = graph.num_hyperedges
-    csr = graph.incidence
+    """One uniform non-incident hyperedge per node entry (rejection sampling).
+
+    BPR item negatives are this on the user-side recommendation task.
+    """
+    m = task.graph.num_hyperedges
+    indptr = task.graph.incidence.indptr.tolist()
+    indices = task.graph.incidence.indices
     out = np.empty(len(nodes), dtype=np.int64)
     for k, v in enumerate(nodes):
-        v = int(v)
-        incident = csr.indices[csr.indptr[v] : csr.indptr[v + 1]]
+        lo, hi = indptr[v], indptr[v + 1]
+        if hi - lo >= m:
+            raise DataError(
+                f"node {v} is incident to every hyperedge of task {task.task_id!r}; "
+                "cannot sample a negative"
+            )
+        incident = indices[lo:hi].tolist()
         e = int(rng.integers(m))
         while e in incident:
             e = int(rng.integers(m))
         out[k] = e
     return out
+
+
+# Item negatives keep their own name so a trace can time them apart.
+sample_negative_items = sample_negative_hyperedges
 
 
 def synthetic_records(

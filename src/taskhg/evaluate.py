@@ -1,8 +1,8 @@
 """Top-K ranking evaluation: Recall@K and NDCG@K with deterministic ties.
 
 Scores come from the downstream encoder: one hypergraph convolution over
-the recommendation hypergraphs, then user-item inner products. Items a
-user interacted with during training are masked out of the ranking; ties
+the recommendation hypergraphs, then user-item inner products. A user's
+items in the user-side hypergraph are masked out of the ranking; ties
 break by ascending item index.
 """
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_eval_ks
 from .data import InteractionDataset
 from .hypergraph import hypergraph_convolve
 from .model import EmbeddingTable
@@ -76,11 +77,11 @@ def rank_items(score_row: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(score_row)), -score_row))
 
 
-def evaluate_scores(scores: np.ndarray, masked_by_user: dict, test_by_user: dict, ks, users):
-    """Mean Recall@K / NDCG@K over `users` from a (num_users, num_items) score matrix."""
-    ks = tuple(ks)
-    if not ks:
-        raise ValueError("ks must name at least one cutoff")
+def evaluate_scores(scores: np.ndarray, seen, test_by_user: dict, ks, users):
+    """Mean Recall@K / NDCG@K over `users` from a (num_users, num_items) score matrix.
+
+    Each user's row of `seen`, a users x items CSR incidence, is masked.
+    """
     kmax = max(ks)
     recall = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}
@@ -90,8 +91,7 @@ def evaluate_scores(scores: np.ndarray, masked_by_user: dict, test_by_user: dict
         if not test_items:
             continue
         row = scores[u].copy()
-        for i in masked_by_user.get(u, ()):
-            row[i] = -np.inf
+        row[seen.indices[seen.indptr[u] : seen.indptr[u + 1]]] = -np.inf
         top = rank_items(row)[:kmax]
         for k in ks:
             recall[k] += recall_at_k(top, test_items, k)
@@ -104,16 +104,8 @@ def evaluate_scores(scores: np.ndarray, masked_by_user: dict, test_by_user: dict
     return recall, ndcg, count
 
 
-def encode_for_inference(table: EmbeddingTable, dataset: InteractionDataset, extra_edges=None):
-    """Downstream encoder: one convolution over the recommendation pair.
-
-    extra_edges are inference-only interactions (the cold-start protocol
-    feeds withheld edges back here without ever training on them).
-    """
-    if extra_edges:
-        rec_user_task, rec_item_task = dataset.rec_pair_with(extra_edges)
-    else:
-        rec_user_task, rec_item_task = dataset.rec_pair()
+def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):
+    """Downstream encoder: one convolution over the recommendation pair."""
     user_out = hypergraph_convolve(rec_user_task.graph, table.user_emb)
     item_out = hypergraph_convolve(rec_item_task.graph, table.item_emb)
     return user_out, item_out
@@ -132,29 +124,29 @@ def evaluate(
 ) -> EvalReport:
     """Rank all items per user and report mean Recall@K / NDCG@K.
 
-    Only users with at least one test item and at least one interaction
-    visible at inference are evaluated. Known interactions (train plus any
-    inference-only edges) are masked from the candidate ranking.
+    extra_inference_edges join the train edges in the recommendation pair
+    at inference only (cold start). Users with a test item and an edge in
+    that pair are evaluated, with their edges masked from the ranking.
     """
+    ks = check_eval_ks(ks)
     if not dataset.test_edges:
         raise ValueError("evaluate requires a non-empty test set")
-    user_out, item_out = encode_for_inference(table, dataset, extra_inference_edges)
-    scores = user_out @ item_out.T
-    masked = {u: set(items) for u, items in dataset.train_by_user().items()}
-    known_users = set(masked)
+    dataset.check_table(table)
     if extra_inference_edges:
-        for u, i in extra_inference_edges:
-            masked.setdefault(u, set()).add(i)
-            known_users.add(u)
-    test_by_user = dataset.test_by_user()
-    if users is None:
-        users = sorted(u for u in test_by_user if u in known_users)
+        rec_user_task, rec_item_task = dataset.rec_pair_with(extra_inference_edges)
     else:
-        users = sorted(set(users) & set(test_by_user) & known_users)
-    recall, ndcg, count = evaluate_scores(scores, masked, test_by_user, ks, users)
+        rec_user_task, rec_item_task = dataset.rec_pair()
+    user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task)
+    scores = user_out @ item_out.T
+    seen = rec_user_task.graph.incidence
+    known = rec_user_task.graph.node_degrees > 0
+    test_by_user = dataset.test_by_user()
+    candidates = test_by_user if users is None else set(users) & set(test_by_user)
+    users = sorted(u for u in candidates if known[u])
+    recall, ndcg, count = evaluate_scores(scores, seen, test_by_user, ks, users)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
     return EvalReport(
-        ks=tuple(ks),
+        ks=ks,
         rows=[row],
         seed=seed,
         epochs_pretrain=epochs_pretrain,

@@ -14,6 +14,7 @@ persisted next to the data.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,12 +184,20 @@ class _IdMapper:
         return self.mapping[raw]
 
     def persist(self, path: Path):
+        # Concurrent readers must never see a partial map: write only on a
+        # change, through a temp file in the same directory.
         if self.identity:
             return
         ordered = sorted(self.mapping, key=self.mapping.get)
-        path.write_text(
-            "".join(f"{raw}\t{self.mapping[raw]}\n" for raw in ordered), encoding="utf-8"
-        )
+        blob = "".join(f"{raw}\t{self.mapping[raw]}\n" for raw in ordered).encode("utf-8")
+        if path.is_file() and path.read_bytes() == blob:
+            return
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def load_dataset(

@@ -37,9 +37,7 @@ class AblationReport:
 def _run_cell(dataset: InteractionDataset, config: TrainConfig, label: str) -> MetricRow:
     pre = pretrain(dataset, config)
     fine = finetune(pre.table, dataset, config)
-    report = evaluate(fine.table, dataset, config.eval_ks)
-    row = report.rows[0]
-    return MetricRow(label=label, recall=row.recall, ndcg=row.ndcg, num_users=row.num_users)
+    return evaluate(fine.table, dataset, config.eval_ks, label=label).rows[0]
 
 
 def run_ablation(dataset: InteractionDataset, config: TrainConfig) -> AblationReport:
@@ -108,11 +106,9 @@ def cold_start_eval(
             config.eval_ks,
             users=cold_users,
             extra_inference_edges=sorted(withheld),
+            label=label,
         )
-        row = report.rows[0]
-        rows.append(
-            MetricRow(label=label, recall=row.recall, ndcg=row.ndcg, num_users=row.num_users)
-        )
+        rows.append(report.rows[0])
     return EvalReport(
         ks=tuple(config.eval_ks),
         rows=rows,

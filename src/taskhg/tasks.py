@@ -72,7 +72,7 @@ def build_recommendation_hypergraphs(interactions, num_users: int, num_items: in
     if not pairs:
         raise DataError("a recommendation task needs at least one interaction")
     user_graph = build_hypergraph(pairs, num_users, num_items)
-    item_graph = build_hypergraph([(i, u) for u, i in pairs], num_items, num_users)
+    item_graph = Hypergraph(user_graph.incidence_t)
     user_task = TaskHypergraph(REC_TASK_ID, TaskKind.RECOMMENDATION, NodeSide.USERS, user_graph)
     item_task = TaskHypergraph(REC_TASK_ID, TaskKind.RECOMMENDATION, NodeSide.ITEMS, item_graph)
     return user_task, item_task

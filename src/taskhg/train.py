@@ -109,8 +109,8 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
     adam = AdamState.for_params(
         params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
     )
-    pos_pairs = np.array(sorted(dataset.train_edges), dtype=np.int64)
-    train_by_user = dataset.train_by_user()
+    rec_user_task = dataset.rec_pair()[0]
+    pos_pairs = rec_user_task.graph.memberships()
     need_negatives = loss_kind == LossKind.BPR
     n_pos = len(pos_pairs)
     steps = max(1, math.ceil(n_pos / config.batch_size))
@@ -127,7 +127,7 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
                 k = config.negatives_per_positive
                 users = np.repeat(users, k)
                 items = np.repeat(items, k)
-                negs = sample_negative_items(neg_rng, users, train_by_user, dataset.num_items)
+                negs = sample_negative_items(neg_rng, rec_user_task, users)
             loss, tape, attention = step_fn(step, users, items, negs)
             if not (math.isfinite(loss) and tape.allfinite()):
                 raise DivergenceError(
@@ -149,6 +149,7 @@ def pretrain(
     if table is None:
         table = init_embeddings(dataset.num_users, dataset.num_items, config.dim, config.seed)
     else:
+        dataset.check_table(table)
         table = table.copy()
     extra = _init_extra_params(dataset, config)
     if config.epochs_pretrain == 0:
@@ -206,6 +207,7 @@ def finetune(
     config.validate()
     if table.dim != config.dim:
         raise ValueError(f"table dim {table.dim} does not match config dim {config.dim}")
+    dataset.check_table(table)
     table = table.copy()
     if config.epochs_finetune == 0:
         return FinetuneResult(table, TrainingLog())

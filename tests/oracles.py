@@ -194,3 +194,18 @@ def pairwise_uniformity_grad(hat_rows):
     value = math.log(total / (n * (n - 1) / 2.0))
     grad = (-4.0 / total) * (kmat[:, :, None] * diff).sum(axis=1)
     return value, grad
+
+
+def sample_negative_items(rng, users, seen_by_user, num_items):
+    """Set-based rejection sampler: one rng.integers(num_items) per try until
+    the draw is not in the user's set of seen items."""
+    out = np.empty(len(users), dtype=np.int64)
+    for k, u in enumerate(users):
+        seen = seen_by_user.get(int(u), ())
+        if len(seen) >= num_items:
+            raise ValueError(f"user {u} interacted with every item")
+        j = int(rng.integers(num_items))
+        while j in seen:
+            j = int(rng.integers(num_items))
+        out[k] = j
+    return out

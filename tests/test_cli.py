@@ -254,6 +254,44 @@ class TestExitCodes:
                         "--epochs-finetune", "1"]) == 0
         assert load_checkpoint(fine).dim == 8
 
+    @pytest.mark.parametrize(
+        "ks, named", [("0", "(0,)"), ("-5", "(-5,)"), ("20,10", "(20, 10)"), ("a", "'a'")]
+    )
+    def test_bad_ks_is_one(self, synth_dir, tmp_path, ks, named, capsys):
+        ckpt = tmp_path / "pre.ckpt"
+        assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",
+                        "--out", str(ckpt), *TRAIN_FLAGS]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.tsv"
+        code = run_cli(["evaluate", "--data", str(synth_dir), "--checkpoint", str(ckpt),
+                        "--ks", ks, "--report", str(report)])
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and named in last
+        assert not report.exists()
+        code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3", "--ks", ks,
+                        "--out", str(tmp_path / "c.bin"), *TRAIN_FLAGS])
+        assert code == 1
+        assert not (tmp_path / "c.bin").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_checkpoint_of_another_shape_is_two(self, synth_dir, tmp_path, command, capsys):
+        ckpt = tmp_path / "pre.ckpt"
+        assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",
+                        "--out", str(ckpt), *TRAIN_FLAGS]) == 0
+        other = tmp_path / "other"
+        assert run_cli(["synth", "--out", str(other), "--users", "48", "--items", "24",
+                        "--blocks", "4", "--seed", "5"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = {"finetune": ["--seed", "3", "--out", str(out), "--epochs-finetune", "1"],
+                 "evaluate": ["--report", str(out)]}[command]
+        code = run_cli([command, "--data", str(other), "--checkpoint", str(ckpt), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "40 users x 20 items" in err and "48 users x 24 items" in err
+        assert not out.exists()
+
     def test_help_is_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "taskhg.cli", "--help"], capture_output=True

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from taskhg.data import (
@@ -10,7 +11,8 @@ from taskhg.data import (
     task_positive_pairs,
 )
 from taskhg.errors import DataError
-from taskhg.tasks import NodeSide, TaskKind
+from taskhg.hypergraph import build_hypergraph
+from taskhg.tasks import NodeSide, TaskKind, build_recommendation_hypergraphs
 
 
 class TestSplit:
@@ -56,24 +58,68 @@ class TestDataset:
         assert item_task.graph.num_nodes == 3
         assert user_task.graph.incidence.toarray()[0, 1] == 0.0
 
+    def test_rec_pair_item_graph_is_built_from_swapped_pairs(self):
+        ds = generate_synthetic_dataset(40, 20, 4, 0.1, seed=3, interactions_per_user=4)
+        _, item_task = ds.rec_pair()
+        swapped = build_hypergraph([(i, u) for u, i in ds.train_edges], 20, 40)
+        for name in ("incidence", "incidence_t"):
+            got, want = getattr(item_task.graph, name), getattr(swapped, name)
+            assert got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
+        for name in ("node_degrees", "hyperedge_degrees", "inv_node_degrees",
+                     "inv_hyperedge_degrees"):
+            assert np.array_equal(getattr(item_task.graph, name), getattr(swapped, name))
+
     def test_rec_pair_with_extra_edges(self):
         ds = InteractionDataset(2, 2, {(0, 0)}, {(1, 1)}, [])
         user_task, _ = ds.rec_pair_with([(1, 0)])
         assert user_task.graph.nnz == 2
 
 
+def by_node(pairs) -> dict:
+    out: dict = {}
+    for v, e in pairs:
+        out.setdefault(int(v), set()).add(int(e))
+    return out
+
+
 class TestSamplers:
     def test_negative_items_avoid_train(self):
         rng = np.random.default_rng(0)
-        train = {0: {0, 1, 2}, 1: {3}}
-        negs = sample_negative_items(rng, [0] * 200 + [1] * 200, train, 5)
+        user_task, _ = build_recommendation_hypergraphs([(0, 0), (0, 1), (0, 2), (1, 3)], 2, 5)
+        negs = sample_negative_items(rng, user_task, [0] * 200 + [1] * 200)
         assert set(negs[:200]) <= {3, 4}
         assert 3 not in set(negs[200:])
 
     def test_negative_items_exhausted(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(DataError):
-            sample_negative_items(rng, [0], {0: {0, 1}}, 2)
+        user_task, _ = build_recommendation_hypergraphs([(0, 0), (0, 1)], 1, 2)
+        with pytest.raises(DataError, match=r"node 0 .*task 'rec'"):
+            sample_negative_items(rng, user_task, [0])
+
+    def test_item_negatives_match_set_oracle(self):
+        ds = generate_synthetic_dataset(400, 200, 4, 0.05, seed=3, interactions_per_user=10)
+        user_task, _ = ds.rec_pair()
+        edges = sorted(ds.train_edges)
+        users = np.random.default_rng(1).permutation([u for u, _ in edges])
+        negs = sample_negative_items(np.random.default_rng(2), user_task, users)
+        expected = oracles.sample_negative_items(
+            np.random.default_rng(2), users, by_node(edges), ds.num_items
+        )
+        assert np.array_equal(negs, expected)
+
+    def test_hyperedge_negatives_match_set_oracle(self):
+        ds = generate_synthetic_dataset(400, 200, 4, 0.05, seed=3, interactions_per_user=10)
+        task = next(t for t in ds.auxiliary_tasks if t.kind == TaskKind.RELATION_PREDICTION)
+        inc = task.graph.incidence.toarray()
+        nodes = task_positive_pairs(task)[:, 0]
+        negs = sample_negative_hyperedges(np.random.default_rng(4), task, nodes)
+        expected = oracles.sample_negative_items(
+            np.random.default_rng(4), nodes, by_node(zip(*np.nonzero(inc))), inc.shape[1]
+        )
+        assert np.array_equal(negs, expected)
 
     def test_negative_hyperedges_avoid_incident(self):
         from taskhg.hypergraph import build_hypergraph

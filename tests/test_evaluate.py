@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from taskhg.data import InteractionDataset
+from taskhg.errors import DataError
 from taskhg.evaluate import (
     EvalReport,
     MetricRow,
@@ -56,7 +59,8 @@ class TestRanking:
 
     def test_masked_items_never_ranked(self):
         scores = np.array([[9.0, 5.0, 1.0]])
-        recall, _, n = evaluate_scores(scores, {0: {0}}, {0: {1}}, ks=(1,), users=[0])
+        seen = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
+        recall, _, n = evaluate_scores(scores, seen, {0: {1}}, ks=(1,), users=[0])
         assert n == 1
         assert recall[1] == 1.0  # item 0 masked, item 1 tops the list
 
@@ -104,6 +108,40 @@ class TestEvaluate:
         table = EmbeddingTable(np.ones((3, 2)), np.ones((3, 2)))
         report = evaluate(table, ds, ks=(1,), extra_inference_edges=[(2, 0)])
         assert report.rows[0].num_users == 2
+
+    def test_extra_inference_items_never_ranked(self, monkeypatch):
+        # Cold user 2 has only inference-only edges; its extra items and
+        # every user's train items must be masked before ranking.
+        ds = InteractionDataset(3, 5, {(0, 0), (1, 1)}, {(0, 4), (1, 4), (2, 4)}, [])
+        extra = [(2, 0), (2, 2), (0, 3)]
+        rows = {}
+
+        def recording_rank_items(row):
+            rows[len(rows)] = row.copy()
+            return rank_items(row)
+
+        # `taskhg.evaluate` names the function; the module is in sys.modules.
+        monkeypatch.setattr(sys.modules["taskhg.evaluate"], "rank_items", recording_rank_items)
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+        report = evaluate(table, ds, ks=(1, 5), extra_inference_edges=extra)
+        assert report.rows[0].num_users == 3
+        masked = {0: {0, 3}, 1: {1}, 2: {0, 2}}
+        for u, row in rows.items():  # users are ranked in ascending order
+            assert set(np.flatnonzero(row == -np.inf).tolist()) == masked[u]
+
+    @pytest.mark.parametrize("ks", [(), (0,), (-5,), (20, 10)], ids=str)
+    def test_bad_cutoffs_rejected(self, ks):
+        ds = self.make_dataset()
+        table = EmbeddingTable(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="eval_ks"):
+            evaluate(table, ds, ks=ks)
+
+    def test_table_of_another_shape_rejected(self):
+        ds = self.make_dataset()
+        table = EmbeddingTable(np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(DataError, match="3 users x 3 items.*2 users x 3 items"):
+            evaluate(table, ds, ks=(1,))
 
     def test_requires_test_edges(self):
         ds = InteractionDataset(2, 2, {(0, 0), (1, 1)}, set(), [])

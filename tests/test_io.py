@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ class TestLoadDataset:
         items_map = (root / "idmap.items.tsv").read_text()
         assert items_map == "hat\t0\nshoe\t1\n"
         assert dataset.train_edges == {(0, 1), (1, 1), (0, 0)}
+
+    def test_second_load_leaves_id_maps_untouched(self, tmp_path):
+        root = write_dataset(tmp_path, "alice\tshoe\nbob\tshoe\nalice\that\n")
+        load_dataset(root, "manifest.json")
+        maps = [root / "idmap.users.tsv", root / "idmap.items.tsv"]
+        # An old mtime makes any rewrite visible whatever the clock's grain.
+        for path in maps:
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = sorted(p.name for p in root.iterdir())
+        load_dataset(root, "manifest.json")
+        assert [p.stat().st_mtime_ns for p in maps] == [1_000_000_000] * 2
+        assert sorted(p.name for p in root.iterdir()) == before
+
+    def test_stale_id_map_is_replaced(self, tmp_path):
+        root = write_dataset(tmp_path, "alice\tshoe\nbob\tshoe\nalice\that\n")
+        (root / "idmap.users.tsv").write_text("carol\t0\n")
+        load_dataset(root, "manifest.json")
+        assert (root / "idmap.users.tsv").read_text() == "alice\t0\nbob\t1\n"
+        assert not [p for p in root.iterdir() if p.name.endswith(".tmp")]
 
     def test_sparse_int_ids_densified_numerically(self, tmp_path):
         root = write_dataset(tmp_path, "10\t5\n2\t5\n")

@@ -5,6 +5,7 @@ import pytest
 
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import generate_synthetic_dataset
+from taskhg.errors import DataError
 from taskhg.evaluate import evaluate
 from taskhg.train import finetune, pretrain
 
@@ -145,6 +146,19 @@ class TestPretrain:
         assert result.log.attention.vectors_seen > 0
         baseline = pretrain(small_dataset, small_config(epochs_pretrain=3))
         assert not np.array_equal(result.table.item_emb, baseline.table.item_emb)
+
+
+class TestTableShape:
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_table_of_another_shape_rejected(self, small_dataset, stage):
+        from taskhg.model import init_embeddings
+
+        table = init_embeddings(41, 20, 8, 0)
+        with pytest.raises(DataError, match="41 users x 20 items.*40 users x 20 items"):
+            if stage == "pretrain":
+                pretrain(small_dataset, small_config(), table)
+            else:
+                finetune(table, small_dataset, small_config())
 
 
 class TestFinetune:
