@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import LossKind, TAVariant, TrainConfig
+from .config import LossKind, TAVariant, TrainConfig, check_eval_ks
 from .errors import DataError, DivergenceError
 from .evaluate import EvalReport, evaluate
 from .io import (
@@ -77,6 +77,11 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--split-seed", type=int, default=0)
 
 
+def _parse_ks(text: str) -> tuple:
+    """The comma-separated --ks cutoffs; ValueError names a bad one."""
+    return check_eval_ks(int(k) for k in text.split(",") if k)
+
+
 def _config_from(args, seed: int) -> TrainConfig:
     cfg = TrainConfig(
         dim=TrainConfig().dim if args.dim is None else args.dim,
@@ -93,7 +98,7 @@ def _config_from(args, seed: int) -> TrainConfig:
         finetune_loss=LossKind(args.finetune_loss),
         ta_layers=args.ta_layers,
         aux_encoder_layers=args.aux_encoder_layers,
-        eval_ks=tuple(int(k) for k in args.ks.split(",") if k),
+        eval_ks=_parse_ks(args.ks),
         quantization_bins=args.quantization_bins,
         ta_variant=TAVariant(args.ta_variant),
         unified_attributes=not args.non_unified_attributes,
@@ -159,9 +164,9 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    ks = _parse_ks(args.ks)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = _load(args, TrainConfig().quantization_bins)
-    ks = tuple(int(k) for k in args.ks.split(",") if k)
     report = evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed)
     emit_report(report, args.format, args.report)
     print(format_report(report, "table"), end="")

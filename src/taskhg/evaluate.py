@@ -1,9 +1,10 @@
 """Top-K ranking evaluation: Recall@K and NDCG@K with deterministic ties.
 
 Scores come from the downstream encoder: one hypergraph convolution over
-the recommendation hypergraphs, then user-item inner products. A user's
-items in the user-side hypergraph are masked out of the ranking; ties
-break by ascending item index.
+the recommendation hypergraphs, then user-item inner products, made for
+one block of users at a time. A user's items in the user-side hypergraph
+are masked out of the ranking; ties break by ascending item index. Only
+each user's top max(ks) items are selected and ordered.
 """
 
 from __future__ import annotations
@@ -72,31 +73,62 @@ class EvalReport:
         raise KeyError(label)
 
 
+# Cells of one block of scores (users x items) that evaluation holds at a
+# time: 8 MB of float64, however many users are evaluated.
+SCORE_BLOCK_CELLS = 1 << 20
+
+
 def rank_items(score_row: np.ndarray) -> np.ndarray:
     """Full descending ranking with ties broken by ascending item index."""
     return np.lexsort((np.arange(len(score_row)), -score_row))
 
 
-def evaluate_scores(scores: np.ndarray, seen, test_by_user: dict, ks, users):
-    """Mean Recall@K / NDCG@K over `users` from a (num_users, num_items) score matrix.
+def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
+    """`rank_items(row)[:k]` for every row of a score block, without a full sort.
 
-    Each user's row of `seen`, a users x items CSR incidence, is masked.
+    Every item scoring at least the row's k-th largest score survives, so
+    items tied at the boundary do too; one lexsort over the survivors
+    orders them as `rank_items` does, and each row keeps its first k.
+    Returns a (rows, min(k, items)) array of item indices.
+    """
+    n_rows, n_items = block.shape
+    k = min(k, n_items)
+    neg = np.negative(block)
+    neg.partition(k - 1, axis=1)  # NaN sorts last, as in rank_items
+    kth = -neg[:, k - 1 : k]
+    # `not <` also keeps NaN scores and, where the k-th score is NaN, every item.
+    rows, cols = np.nonzero(~(block < kth))
+    order = np.lexsort((cols, -block[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    per_row = np.bincount(rows, minlength=n_rows)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return cols[rank < k].reshape(n_rows, k)
+
+
+def evaluate_scores(user_out, item_out, seen, ks, test_by_user: dict, users):
+    """Mean Recall@K / NDCG@K over `users` from the encoded user and item tables.
+
+    Scores are `user_out @ item_out.T`, made for a block of users at a time;
+    each user's row of `seen`, a users x items CSR incidence, is masked.
+    BLAS picks its kernel by the product's shape, so a score's last bits can
+    depend on the block's size; only scores within an ulp or so can swap.
     """
     kmax = max(ks)
+    users = [u for u in users if test_by_user.get(u)]
     recall = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}
-    count = 0
-    for u in users:
-        test_items = test_by_user.get(u)
-        if not test_items:
-            continue
-        row = scores[u].copy()
-        row[seen.indices[seen.indptr[u] : seen.indptr[u + 1]]] = -np.inf
-        top = rank_items(row)[:kmax]
-        for k in ks:
-            recall[k] += recall_at_k(top, test_items, k)
-            ndcg[k] += ndcg_at_k(top, test_items, k)
-        count += 1
+    step = max(1, SCORE_BLOCK_CELLS // item_out.shape[0])
+    for lo in range(0, len(users), step):
+        chunk = np.asarray(users[lo : lo + step])
+        block = user_out[chunk] @ item_out.T
+        masked = seen[chunk]
+        block[np.repeat(np.arange(len(chunk)), np.diff(masked.indptr)), masked.indices] = -np.inf
+        for u, top in zip(chunk.tolist(), top_k_items(block, kmax)):
+            test_items = test_by_user[u]
+            for k in ks:
+                recall[k] += recall_at_k(top, test_items, k)
+                ndcg[k] += ndcg_at_k(top, test_items, k)
+    count = len(users)
     if count:
         for k in ks:
             recall[k] /= count
@@ -137,13 +169,12 @@ def evaluate(
     else:
         rec_user_task, rec_item_task = dataset.rec_pair()
     user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task)
-    scores = user_out @ item_out.T
     seen = rec_user_task.graph.incidence
     known = rec_user_task.graph.node_degrees > 0
     test_by_user = dataset.test_by_user()
     candidates = test_by_user if users is None else set(users) & set(test_by_user)
     users = sorted(u for u in candidates if known[u])
-    recall, ndcg, count = evaluate_scores(scores, seen, test_by_user, ks, users)
+    recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, test_by_user, users)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
     return EvalReport(
         ks=ks,

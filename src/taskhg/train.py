@@ -28,7 +28,7 @@ from .data import (
     sample_negative_items,
     task_positive_pairs,
 )
-from .errors import DivergenceError
+from .errors import DataError, DivergenceError
 from .gradients import PretrainBatch, finetune_loss_and_grad, pretrain_loss_and_grad
 from .model import EmbeddingTable, init_embeddings
 from .optim import AdamState
@@ -110,8 +110,14 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
         params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
     )
     rec_user_task = dataset.rec_pair()[0]
-    pos_pairs = rec_user_task.graph.memberships()
     need_negatives = loss_kind == LossKind.BPR
+    if need_negatives:
+        # As for the auxiliary tasks: a user with every item admits no negative.
+        pos_pairs = task_positive_pairs(rec_user_task)
+        if not len(pos_pairs):
+            raise DataError(f"{stage}: no user has an item left to draw a BPR negative from")
+    else:
+        pos_pairs = rec_user_task.graph.memberships()
     n_pos = len(pos_pairs)
     steps = max(1, math.ceil(n_pos / config.batch_size))
     for epoch in range(epochs):

@@ -1,14 +1,19 @@
 """Every benchmark wrap point still names a function of the package.
 
 The traced benchmark replaces these functions by name; a refactor that
-drops or renames one leaves its layer absent from the trace. The smoke
-tests under perfbench/ are not part of this suite, so check it here.
+drops or renames one leaves its layer absent from the trace, and one that
+changes a signature breaks the layer's counter hook. The smoke tests under
+perfbench/ are not part of this suite, so check both here.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from taskhg.data import InteractionDataset
+from taskhg.evaluate import evaluate
+from taskhg.model import init_embeddings
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +35,20 @@ tracer = load_tracer()
 )
 def test_wrap_point_resolves(module_name, attr):
     assert tracer._resolve(module_name, attr) is not None
+
+
+def test_evaluate_counter_hooks_fit_the_calls():
+    # User ids run past max(ks), so a hook reading the wrong argument shows.
+    train = {(u, u % 4) for u in range(30)}
+    test = {(u, (u + 1) % 4) for u in range(30)}
+    dataset = InteractionDataset(30, 6, train, test, [])
+    table = init_embeddings(30, 6, 4, 0)
+    traced = tracer.Tracer()
+    with tracer.installed(traced) as absent:
+        report = evaluate(table, dataset, (1, 3))
+    assert absent == []
+    assert traced.broken == set()
+    assert traced.counts["kmax"] == 3
+    calls, _ = traced.layer_totals()
+    assert calls["evaluate.encode"] == 1 and calls["evaluate.rank"] == 1
+    assert report.rows[0].num_users == 30

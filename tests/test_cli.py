@@ -274,6 +274,18 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "c.bin").exists()
 
+    def test_bad_ks_is_checked_before_any_file_is_read(self, synth_dir, tmp_path, capsys):
+        code = run_cli(["evaluate", "--data", str(synth_dir),
+                        "--checkpoint", str(tmp_path / "missing.ckpt"), "--ks", "0",
+                        "--report", str(tmp_path / "report.tsv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        # One error line naming the cutoff: no dataset statistics, no checkpoint error.
+        assert captured.err.splitlines() == [
+            "error: eval_ks must be non-empty, each >= 1 and ascending, got (0,)"
+        ]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["finetune", "evaluate"])
     def test_checkpoint_of_another_shape_is_two(self, synth_dir, tmp_path, command, capsys):
         ckpt = tmp_path / "pre.ckpt"

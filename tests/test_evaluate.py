@@ -1,11 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from taskhg.data import InteractionDataset
+from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.errors import DataError
 from taskhg.evaluate import (
     EvalReport,
@@ -15,8 +16,11 @@ from taskhg.evaluate import (
     ndcg_at_k,
     rank_items,
     recall_at_k,
+    top_k_items,
 )
-from taskhg.model import EmbeddingTable
+from taskhg.model import EmbeddingTable, init_embeddings
+
+EVALUATE_MODULE = sys.modules["taskhg.evaluate"]  # the package re-exports `evaluate`
 
 
 class TestMetricPrimitives:
@@ -58,9 +62,11 @@ class TestRanking:
         assert rank_items(scores).tolist() == [1, 2, 0, 3]
 
     def test_masked_items_never_ranked(self):
-        scores = np.array([[9.0, 5.0, 1.0]])
+        # Scores user_out @ item_out.T = [9, 5, 1].
+        user_out = np.array([[1.0]])
+        item_out = np.array([[9.0], [5.0], [1.0]])
         seen = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
-        recall, _, n = evaluate_scores(scores, seen, {0: {1}}, ks=(1,), users=[0])
+        recall, _, n = evaluate_scores(user_out, item_out, seen, (1,), {0: {1}}, [0])
         assert n == 1
         assert recall[1] == 1.0  # item 0 masked, item 1 tops the list
 
@@ -75,6 +81,64 @@ class TestRanking:
                 row[i] = -np.inf
             top = rank_items(row)[: max(1, n_items // 3)]
             assert not (set(map(int, top)) & masked)
+
+
+class TestTopK:
+    def assert_matches_rank_items(self, block, k):
+        top = top_k_items(block, k)
+        assert top.shape == (block.shape[0], min(k, block.shape[1]))
+        for row, got in zip(block, top):
+            assert got.tolist() == rank_items(row)[:k].tolist()
+
+    def test_equals_rank_items_on_random_blocks(self):
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n_rows, n_items = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+            k = int(rng.integers(1, 20))  # often >= n_items
+            # Integer scores in a small range: many ties, also at the boundary.
+            block = rng.integers(-3, 4, size=(n_rows, n_items)).astype(float)
+            block[rng.random(block.shape) < 0.4] = -np.inf
+            block[0, :] = -np.inf  # a row with no unmasked item at all
+            if trial % 4 == 0:
+                block[rng.random(block.shape) < 0.2] = np.nan
+            self.assert_matches_rank_items(block, k)
+
+    def test_rows_with_fewer_unmasked_items_than_k(self):
+        block = np.array([[2.0, -np.inf, 2.0, -np.inf, 1.0], [-np.inf] * 5])
+        assert top_k_items(block, 4).tolist() == [[0, 2, 4, 1], [0, 1, 2, 3]]
+        self.assert_matches_rank_items(block, 4)
+
+    def test_k_at_least_the_catalogue_ranks_everything(self):
+        block = np.random.default_rng(3).normal(size=(4, 6))
+        for k in (6, 7, 100):
+            self.assert_matches_rank_items(block, k)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, None], ids=lambda r: f"rows={r}")
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, block_rows):
+        ds = generate_synthetic_dataset(60, 40, 4, 0.1, seed=2, interactions_per_user=5)
+        table = init_embeddings(60, 40, 8, seed=4)
+        expected = evaluate(table, ds, ks=(1, 5, 20))
+        rows = ds.num_users if block_rows is None else block_rows
+        monkeypatch.setattr(EVALUATE_MODULE, "SCORE_BLOCK_CELLS", rows * ds.num_items)
+        assert evaluate(table, ds, ks=(1, 5, 20)) == expected
+
+    def test_memory_stays_below_a_dense_score_matrix(self):
+        # 4000 users x 2000 items: a dense float64 score matrix alone is 64 MB.
+        n_users, n_items = 4000, 2000
+        rng = np.random.default_rng(12)
+        items = rng.integers(n_items, size=(n_users, 3))
+        train = {(u, int(i)) for u in range(n_users) for i in items[u, :2]}
+        test = {(u, int(items[u, 2])) for u in range(n_users)} - train
+        ds = InteractionDataset(n_users, n_items, train, test, [])
+        table = init_embeddings(n_users, n_items, 16, seed=1)
+        tracemalloc.start()
+        try:
+            report = evaluate(table, ds, ks=(10, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rows[0].num_users > 3000
+        assert peak < 32 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MB"
 
 
 class TestEvaluate:
@@ -114,21 +178,21 @@ class TestEvaluate:
         # every user's train items must be masked before ranking.
         ds = InteractionDataset(3, 5, {(0, 0), (1, 1)}, {(0, 4), (1, 4), (2, 4)}, [])
         extra = [(2, 0), (2, 2), (0, 3)]
-        rows = {}
+        rows = []
 
-        def recording_rank_items(row):
-            rows[len(rows)] = row.copy()
-            return rank_items(row)
+        def recording_top_k_items(block, k):
+            rows.extend(block.copy())
+            return top_k_items(block, k)
 
-        # `taskhg.evaluate` names the function; the module is in sys.modules.
-        monkeypatch.setattr(sys.modules["taskhg.evaluate"], "rank_items", recording_rank_items)
+        monkeypatch.setattr(EVALUATE_MODULE, "top_k_items", recording_top_k_items)
         rng = np.random.default_rng(5)
         table = EmbeddingTable(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
         report = evaluate(table, ds, ks=(1, 5), extra_inference_edges=extra)
         assert report.rows[0].num_users == 3
-        masked = {0: {0, 3}, 1: {1}, 2: {0, 2}}
-        for u, row in rows.items():  # users are ranked in ascending order
-            assert set(np.flatnonzero(row == -np.inf).tolist()) == masked[u]
+        masked = [{0, 3}, {1}, {0, 2}]  # users are ranked in ascending order
+        assert len(rows) == len(masked)
+        for row, items in zip(rows, masked):
+            assert set(np.flatnonzero(row == -np.inf).tolist()) == items
 
     @pytest.mark.parametrize("ks", [(), (0,), (-5,), (20, 10)], ids=str)
     def test_bad_cutoffs_rejected(self, ks):

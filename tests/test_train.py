@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from taskhg.config import LossKind, TAVariant, TrainConfig
-from taskhg.data import generate_synthetic_dataset
+from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.errors import DataError
 from taskhg.evaluate import evaluate
+from taskhg.model import init_embeddings
 from taskhg.train import finetune, pretrain
 
 
@@ -151,8 +152,6 @@ class TestPretrain:
 class TestTableShape:
     @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
     def test_table_of_another_shape_rejected(self, small_dataset, stage):
-        from taskhg.model import init_embeddings
-
         table = init_embeddings(41, 20, 8, 0)
         with pytest.raises(DataError, match="41 users x 20 items.*40 users x 20 items"):
             if stage == "pretrain":
@@ -190,6 +189,32 @@ class TestFinetune:
             fine = finetune(pre.table, small_dataset,
                             small_config(epochs_finetune=2, finetune_loss=loss))
             assert fine.table.allfinite()
+
+
+class TestBPRNegatives:
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_user_with_every_item_leaves_the_others_training(self, stage):
+        # User 0 has every item and admits no negative; users 1 and 2 do.
+        ds = InteractionDataset(3, 3, {(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)}, {(1, 2)}, [])
+        table = init_embeddings(3, 3, 4, 0)
+        cfg = small_config(dim=4, pretrain_loss=LossKind.BPR, finetune_loss=LossKind.BPR)
+        if stage == "pretrain":
+            out = pretrain(ds, cfg, table)
+        else:
+            out = finetune(table, ds, cfg)
+        assert out.table.allfinite()
+        assert not np.array_equal(out.table.user_emb, table.user_emb)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_no_negative_for_any_user_is_a_data_error(self, stage):
+        ds = InteractionDataset(2, 2, {(0, 0), (0, 1), (1, 0), (1, 1)}, set(), [])
+        table = init_embeddings(2, 2, 4, 0)
+        cfg = small_config(dim=4, pretrain_loss=LossKind.BPR, finetune_loss=LossKind.BPR)
+        with pytest.raises(DataError, match=f"{stage}: no user has an item left"):
+            if stage == "pretrain":
+                pretrain(ds, cfg, table)
+            else:
+                finetune(table, ds, cfg)
 
 
 class TestLearning:
