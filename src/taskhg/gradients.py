@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import LossKind, TAVariant, TrainConfig
 from .hypergraph import (
@@ -127,15 +128,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_rows(num_rows, index, rows):
+    """Sum `rows[k]` into row `index[k]` of a (num_rows, d) zero array.
+
+    One sparse product with a 0/1 selection matrix whose columns are in
+    batch order: each output row adds its terms in the order of `index`,
+    exactly as np.add.at into zeros would, in one pass over the output.
+    """
+    n = len(index)
+    order = np.argsort(index, kind="stable")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
+    select = sp.csr_matrix((np.ones(n), order, indptr), shape=(num_rows, n))
+    return select @ rows
+
+
 def alignment_grad(user_out, item_out, users, items):
     n = len(users)
     diff = user_out[users] - item_out[items]
     loss = float((diff**2).sum()) / n
     g = (2.0 / n) * diff
-    g_user = np.zeros_like(user_out)
-    g_item = np.zeros_like(item_out)
-    np.add.at(g_user, users, g)
-    np.add.at(g_item, items, -g)
+    g_user = _scatter_rows(len(user_out), users, g)
+    g_item = _scatter_rows(len(item_out), items, -g)
     return loss, g_user, g_item
 
 
@@ -145,11 +159,11 @@ def bpr_grad(user_out, item_out, users, pos, neg):
     margins = (u * (item_out[pos] - item_out[neg])).sum(axis=1)
     loss = float(-log_sigmoid(margins).sum()) / n
     coef = (-sigmoid(-margins) / n)[:, None]
-    g_user = np.zeros_like(user_out)
-    g_item = np.zeros_like(item_out)
-    np.add.at(g_user, users, coef * (item_out[pos] - item_out[neg]))
-    np.add.at(g_item, pos, coef * u)
-    np.add.at(g_item, neg, -coef * u)
+    g_user = _scatter_rows(len(user_out), users, coef * (item_out[pos] - item_out[neg]))
+    # Each item row adds its positive terms, then its negative ones.
+    g_item = _scatter_rows(
+        len(item_out), np.concatenate([pos, neg]), np.concatenate([coef * u, -coef * u])
+    )
     return loss, g_user, g_item
 
 
@@ -159,10 +173,8 @@ def bpr_pos_grad(user_out, item_out, users, pos):
     scores = (u * item_out[pos]).sum(axis=1)
     loss = float(-log_sigmoid(scores).sum()) / n
     coef = (-sigmoid(-scores) / n)[:, None]
-    g_user = np.zeros_like(user_out)
-    g_item = np.zeros_like(item_out)
-    np.add.at(g_user, users, coef * item_out[pos])
-    np.add.at(g_item, pos, coef * u)
+    g_user = _scatter_rows(len(user_out), users, coef * item_out[pos])
+    g_item = _scatter_rows(len(item_out), pos, coef * u)
     return loss, g_user, g_item
 
 
@@ -213,10 +225,8 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
     item_hat, item_norms = _normalize_with_cache(item_out)
     diff = user_hat[users] - item_hat[items]
     align = float((diff**2).sum()) / n
-    g_user_hat = np.zeros_like(user_out)
-    g_item_hat = np.zeros_like(item_out)
-    np.add.at(g_user_hat, users, (2.0 / n) * diff)
-    np.add.at(g_item_hat, items, -(2.0 / n) * diff)
+    g_user_hat = _scatter_rows(len(user_out), users, (2.0 / n) * diff)
+    g_item_hat = _scatter_rows(len(item_out), items, -(2.0 / n) * diff)
     uu = np.unique(users)
     ii = np.unique(items)
     u_val, u_g = _uniformity_grad(user_hat[uu])
@@ -265,8 +275,7 @@ def attr_softmax_ce_grad(node_emb, weight, nodes, labels):
     g_logits[np.arange(n), labels] -= 1.0
     g_logits /= n
     g_w = x.T @ g_logits
-    g_node = np.zeros_like(node_emb)
-    np.add.at(g_node, nodes, g_logits @ weight.T)
+    g_node = _scatter_rows(len(node_emb), nodes, g_logits @ weight.T)
     return loss, g_node, g_w
 
 

@@ -4,6 +4,14 @@ The convolution is a two-step mean aggregation with no learned weights:
 node embeddings are averaged into their hyperedges, then hyperedge
 embeddings are averaged back into their member nodes. Entities of degree
 zero map to the zero vector, which keeps the operator total and linear.
+
+Each aggregation is one sparse product into a fresh array. The forward
+sums the members first and then scales the sums in place by the inverse
+degrees. The adjoints instead multiply by column-scaled copies of the
+incidence, built once per hypergraph: the kernel then adds inv * g for
+each member, the same rounded products, in the same order, as scaling
+the input rows first would give, without the scaled copy of the input.
+Pre-scaling the forward the same way would change its rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ class Hypergraph:
     Rows of the incidence matrix are nodes, columns are hyperedges. Both
     the CSR matrix and its transpose in CSR form are built once at
     construction so that each traversal direction runs on its natural
-    layout with a fixed (ascending-index) summation order.
+    layout with a fixed (ascending-index) summation order. The two adjoint
+    operators are built with them: `incidence_by_edge_degree` is
+    H diag(1/deg_e) and `incidence_t_by_node_degree` is H^T diag(1/deg_v),
+    each sharing its sparsity arrays with `incidence` / `incidence_t`.
     """
 
     __slots__ = (
@@ -32,6 +43,8 @@ class Hypergraph:
         "hyperedge_degrees",
         "inv_node_degrees",
         "inv_hyperedge_degrees",
+        "incidence_by_edge_degree",
+        "incidence_t_by_node_degree",
     )
 
     def __init__(self, incidence: sp.csr_matrix):
@@ -53,6 +66,8 @@ class Hypergraph:
             self.inv_hyperedge_degrees = np.where(
                 self.hyperedge_degrees > 0, 1.0 / self.hyperedge_degrees, 0.0
             )
+        self.incidence_by_edge_degree = _scale_columns(incidence, self.inv_hyperedge_degrees)
+        self.incidence_t_by_node_degree = _scale_columns(self.incidence_t, self.inv_node_degrees)
 
     @property
     def nnz(self) -> int:
@@ -68,6 +83,11 @@ class Hypergraph:
             f"Hypergraph(num_nodes={self.num_nodes}, "
             f"num_hyperedges={self.num_hyperedges}, nnz={self.nnz})"
         )
+
+
+def _scale_columns(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """mat @ diag(scale) for a 0/1 CSR matrix, sharing its indices and indptr."""
+    return sp.csr_matrix((scale[mat.indices], mat.indices, mat.indptr), shape=mat.shape)
 
 
 def build_hypergraph(memberships, num_nodes: int, num_hyperedges: int) -> Hypergraph:
@@ -112,7 +132,8 @@ def aggregate_nodes_to_hyperedges(h: Hypergraph, node_emb: np.ndarray) -> np.nda
     """
     node_emb = _check_rows("node_emb", node_emb, h.num_nodes)
     sums = h.incidence_t @ node_emb
-    return sums * h.inv_hyperedge_degrees[:, None]
+    sums *= h.inv_hyperedge_degrees[:, None]
+    return sums
 
 
 def aggregate_hyperedges_to_nodes(h: Hypergraph, edge_emb: np.ndarray) -> np.ndarray:
@@ -122,7 +143,8 @@ def aggregate_hyperedges_to_nodes(h: Hypergraph, edge_emb: np.ndarray) -> np.nda
     """
     edge_emb = _check_rows("edge_emb", edge_emb, h.num_hyperedges)
     sums = h.incidence @ edge_emb
-    return sums * h.inv_node_degrees[:, None]
+    sums *= h.inv_node_degrees[:, None]
+    return sums
 
 
 def hypergraph_convolve(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
@@ -133,10 +155,10 @@ def hypergraph_convolve(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
 def aggregate_nodes_to_hyperedges_adjoint(h: Hypergraph, grad_edge: np.ndarray) -> np.ndarray:
     """Adjoint of aggregate_nodes_to_hyperedges (gradient wrt node embeddings)."""
     grad_edge = _check_rows("grad_edge", grad_edge, h.num_hyperedges)
-    return h.incidence @ (grad_edge * h.inv_hyperedge_degrees[:, None])
+    return h.incidence_by_edge_degree @ grad_edge
 
 
 def aggregate_hyperedges_to_nodes_adjoint(h: Hypergraph, grad_node: np.ndarray) -> np.ndarray:
     """Adjoint of aggregate_hyperedges_to_nodes (gradient wrt hyperedge embeddings)."""
     grad_node = _check_rows("grad_node", grad_node, h.num_nodes)
-    return h.incidence_t @ (grad_node * h.inv_node_degrees[:, None])
+    return h.incidence_t_by_node_degree @ grad_node

@@ -62,12 +62,19 @@ class TaskManifest:
     tasks: list = field(default_factory=list)
 
 
+def _check_string(path, key, value):
+    if not isinstance(value, str):
+        raise DataError(f"manifest {path}: '{key}' must be a string, got {value!r}")
+
+
 def parse_manifest(path) -> TaskManifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"manifest {path} must be a JSON object, got {payload!r}")
     if "version" not in payload:
         raise DataError(f"manifest {path} is missing the required 'version' key")
     if payload["version"] != MANIFEST_VERSION:
@@ -76,9 +83,15 @@ def parse_manifest(path) -> TaskManifest:
         )
     if "interactions" not in payload:
         raise DataError(f"manifest {path} must name an 'interactions' file")
+    _check_string(path, "interactions", payload["interactions"])
+    entries = payload.get("tasks", [])
+    if not isinstance(entries, list):
+        raise DataError(f"manifest {path}: 'tasks' must be a list, got {entries!r}")
     tasks = []
     seen_ids = set()
-    for entry in payload.get("tasks", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest {path}: each 'tasks' entry must be an object, got {entry!r}")
         try:
             task_id = entry["id"]
             kind = TaskKind(entry["kind"])
@@ -86,6 +99,8 @@ def parse_manifest(path) -> TaskManifest:
             file_path = entry["path"]
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad task entry in manifest {path}: {entry!r} ({exc})") from exc
+        _check_string(path, "id", task_id)
+        _check_string(path, "path", file_path)
         if kind == TaskKind.RECOMMENDATION:
             raise DataError("the recommendation task is implicit; do not declare it")
         if task_id in seen_ids or task_id == "rec":

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError
+
+# Cells per row slice of the in-place update: 2**16 float64 cells is 512 KB
+# per scratch buffer. A slice always holds at least one whole row.
+BLOCK_CELLS = 1 << 16
+
+
+def _row_cells(block) -> int:
+    return math.prod(block.shape[1:])
 
 
 @dataclass
@@ -18,6 +27,7 @@ class AdamState:
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
+    scratch: tuple = field(default=(), repr=False)
 
     @classmethod
     def for_params(cls, params: dict, lr=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -25,10 +35,18 @@ class AdamState:
         for name, p in params.items():
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
+        cells = max([BLOCK_CELLS, *(_row_cells(p) for p in params.values())])
+        state.scratch = (np.empty(cells), np.empty(cells))
         return state
 
     def apply(self, grads: dict, params: dict):
-        """Bias-corrected Adam update, in place, one step for all blocks."""
+        """Bias-corrected Adam update, in place, one step for all blocks.
+
+        Each block is updated in row slices of about BLOCK_CELLS cells; every
+        intermediate goes to the two scratch buffers, and `grads` is only
+        read. The operations and their order are those of the textbook
+        expression, so the result does not depend on the slice size.
+        """
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient in parameter block '{name}'")
@@ -39,8 +57,28 @@ class AdamState:
         for name, g in grads.items():
             m = self.first_moment[name]
             v = self.second_moment[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            p = params[name]
+            rows = max(1, BLOCK_CELLS // max(1, _row_cells(g)))
+            for lo in range(0, len(g), rows):
+                rs = slice(lo, lo + rows)
+                self._update_rows(g[rs], m[rs], v[rs], p[rs], bc1, bc2)
+
+    def _update_rows(self, g, m, v, p, bc1, bc2):
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        a = self.scratch[0][: g.size].reshape(g.shape)
+        b = self.scratch[1][: g.size].reshape(g.shape)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        p -= a

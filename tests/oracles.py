@@ -209,3 +209,21 @@ def sample_negative_items(rng, users, seen_by_user, num_items):
             j = int(rng.integers(num_items))
         out[k] = j
     return out
+
+
+def adam_step(params, grads, first_moment, second_moment, t, lr, beta1, beta2, epsilon):
+    """One bias-corrected Adam step over every block, out of place per term.
+
+    The textbook expression with fresh temporaries; the package's in-place,
+    row-sliced update must reproduce it bit for bit.
+    """
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        m = first_moment[name]
+        v = second_moment[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)

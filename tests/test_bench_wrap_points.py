@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from taskhg.data import InteractionDataset
+from taskhg.config import TrainConfig
+from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.evaluate import evaluate
 from taskhg.model import init_embeddings
+from taskhg.train import pretrain
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -52,3 +54,20 @@ def test_evaluate_counter_hooks_fit_the_calls():
     calls, _ = traced.layer_totals()
     assert calls["evaluate.encode"] == 1 and calls["evaluate.rank"] == 1
     assert report.rows[0].num_users == 30
+
+
+def test_adam_counter_hook_fits_the_calls():
+    # With lambda_reg > 0 every row has a gradient. The hook reads the
+    # gradients after AdamState.apply returns, so it must count every row;
+    # an update that used them as scratch and left zero rows would show.
+    ds = generate_synthetic_dataset(30, 12, 3, 0.1, seed=2, interactions_per_user=3)
+    cfg = TrainConfig(dim=4, epochs_pretrain=2, batch_size=16, lambda_reg=0.01, seed=2)
+    traced = tracer.Tracer()
+    with tracer.installed(traced) as absent:
+        pretrain(ds, cfg)
+    assert absent == []
+    assert traced.broken == set()
+    calls, _ = traced.layer_totals()
+    assert calls["optim.adam"] > 0
+    rows = traced.counts["adam_rows"]
+    assert traced.counts["adam_rows_with_grad"] == rows > 0

@@ -225,6 +225,29 @@ class TestExitCodes:
         assert "'item_block'" in err and repr(*fields.values()) in err
         assert not (tmp_path / "c.bin").exists()
 
+    @pytest.mark.parametrize(
+        "manifest, key",
+        [
+            ('{"version": 1, "interactions": "i.tsv", "tasks": ["x"]}', "'tasks'"),
+            ('{"version": 1, "interactions": "i.tsv", "tasks": 5}', "'tasks'"),
+            ('{"version": 1, "interactions": "i.tsv", "tasks": [{"id": ["a"], '
+             '"kind": "attribute", "side": "items", "path": "a.tsv"}]}', "'id'"),
+            ('{"version": 1, "interactions": "i.tsv", "tasks": [{"id": "a", '
+             '"kind": "attribute", "side": "items", "path": 5}]}', "'path'"),
+            ('{"version": 1, "interactions": 5}', "'interactions'"),
+            ("5", "JSON object"),
+        ],
+        ids=["task-not-object", "tasks-not-list", "id-not-string", "path-not-string",
+             "interactions-not-string", "manifest-not-object"],
+    )
+    def test_manifest_of_wrong_json_type_is_two(self, tmp_path, manifest, key, capsys):
+        (tmp_path / "manifest.json").write_text(manifest)
+        code = run_cli(["pretrain", "--data", str(tmp_path), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and key in err.splitlines()[-1]
+
     @pytest.mark.parametrize("fields", [{}, {"bins": None}, {"bins": 2}], ids=json.dumps)
     def test_good_manifest_bins_are_accepted(self, synth_dir, tmp_path, fields):
         data = continuous_copy(synth_dir, tmp_path, fields)

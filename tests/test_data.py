@@ -62,7 +62,8 @@ class TestDataset:
         ds = generate_synthetic_dataset(40, 20, 4, 0.1, seed=3, interactions_per_user=4)
         _, item_task = ds.rec_pair()
         swapped = build_hypergraph([(i, u) for u, i in ds.train_edges], 20, 40)
-        for name in ("incidence", "incidence_t"):
+        for name in ("incidence", "incidence_t", "incidence_by_edge_degree",
+                     "incidence_t_by_node_degree"):
             got, want = getattr(item_task.graph, name), getattr(swapped, name)
             assert got.shape == want.shape
             for part in ("indptr", "indices", "data"):

@@ -15,6 +15,7 @@ from oracles import (
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.gradients import (
     PretrainBatch,
+    _scatter_rows,
     finetune_loss_and_grad,
     pretrain_loss_and_grad,
 )
@@ -208,3 +209,30 @@ def test_bpr_requires_negatives():
     bad = PretrainBatch(batch.rec_users, batch.rec_pos_items, None)
     with pytest.raises(ValueError):
         pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, bad, extra)
+
+
+def add_at(num_rows, *parts):
+    out = np.zeros((num_rows, parts[0][1].shape[1]))
+    for index, rows in parts:
+        np.add.at(out, index, rows)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scatter_rows_is_bit_identical_to_add_at(seed):
+    # Few target rows and a wide spread of magnitudes: most rows sum many
+    # terms, so any change in their order changes the rounding. The last
+    # rows receive nothing.
+    rng = np.random.default_rng(seed)
+    num_rows = int(rng.integers(3, 12))
+    b = int(rng.integers(1, 400))
+    d = int(rng.integers(1, 9))
+    pos = rng.integers(0, num_rows - 2, b)
+    neg = rng.integers(0, num_rows - 2, b)
+    rows = rng.normal(size=(b, d)) * 10.0 ** rng.integers(-8, 9, (b, 1))
+    got = _scatter_rows(num_rows, pos, rows)
+    assert got.shape == (num_rows, d)
+    assert got.tobytes() == add_at(num_rows, (pos, rows)).tobytes()
+    # bpr_grad's item side: each row adds its positive terms, then its negative ones.
+    got = _scatter_rows(num_rows, np.concatenate([pos, neg]), np.concatenate([rows, -rows]))
+    assert got.tobytes() == add_at(num_rows, (pos, rows), (neg, -rows)).tobytes()

@@ -176,3 +176,41 @@ class TestAdjoints:
         # e2v is (D^-1 H); its adjoint is H^T D^-1.
         expected = H.T @ (inv_d[:, None] * g_node)
         assert np.allclose(aggregate_hyperedges_to_nodes_adjoint(h, g_node), expected, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_operators_are_bit_identical_to_scaling_around_the_product(self, seed):
+        # The adjoints multiply by pre-scaled copies of the incidence; that
+        # must give the bits of scaling the input rows first. The forward
+        # scales the sums after the product.
+        rng = np.random.default_rng(seed)
+        H = random_hypergraph_dense(rng, 40, 25, density=0.2)
+        H[rng.integers(H.shape[0])] = 0.0  # an isolated node
+        H[:, rng.integers(H.shape[1])] = 0.0  # an empty hyperedge
+        h = from_dense(H)
+
+        def spread(n):
+            return rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+
+        x_node, x_edge = spread(h.num_nodes), spread(h.num_hyperedges)
+        inv_e, inv_v = h.inv_hyperedge_degrees[:, None], h.inv_node_degrees[:, None]
+        pairs = [
+            (aggregate_nodes_to_hyperedges_adjoint(h, x_edge), h.incidence @ (x_edge * inv_e)),
+            (aggregate_hyperedges_to_nodes_adjoint(h, x_node), h.incidence_t @ (x_node * inv_v)),
+            (aggregate_nodes_to_hyperedges(h, x_node), (h.incidence_t @ x_node) * inv_e),
+            (aggregate_hyperedges_to_nodes(h, x_edge), (h.incidence @ x_edge) * inv_v),
+        ]
+        for k, (got, want) in enumerate(pairs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+
+    def test_scaled_adjoint_operators_share_the_sparsity_arrays(self):
+        h = build_hypergraph([(0, 1), (2, 1), (1, 0), (2, 2)], 4, 3)
+        for scaled, base in ((h.incidence_by_edge_degree, h.incidence),
+                             (h.incidence_t_by_node_degree, h.incidence_t)):
+            assert np.shares_memory(scaled.indices, base.indices)
+            assert np.shares_memory(scaled.indptr, base.indptr)
+        assert h.incidence_by_edge_degree.toarray().tolist() == [
+            [0.0, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.0]
+        ]
+        assert h.incidence_t_by_node_degree.toarray().tolist() == [
+            [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.0]
+        ]

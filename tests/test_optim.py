@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import adam_step
 
+import taskhg.optim
 from taskhg.errors import DivergenceError
 from taskhg.optim import AdamState
 
@@ -67,3 +71,79 @@ def test_moments_start_at_zero_and_step_counts():
     for expected in (1, 2, 3):
         state.apply({"user": np.ones((2, 2)), "item": np.ones((2, 2))}, params)
         assert state.step_count == expected
+
+
+def training_blocks(rng):
+    # The two embedding tables, a CONCAT head (tasks * d, d) and an
+    # attribute head (d, n_values), as the training loop passes them.
+    d = 8
+    return {
+        "user": rng.normal(size=(37, d)),
+        "item": rng.normal(size=(23, d)),
+        "ta_concat_item": rng.normal(size=(2 * d, d)),
+        "attr_head:item_block": rng.normal(size=(d, 5)),
+    }
+
+
+def sparse_grads(rng, params):
+    # Most rows carry no gradient, as in a minibatch step.
+    return {
+        name: rng.normal(size=p.shape) * (rng.random((p.shape[0], 1)) < 0.4)
+        for name, p in params.items()
+    }
+
+
+@pytest.mark.parametrize("block_cells", [1, 1 << 20], ids=["one-row", "whole-block"])
+def test_apply_is_bit_identical_to_the_textbook_step(block_cells, monkeypatch):
+    monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(11)
+    params = training_blocks(rng)
+    expected = {name: p.copy() for name, p in params.items()}
+    m_ref = {name: np.zeros_like(p) for name, p in params.items()}
+    v_ref = {name: np.zeros_like(p) for name, p in params.items()}
+    state = AdamState.for_params(params, lr=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    for t in range(1, 7):
+        grads = sparse_grads(rng, params)
+        before = {name: g.tobytes() for name, g in grads.items()}
+        state.apply(grads, params)
+        assert {name: g.tobytes() for name, g in grads.items()} == before
+        adam_step(expected, grads, m_ref, v_ref, t, 0.03, 0.8, 0.99, 1e-7)
+    for name in params:
+        assert params[name].tobytes() == expected[name].tobytes(), name
+        assert state.first_moment[name].tobytes() == m_ref[name].tobytes(), name
+        assert state.second_moment[name].tobytes() == v_ref[name].tobytes(), name
+
+
+def test_apply_updates_non_contiguous_blocks_in_place(monkeypatch):
+    monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", 16)
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(10, 12))
+    untouched = base[:, 1::2].copy()
+    params = {"user": base[:, ::2]}
+    expected = {"user": params["user"].copy()}
+    m_ref, v_ref = {"user": np.zeros((10, 6))}, {"user": np.zeros((10, 6))}
+    state = AdamState.for_params(params)
+    for t in range(1, 6):
+        grads = {"user": rng.normal(size=(20, 6))[::2]}
+        state.apply(grads, params)
+        adam_step(expected, grads, m_ref, v_ref, t, 0.01, 0.9, 0.999, 1e-8)
+    assert base[:, ::2].tobytes() == expected["user"].tobytes()
+    assert base[:, 1::2].tobytes() == untouched.tobytes()
+
+
+def test_apply_allocates_no_full_table_temporary():
+    # After the first step the scratch exists; a step over an 8000 x 64 and
+    # a 4000 x 64 table (6 MB of parameters) must stay within it, not build
+    # table-sized intermediates (an out-of-place step peaks near 12 MB).
+    rng = np.random.default_rng(13)
+    params = {"user": rng.normal(size=(8000, 64)), "item": rng.normal(size=(4000, 64))}
+    grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+    state = AdamState.for_params(params)
+    state.apply(grads, params)
+    tracemalloc.start()
+    try:
+        state.apply(grads, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"AdamState.apply peaked at {peak / 2**20:.1f} MB"
