@@ -68,6 +68,7 @@ class TrainConfig:
             ("epochs_finetune", self.epochs_finetune >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("negatives_per_positive", self.negatives_per_positive >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("ta_layers", self.ta_layers >= 1, ">= 1"),
             ("aux_encoder_layers", self.aux_encoder_layers >= 1, ">= 1"),
             ("quantization_bins", self.quantization_bins >= 2, ">= 2"),

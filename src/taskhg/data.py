@@ -25,6 +25,11 @@ STREAM_COLD = 5
 STREAM_SYNTH = 6
 STREAM_HEADS = 7
 
+# (node, draw) pairs tested per binary search in the negative sampler. A
+# window ends at its first rejection, so a larger one wastes more of its
+# test when rejections are common.
+_WINDOW = 64
+
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
@@ -94,6 +99,8 @@ def split_interactions(edges, train_fraction: float, seed: int):
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     edges = sorted(set(edges))
     if len(edges) < 2:
         raise DataError("need at least 2 interactions to split")
@@ -131,23 +138,67 @@ def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
     """One uniform non-incident hyperedge per node entry (rejection sampling).
 
     BPR item negatives are this on the user-side recommendation task.
+
+    The result and the generator's end state are those of the plain loop
+    that, node by node, calls `rng.integers(m)` until the draw is not
+    incident to the node. The same values are drawn in bulk instead:
+    `integers(m, size=k)` yields the next k scalar draws. The first buffer
+    holds one draw per node; an empty buffer is refilled with one draw per
+    node not yet resolved, each of which is sure to use at least one, so
+    nothing is drawn that the loop would not draw. Windows of up to
+    `_WINDOW` (node, draw) pairs, the i-th node against the i-th unused
+    draw, are tested with one binary search on `incidence_keys`. All pairs
+    before the first rejection are accepted; the rejecting node then tries
+    the following draws one by one against its own row, and the windows
+    resume after it.
     """
-    m = task.graph.num_hyperedges
-    indptr = task.graph.incidence.indptr.tolist()
-    indices = task.graph.incidence.indices
-    out = np.empty(len(nodes), dtype=np.int64)
-    for k, v in enumerate(nodes):
-        lo, hi = indptr[v], indptr[v + 1]
-        if hi - lo >= m:
-            raise DataError(
-                f"node {v} is incident to every hyperedge of task {task.task_id!r}; "
-                "cannot sample a negative"
-            )
-        incident = indices[lo:hi].tolist()
-        e = int(rng.integers(m))
-        while e in incident:
-            e = int(rng.integers(m))
-        out[k] = e
+    graph = task.graph
+    m = graph.num_hyperedges
+    nodes = np.asarray(nodes, dtype=np.int64)
+    n = len(nodes)
+    out = np.empty(n, dtype=np.int64)
+    full = graph.node_degrees[nodes] >= m
+    if full.any():
+        raise DataError(
+            f"node {nodes[full.argmax()]} is incident to every hyperedge of task "
+            f"{task.task_id!r}; cannot sample a negative"
+        )
+    keys = graph.incidence_keys
+    node_keys = nodes * m
+    indptr, indices = graph.incidence.indptr, graph.incidence.indices
+    draws = np.empty(0, dtype=np.int64)
+    draws_list = None  # draws as Python ints, made for one-by-one tries
+    incident = None  # row of the node that is trying draws one by one
+    k = p = 0  # next node to resolve, next unused draw
+    while k < n:
+        if p == len(draws):
+            draws = rng.integers(m, size=n - k)
+            draws_list = None
+            p = 0
+        if incident is not None:
+            if draws_list is None:
+                draws_list = draws.tolist()
+            while p < len(draws_list) and draws_list[p] in incident:
+                p += 1
+            if p < len(draws_list):
+                out[k] = draws_list[p]
+                k += 1
+                p += 1
+                incident = None
+            continue
+        w = min(_WINDOW, n - k, len(draws) - p)
+        query = node_keys[k : k + w] + draws[p : p + w]
+        rejected = keys[keys.searchsorted(query)] == query
+        t = int(rejected.argmax())  # the first rejection, or 0 if none
+        if not rejected[t]:
+            t = w
+        out[k : k + t] = draws[p : p + t]
+        k += t
+        p += t
+        if t < w:
+            v = nodes[k]
+            incident = indices[indptr[v] : indptr[v + 1]].tolist()
+            p += 1
     return out
 
 
@@ -171,8 +222,21 @@ def synthetic_records(
     with probability `noise`. The attribute records label every item with
     its block; the relation records link each item to a few block partners.
     """
+    for name, value, low in (
+        ("num_users", num_users, 1),
+        ("num_items", num_items, 1),
+        ("num_blocks", num_blocks, 1),
+        ("interactions_per_user", interactions_per_user, 1),
+        ("relation_partners", relation_partners, 0),
+        ("seed", seed, 0),
+    ):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if num_users % num_blocks or num_items % num_blocks:
-        raise ValueError("num_blocks must divide both num_users and num_items")
+        raise ValueError(
+            f"num_blocks ({num_blocks}) must divide both num_users ({num_users}) "
+            f"and num_items ({num_items})"
+        )
     if not (0.0 <= noise <= 1.0):
         raise ValueError(f"noise must be in [0, 1], got {noise}")
     rng = rng_for(seed, STREAM_SYNTH)

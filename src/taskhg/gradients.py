@@ -42,10 +42,6 @@ class GradientTape:
     grad_item: np.ndarray
     extra: dict = field(default_factory=dict)
 
-    def allfinite(self) -> bool:
-        blocks = [self.grad_user, self.grad_item, *self.extra.values()]
-        return all(np.isfinite(b).all() for b in blocks)
-
 
 def encoder_backward(trace: EncoderTrace, g_node, g_edge=None) -> np.ndarray:
     """Backpropagate through a stack of hypergraph convolutions.
@@ -298,6 +294,19 @@ class PretrainBatch:
     attr_ce: dict = field(default_factory=dict)
 
 
+def _add_l2(emb, lambda_reg, grad) -> float:
+    """Add the gradient of lambda_reg * ||emb||^2 into `grad`; return ||emb||^2.
+
+    One temporary holds emb**2 and then (2 lambda_reg) * emb: the values of
+    the out-of-place expressions, with one table-sized allocation.
+    """
+    buf = np.multiply(emb, emb)
+    sq = float(buf.sum())
+    np.multiply(emb, 2.0 * lambda_reg, out=buf)
+    grad += buf
+    return sq
+
+
 def pretrain_loss_and_grad(
     table: EmbeddingTable,
     rec_user_task,
@@ -362,8 +371,6 @@ def pretrain_loss_and_grad(
             aux_total += t_loss
             aux_node_grads[tid] = one_minus_beta * g_n
             extra_grads[f"attr_head:{tid}"] += one_minus_beta * g_w
-    reg = float((table.user_emb**2).sum() + (table.item_emb**2).sum())
-    total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
 
     # Reverse pass: recommendation loss through both TA stacks first.
     g_user_in, g_z_user_side, g_w_user = ta_backward(acts.ta_user_trace, cfg.beta * g_ta_user)
@@ -393,8 +400,10 @@ def pretrain_loss_and_grad(
             grad_user += g_x0
         else:
             grad_item += g_x0
-    grad_user += (2.0 * cfg.lambda_reg) * table.user_emb
-    grad_item += (2.0 * cfg.lambda_reg) * table.item_emb
+    reg = _add_l2(table.user_emb, cfg.lambda_reg, grad_user) + _add_l2(
+        table.item_emb, cfg.lambda_reg, grad_item
+    )
+    total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
     tape = GradientTape(grad_user, grad_item, extra_grads)
     return total, tape, acts
 
@@ -420,9 +429,11 @@ def finetune_loss_and_grad(
         neg,
         cfg.uniformity_weight,
     )
-    reg = float((table.user_emb**2).sum() + (table.item_emb**2).sum())
+    grad_user = encoder_backward(trace_u, g_u_out)
+    grad_item = encoder_backward(trace_i, g_i_out)
+    reg = _add_l2(table.user_emb, cfg.lambda_reg, grad_user) + _add_l2(
+        table.item_emb, cfg.lambda_reg, grad_item
+    )
     total = loss + cfg.lambda_reg * reg
-    grad_user = encoder_backward(trace_u, g_u_out) + (2.0 * cfg.lambda_reg) * table.user_emb
-    grad_item = encoder_backward(trace_i, g_i_out) + (2.0 * cfg.lambda_reg) * table.item_emb
     tape = GradientTape(grad_user, grad_item)
     return total, tape, (trace_u.node_emb, trace_i.node_emb)

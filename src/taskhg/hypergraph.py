@@ -32,6 +32,12 @@ class Hypergraph:
     operators are built with them: `incidence_by_edge_degree` is
     H diag(1/deg_e) and `incidence_t_by_node_degree` is H^T diag(1/deg_v),
     each sharing its sparsity arrays with `incidence` / `incidence_t`.
+
+    `incidence_keys` encodes every incidence (v, e) as the int64 key
+    v * num_hyperedges + e, in ascending order, followed by one sentinel
+    larger than any key. A batch of (node, hyperedge) pairs is tested for
+    membership with one `searchsorted` on it; the sentinel keeps every
+    insertion point a valid index, so the test is `keys[pos] == query`.
     """
 
     __slots__ = (
@@ -45,6 +51,7 @@ class Hypergraph:
         "inv_hyperedge_degrees",
         "incidence_by_edge_degree",
         "incidence_t_by_node_degree",
+        "incidence_keys",
     )
 
     def __init__(self, incidence: sp.csr_matrix):
@@ -68,6 +75,11 @@ class Hypergraph:
             )
         self.incidence_by_edge_degree = _scale_columns(incidence, self.inv_hyperedge_degrees)
         self.incidence_t_by_node_degree = _scale_columns(self.incidence_t, self.inv_node_degrees)
+        # Rows ascend and each row's indices are sorted, so the keys are too.
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.node_degrees)
+        self.incidence_keys = np.append(
+            rows * self.num_hyperedges + incidence.indices, np.iinfo(np.int64).max
+        )
 
     @property
     def nnz(self) -> int:

@@ -337,11 +337,11 @@ def write_synthetic_dataset(
     """Write the planted block-model fixture as a loadable dataset directory."""
     from .data import synthetic_records
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     edges, attr_records, relations = synthetic_records(
         num_users, num_items, num_blocks, noise, seed, interactions_per_user, relation_partners
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "interactions.tsv").write_text(
         "".join(f"{u}\t{i}\n" for u, i in sorted(edges)), encoding="utf-8"
     )

@@ -135,12 +135,16 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
                 items = np.repeat(items, k)
                 negs = sample_negative_items(neg_rng, rec_user_task, users)
             loss, tape, attention = step_fn(step, users, items, negs)
-            if not (math.isfinite(loss) and tape.allfinite()):
+            # apply() checks every gradient block before it changes anything.
+            try:
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss {loss}")
+                adam.apply({"user": tape.grad_user, "item": tape.grad_item, **tape.extra}, params)
+            except DivergenceError as exc:
                 raise DivergenceError(
                     f"non-finite loss or gradient at {stage} epoch {epoch}, batch {step}"
-                )
+                ) from exc
             log.attention.update(attention)
-            adam.apply({"user": tape.grad_user, "item": tape.grad_item, **tape.extra}, params)
             epoch_loss += loss
         log.epoch_losses.append(epoch_loss / steps)
     return log

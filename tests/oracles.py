@@ -211,6 +211,17 @@ def sample_negative_items(rng, users, seen_by_user, num_items):
     return out
 
 
+def l2_terms(user_emb, item_emb, lambda_reg):
+    """The L2 term of both training losses as out-of-place expressions.
+
+    Returns (||U||^2 + ||I||^2, its gradient on U, its gradient on I), each
+    built with fresh temporaries; the package's in-place form must
+    reproduce them bit for bit.
+    """
+    reg = float((user_emb**2).sum() + (item_emb**2).sum())
+    return reg, (2.0 * lambda_reg) * user_emb, (2.0 * lambda_reg) * item_emb
+
+
 def adam_step(params, grads, first_moment, second_moment, t, lr, beta1, beta2, epsilon):
     """One bias-corrected Adam step over every block, out of place per term.
 

@@ -7,14 +7,19 @@ perfbench/ are not part of this suite, so check both here.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import oracles
 import pytest
 
 from taskhg.config import TrainConfig
-from taskhg.data import InteractionDataset, generate_synthetic_dataset
+from taskhg.data import InteractionDataset, generate_synthetic_dataset, sample_negative_hyperedges
 from taskhg.evaluate import evaluate
+from taskhg.hypergraph import build_hypergraph
 from taskhg.model import init_embeddings
+from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind
 from taskhg.train import pretrain
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -71,3 +76,23 @@ def test_adam_counter_hook_fits_the_calls():
     assert calls["optim.adam"] > 0
     rows = traced.counts["adam_rows"]
     assert traced.counts["adam_rows_with_grad"] == rows > 0
+
+
+def test_negative_draw_counter_counts_every_draw():
+    # The counter sees only draws made through `integers`, counting `size=`.
+    # Two hyperedges and one incidence per node: half of all draws are
+    # rejected, so a draw that bypassed the counter would change the count.
+    pairs = [(v, v % 2) for v in range(10)]
+    task = TaskHypergraph("t", TaskKind.ATTRIBUTE_PREDICTION, NodeSide.ITEMS,
+                          build_hypergraph(pairs, 10, 2))
+    nodes = np.random.default_rng(1).integers(10, size=500)
+    counts = Counter()
+    batched = sample_negative_hyperedges(
+        tracer.CountingRng(np.random.default_rng(8), counts, "batched"), task, nodes
+    )
+    loop = oracles.sample_negative_items(
+        tracer.CountingRng(np.random.default_rng(8), counts, "loop"),
+        nodes, {v: {e} for v, e in pairs}, 2,
+    )
+    assert np.array_equal(batched, loop)
+    assert counts["batched"] == counts["loop"] > len(nodes)

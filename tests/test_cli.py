@@ -174,6 +174,42 @@ class TestExitCodes:
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "c.bin").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--blocks", "0"], "num_blocks must be >= 1, got 0"),
+            (["--blocks", "-2"], "num_blocks must be >= 1, got -2"),
+            (["--users", "-10"], "num_users must be >= 1, got -10"),
+            (["--relation-partners", "-1"], "relation_partners must be >= 0, got -1"),
+            (["--interactions-per-user", "0"], "interactions_per_user must be >= 1, got 0"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--blocks", "3", "--users", "10"], "num_blocks (3) must divide"),
+        ],
+        ids=["blocks 0", "blocks -2", "users -10", "relation-partners -1",
+             "interactions-per-user 0", "seed -1", "blocks 3 users 10"],
+    )
+    def test_bad_synth_value_is_one(self, tmp_path, flags, named, capsys):
+        out = tmp_path / "synth"
+        code = run_cli(["synth", "--out", str(out), "--seed", "5", *flags])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}")
+        # The values are checked before the output directory is made.
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--seed", "-5"], "seed must be >= 0, got -5"),
+         (["--split-seed", "-1"], "split seed must be >= 0, got -1")],
+        ids=["seed -5", "split-seed -1"],
+    )
+    def test_negative_seed_is_one(self, synth_dir, tmp_path, flags, named, capsys):
+        code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), *TRAIN_FLAGS, *flags])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {named}"
+        assert not (tmp_path / "c.bin").exists()
+
     def test_bad_train_fraction_is_one(self, synth_dir, tmp_path):
         code = run_cli(["pretrain", "--data", str(synth_dir), "--seed", "1",
                         "--train-fraction", "1.0", "--out", str(tmp_path / "c.bin")])

@@ -2,6 +2,7 @@ import numpy as np
 import oracles
 import pytest
 
+import taskhg.data
 from taskhg.data import (
     InteractionDataset,
     generate_synthetic_dataset,
@@ -12,7 +13,12 @@ from taskhg.data import (
 )
 from taskhg.errors import DataError
 from taskhg.hypergraph import build_hypergraph
-from taskhg.tasks import NodeSide, TaskKind, build_recommendation_hypergraphs
+from taskhg.tasks import (
+    NodeSide,
+    TaskHypergraph,
+    TaskKind,
+    build_recommendation_hypergraphs,
+)
 
 
 class TestSplit:
@@ -70,7 +76,7 @@ class TestDataset:
                 a, b = getattr(got, part), getattr(want, part)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
         for name in ("node_degrees", "hyperedge_degrees", "inv_node_degrees",
-                     "inv_hyperedge_degrees"):
+                     "inv_hyperedge_degrees", "incidence_keys"):
             assert np.array_equal(getattr(item_task.graph, name), getattr(swapped, name))
 
     def test_rec_pair_with_extra_edges(self):
@@ -132,6 +138,48 @@ class TestSamplers:
         negs = sample_negative_hyperedges(rng, task, [0] * 100 + [1] * 100)
         assert set(negs[:100]) == {2}
         assert set(negs[100:]) <= {0, 1}
+
+    def test_full_node_is_rejected_before_any_draw(self):
+        graph = build_hypergraph([(0, 0), (1, 0), (1, 1)], 2, 2)
+        task = TaskHypergraph("t", TaskKind.ATTRIBUTE_PREDICTION, NodeSide.ITEMS, graph)
+        rng = np.random.default_rng(6)
+        with pytest.raises(DataError, match=r"node 1 is incident to every hyperedge of task 't'"):
+            sample_negative_hyperedges(rng, task, [0, 0, 1, 0])
+        assert rng.integers(1 << 62) == np.random.default_rng(6).integers(1 << 62)
+
+    @pytest.mark.parametrize("window", [None, 1, 10**6])
+    @pytest.mark.parametrize("case", ["m=2", "m=5", "degree m-1", "empty batch", "sweep"])
+    def test_draws_match_loop_oracle(self, monkeypatch, window, case):
+        # The batched sampler must return the loop's negatives and leave the
+        # generator where the loop leaves it, whatever the window size.
+        if window is not None:
+            monkeypatch.setattr(taskhg.data, "_WINDOW", window)
+        meta = np.random.default_rng(17)
+        for trial in range(40 if case == "sweep" else 1):
+            if case == "sweep":
+                n, m = int(meta.integers(1, 40)), int(meta.integers(1, 30))
+                inc = meta.random((n, m)) < meta.random()
+            elif case == "degree m-1":
+                # Node 0 has a single non-incident hyperedge; the others one incidence.
+                n, m = 12, 10
+                inc = np.eye(n, m, dtype=bool)
+                inc[0, :-1] = True
+            else:
+                # An attribute task: every node has exactly one of m values.
+                n, m = 30, int(case[2:]) if case.startswith("m=") else 3
+                inc = np.eye(m, dtype=bool)[meta.integers(m, size=n)]
+            graph = build_hypergraph(list(zip(*np.nonzero(inc))), n, m)
+            task = TaskHypergraph("t", TaskKind.ATTRIBUTE_PREDICTION, NodeSide.ITEMS, graph)
+            eligible = np.flatnonzero(inc.sum(axis=1) < m)
+            if not len(eligible):
+                continue
+            size = 0 if case == "empty batch" else int(meta.integers(1, 700))
+            nodes = meta.choice(eligible, size=size)
+            got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = sample_negative_hyperedges(got_rng, task, nodes)
+            want = oracles.sample_negative_items(want_rng, nodes, by_node(zip(*np.nonzero(inc))), m)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
 
     def test_positive_pairs_drop_saturated_nodes(self):
         from taskhg.hypergraph import build_hypergraph

@@ -10,6 +10,7 @@ from oracles import (
     bpr_loss,
     bpr_pos_loss,
     central_difference_grad,
+    l2_terms,
 )
 
 from taskhg.config import LossKind, TAVariant, TrainConfig
@@ -236,3 +237,28 @@ def test_scatter_rows_is_bit_identical_to_add_at(seed):
     # bpr_grad's item side: each row adds its positive terms, then its negative ones.
     got = _scatter_rows(num_rows, np.concatenate([pos, neg]), np.concatenate([rows, -rows]))
     assert got.tobytes() == add_at(num_rows, (pos, rows), (neg, -rows)).tobytes()
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_l2_term_is_bit_identical_to_out_of_place_expressions(stage):
+    # Both losses with lambda_reg = 0 plus the L2 terms written out of
+    # place must give, byte for byte, the losses with lambda_reg > 0.
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        table, rec_u, rec_i, aux, cfg, batch, extra = make_joint_instance(rng, loss=LossKind.BPR)
+        cfg = replace(cfg, lambda_reg=float(rng.uniform(1e-4, 0.1)))
+
+        def run(config):
+            if stage == "pretrain":
+                return pretrain_loss_and_grad(table, rec_u, rec_i, aux, config, batch, extra)
+            return finetune_loss_and_grad(
+                table, rec_u, rec_i, config,
+                batch.rec_users, batch.rec_pos_items, batch.rec_neg_items,
+            )
+
+        loss, tape, _ = run(cfg)
+        base_loss, base, _ = run(replace(cfg, lambda_reg=0.0))
+        reg, g_user, g_item = l2_terms(table.user_emb, table.item_emb, cfg.lambda_reg)
+        assert np.float64(loss).tobytes() == np.float64(base_loss + cfg.lambda_reg * reg).tobytes()
+        assert tape.grad_user.tobytes() == (base.grad_user + g_user).tobytes()
+        assert tape.grad_item.tobytes() == (base.grad_item + g_item).tobytes()

@@ -51,6 +51,15 @@ class TestBuild:
             h = from_dense(H)
             assert h.node_degrees.sum() == h.hyperedge_degrees.sum() == h.nnz
 
+    def test_incidence_keys_are_sorted_memberships_and_a_sentinel(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            H = random_hypergraph_dense(rng, 20, 15, density=rng.random())
+            h = from_dense(H)
+            keys = sorted(v * H.shape[1] + e for v, e in zip(*np.nonzero(H)))
+            assert h.incidence_keys.dtype == np.int64
+            assert h.incidence_keys.tolist() == keys + [np.iinfo(np.int64).max]
+
     def test_rejects_non_binary(self):
         import scipy.sparse as sp
 

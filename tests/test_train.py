@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import taskhg.train
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
-from taskhg.errors import DataError
+from taskhg.errors import DataError, DivergenceError
 from taskhg.evaluate import evaluate
 from taskhg.model import init_embeddings
 from taskhg.train import finetune, pretrain
@@ -189,6 +190,30 @@ class TestFinetune:
             fine = finetune(pre.table, small_dataset,
                             small_config(epochs_finetune=2, finetune_loss=loss))
             assert fine.table.allfinite()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("poisoned", ["loss", "gradient"])
+    def test_non_finite_step_stops_before_the_update(self, small_dataset, monkeypatch, poisoned):
+        real = taskhg.train.finetune_loss_and_grad
+        seen = {}
+
+        def step(table, *args):
+            loss, tape, out = real(table, *args)
+            if poisoned == "loss":
+                loss = math.nan
+            else:
+                tape.grad_item[3, 1] = math.nan
+            seen["table"], seen["before"] = table, table.copy()
+            return loss, tape, out
+
+        monkeypatch.setattr(taskhg.train, "finetune_loss_and_grad", step)
+        start = init_embeddings(40, 20, 8, 0)
+        with pytest.raises(DivergenceError) as info:
+            finetune(start, small_dataset, small_config())
+        assert str(info.value) == "non-finite loss or gradient at finetune epoch 0, batch 0"
+        assert np.array_equal(seen["table"].user_emb, seen["before"].user_emb)
+        assert np.array_equal(seen["table"].item_emb, seen["before"].item_emb)
 
 
 class TestBPRNegatives:
