@@ -35,7 +35,7 @@ from .io import (
     write_synthetic_dataset,
 )
 from .model import EmbeddingTable, init_embeddings
-from .protocols import AblationReport, cold_start_eval, run_ablation
+from .protocols import cold_start_eval, run_ablation
 from .tasks import (
     AttributeTable,
     NodeSide,

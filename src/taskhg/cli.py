@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 
-from .config import LossKind, TAVariant, TrainConfig, check_eval_ks
+from .config import TrainConfig, check_eval_ks
 from .errors import DataError, DivergenceError
-from .evaluate import EvalReport, evaluate
+from .evaluate import evaluate
 from .io import (
     emit_report,
     format_report,
@@ -31,43 +32,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Every TrainConfig field has a flag but seed, which each command declares
+# itself, and the Adam constants, which are fixed.
+_FLAG_FIELDS = [
+    f for f in fields(TrainConfig)
+    if f.name not in ("seed", "adam_beta1", "adam_beta2", "adam_epsilon")
+]
+_DEFAULT_KS = ",".join(str(k) for k in TrainConfig().eval_ks)
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
-    defaults = TrainConfig()
-    # None lets finetune tell an explicit --dim from the checkpoint's value.
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=defaults.gamma)
-    p.add_argument("--beta", type=float, default=defaults.beta)
-    p.add_argument("--lambda-reg", type=float, default=defaults.lambda_reg)
-    p.add_argument("--lr", type=float, default=defaults.lr)
-    p.add_argument("--epochs-pretrain", type=int, default=defaults.epochs_pretrain)
-    p.add_argument("--epochs-finetune", type=int, default=defaults.epochs_finetune)
-    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    p.add_argument("--negatives-per-positive", type=int, default=defaults.negatives_per_positive)
-    p.add_argument(
-        "--pretrain-loss",
-        choices=[k.value for k in LossKind],
-        default=defaults.pretrain_loss.value,
-    )
-    p.add_argument(
-        "--finetune-loss",
-        choices=[k.value for k in LossKind],
-        default=defaults.finetune_loss.value,
-    )
-    p.add_argument("--ta-layers", type=int, default=defaults.ta_layers)
-    p.add_argument("--aux-encoder-layers", type=int, default=defaults.aux_encoder_layers)
-    p.add_argument("--ks", default="10,20", help="comma-separated evaluation cutoffs")
-    p.add_argument("--quantization-bins", type=int, default=defaults.quantization_bins)
-    p.add_argument(
-        "--ta-variant",
-        choices=[v.value for v in TAVariant],
-        default=defaults.ta_variant.value,
-    )
-    p.add_argument(
-        "--non-unified-attributes",
-        action="store_true",
-        help="predict attributes through a linear+softmax head instead of hyperedge ranking",
-    )
-    p.add_argument("--uniformity-weight", type=float, default=defaults.uniformity_weight)
+    """One flag per field of _FLAG_FIELDS, whose dest is the field's name.
+
+    The flag is the field's name, but for --ks and --non-unified-attributes.
+    """
+    for f in _FLAG_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "eval_ks":
+            p.add_argument("--ks", dest=f.name, metavar="KS", default=_DEFAULT_KS,
+                           help="comma-separated evaluation cutoffs")
+        elif f.name == "unified_attributes":
+            p.add_argument("--non-unified-attributes", dest=f.name, action="store_false",
+                           help="predict attributes through a linear+softmax head"
+                                " instead of hyperedge ranking")
+        elif isinstance(f.default, Enum):
+            p.add_argument(flag, choices=[v.value for v in type(f.default)],
+                           default=f.default.value)
+        else:
+            # None lets finetune tell an explicit --dim from the checkpoint's value.
+            p.add_argument(flag, type=type(f.default),
+                           default=None if f.name == "dim" else f.default)
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -77,32 +71,36 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--split-seed", type=int, default=0)
 
 
+def _add_seed_flag(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, required=True)
+
+
+def _add_report_flags(p: argparse.ArgumentParser):
+    p.add_argument("--report", required=True)
+    p.add_argument("--format", choices=["table", "machine"], default="machine")
+
+
+def _training_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _add_data_flags(p)
+    _add_config_flags(p)
+    _add_seed_flag(p)
+    return p
+
+
 def _parse_ks(text: str) -> tuple:
     """The comma-separated --ks cutoffs; ValueError names a bad one."""
     return check_eval_ks(int(k) for k in text.split(",") if k)
 
 
-def _config_from(args, seed: int) -> TrainConfig:
+def _config_from(args) -> TrainConfig:
     cfg = TrainConfig(
-        dim=TrainConfig().dim if args.dim is None else args.dim,
-        gamma=args.gamma,
-        beta=args.beta,
-        lambda_reg=args.lambda_reg,
-        lr=args.lr,
-        epochs_pretrain=args.epochs_pretrain,
-        epochs_finetune=args.epochs_finetune,
-        batch_size=args.batch_size,
-        negatives_per_positive=args.negatives_per_positive,
-        seed=seed,
-        pretrain_loss=LossKind(args.pretrain_loss),
-        finetune_loss=LossKind(args.finetune_loss),
-        ta_layers=args.ta_layers,
-        aux_encoder_layers=args.aux_encoder_layers,
-        eval_ks=_parse_ks(args.ks),
-        quantization_bins=args.quantization_bins,
-        ta_variant=TAVariant(args.ta_variant),
-        unified_attributes=not args.non_unified_attributes,
-        uniformity_weight=args.uniformity_weight,
+        seed=args.seed,
+        **{
+            f.name: _parse_ks(value) if f.name == "eval_ks" else type(f.default)(value)
+            for f in _FLAG_FIELDS
+            if (value := getattr(args, f.name)) is not None
+        },
     )
     cfg.validate()
     return cfg
@@ -136,30 +134,35 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
-    cfg = _config_from(args, args.seed)
-    dataset = _load(args, cfg.quantization_bins)
-    result = pretrain(dataset, cfg)
+def _save(args, stage: str, result, cfg: TrainConfig) -> int:
+    """Write the trained table to --out and print the stage's summary."""
     save_checkpoint(result.table, cfg, args.out)
     if result.log.epoch_losses:
-        print(f"pretrain: {len(result.log.epoch_losses)} epochs, "
+        print(f"{stage}: {len(result.log.epoch_losses)} epochs, "
               f"final loss {result.log.epoch_losses[-1]:.6f}")
     print(f"saved checkpoint to {args.out}")
     return 0
+
+
+def _cmd_pretrain(args) -> int:
+    cfg = _config_from(args)
+    dataset = _load(args, cfg.quantization_bins)
+    return _save(args, "pretrain", pretrain(dataset, cfg), cfg)
 
 
 def _cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if args.dim is not None and args.dim != ckpt.dim:
         raise ValueError(f"--dim {args.dim} differs from the checkpoint's dim {ckpt.dim}")
-    cfg = replace(_config_from(args, args.seed), dim=ckpt.dim)
+    cfg = replace(_config_from(args), dim=ckpt.dim)
     dataset = _load(args, cfg.quantization_bins)
-    result = finetune(ckpt.to_table(), dataset, cfg)
-    save_checkpoint(result.table, cfg, args.out)
-    if result.log.epoch_losses:
-        print(f"finetune: {len(result.log.epoch_losses)} epochs, "
-              f"final loss {result.log.epoch_losses[-1]:.6f}")
-    print(f"saved checkpoint to {args.out}")
+    return _save(args, "finetune", finetune(ckpt.to_table(), dataset, cfg), cfg)
+
+
+def _write_report(args, report) -> int:
+    """Write the report in --format to --report and print it as a table."""
+    emit_report(report, args.format, args.report)
+    print(format_report(report, "table"), end="")
     return 0
 
 
@@ -167,69 +170,41 @@ def _cmd_evaluate(args) -> int:
     ks = _parse_ks(args.ks)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = _load(args, TrainConfig().quantization_bins)
-    report = evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed)
-    emit_report(report, args.format, args.report)
-    print(format_report(report, "table"), end="")
-    return 0
-
-
-def _merged_ablation_report(ablation) -> EvalReport:
-    rows = [replace(r, label=f"ta/{r.label}") for r in ablation.ta_variants.rows]
-    rows += [replace(r, label=f"loss/{r.label}") for r in ablation.loss_combinations.rows]
-    base = ablation.ta_variants
-    return EvalReport(
-        ks=base.ks,
-        rows=rows,
-        seed=base.seed,
-        epochs_pretrain=base.epochs_pretrain,
-        epochs_finetune=base.epochs_finetune,
-    )
+    return _write_report(args, evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed))
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _config_from(args, args.seed)
+    cfg = _config_from(args)
     dataset = _load(args, cfg.quantization_bins)
-    merged = _merged_ablation_report(run_ablation(dataset, cfg))
-    emit_report(merged, args.format, args.report)
-    print(format_report(merged, "table"), end="")
-    return 0
+    return _write_report(args, run_ablation(dataset, cfg))
 
 
 def _cmd_coldstart(args) -> int:
-    cfg = _config_from(args, args.seed)
+    cfg = _config_from(args)
     dataset = _load(args, cfg.quantization_bins)
-    report = cold_start_eval(dataset, cfg, args.ratio)
-    emit_report(report, args.format, args.report)
-    print(format_report(report, "table"), end="")
-    return 0
+    return _write_report(args, cold_start_eval(dataset, cfg, args.ratio))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="taskhg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a planted block-model dataset")
+    p = sub.add_parser("synth", help="generate a planted block-model dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--users", type=int, default=200)
     p.add_argument("--items", type=int, default=100)
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, required=True)
+    _add_seed_flag(p)
     p.add_argument("--interactions-per-user", type=int, default=2)
     p.add_argument("--relation-partners", type=int, default=2)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("pretrain", help="multitask pretraining")
-    _add_data_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p = _training_parser(sub, "pretrain", "multitask pretraining")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(func=_cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="downstream finetuning from a checkpoint")
-    _add_data_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p = _training_parser(sub, "finetune", "downstream finetuning from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finetune)
@@ -237,26 +212,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="top-K evaluation of a checkpoint")
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--ks", default="10,20")
-    p.add_argument("--report", required=True)
-    p.add_argument("--format", choices=["table", "machine"], default="machine")
+    p.add_argument("--ks", default=_DEFAULT_KS)
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="TA-variant and loss-combination grids")
-    _add_data_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--format", choices=["table", "machine"], default="machine")
+    p = _training_parser(sub, "ablate", "TA-variant and loss-combination grids")
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("coldstart", help="inductive-user protocol")
-    _add_data_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p = _training_parser(sub, "coldstart", "inductive-user protocol")
     p.add_argument("--ratio", type=float, required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--format", choices=["table", "machine"], default="machine")
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_coldstart)
     return parser
 

@@ -86,11 +86,6 @@ class InteractionDataset:
     def tasks_on(self, side: NodeSide) -> list:
         return [t for t in self.auxiliary_tasks if t.side == side]
 
-    def replace_edges(self, train_edges, test_edges) -> "InteractionDataset":
-        return InteractionDataset(
-            self.num_users, self.num_items, set(train_edges), set(test_edges), self.auxiliary_tasks
-        )
-
 
 def split_interactions(edges, train_fraction: float, seed: int):
     """Uniform per-edge split; users left without train edges get one back.

@@ -10,14 +10,13 @@ each user's top max(ks) items are selected and ordered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import check_eval_ks
 from .data import InteractionDataset
-from .hypergraph import hypergraph_convolve
-from .model import EmbeddingTable
+from .model import EmbeddingTable, encode_auxiliary_task_traced
 
 
 def recall_at_k(ranked_items, test_items, k: int) -> float:
@@ -64,7 +63,6 @@ class EvalReport:
     epochs_pretrain: int = 0
     epochs_finetune: int = 0
     cold_start_ratio: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def row(self, label: str) -> MetricRow:
         for r in self.rows:
@@ -137,9 +135,9 @@ def evaluate_scores(user_out, item_out, seen, ks, test_by_user: dict, users):
 
 
 def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):
-    """Downstream encoder: one convolution over the recommendation pair."""
-    user_out = hypergraph_convolve(rec_user_task.graph, table.user_emb)
-    item_out = hypergraph_convolve(rec_item_task.graph, table.item_emb)
+    """Downstream encoder, as in finetuning: one layer over the recommendation pair."""
+    user_out = encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1).node_emb
+    item_out = encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1).node_emb
     return user_out, item_out
 
 

@@ -428,6 +428,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointTruncatedError(f"{path}: header truncated")
     dim, num_users, num_items, seed, digest = _HEADER.unpack_from(blob, offset)
     offset += _HEADER.size
+    if dim < 1:
+        raise CheckpointFormatError(f"{path}: header dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise CheckpointFormatError(f"{path}: header seed must be >= 0, got {seed}")
     expected = (num_users + num_items) * dim * 8
     if len(blob) - offset != expected:
         raise CheckpointTruncatedError(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .config import LossKind, TAVariant, TrainConfig
 from .data import STREAM_COLD, InteractionDataset, rng_for
@@ -28,41 +28,37 @@ LOSS_GRID = (
 )
 
 
-@dataclass
-class AblationReport:
-    ta_variants: EvalReport
-    loss_combinations: EvalReport
-
-
 def _run_cell(dataset: InteractionDataset, config: TrainConfig, label: str) -> MetricRow:
     pre = pretrain(dataset, config)
     fine = finetune(pre.table, dataset, config)
     return evaluate(fine.table, dataset, config.eval_ks, label=label).rows[0]
 
 
-def run_ablation(dataset: InteractionDataset, config: TrainConfig) -> AblationReport:
-    """Run the TA-variant grid and the loss-combination grid, same seed per cell."""
+def run_ablation(dataset: InteractionDataset, config: TrainConfig) -> EvalReport:
+    """Run the TA-variant grid and the loss-combination grid, same seed per cell.
+
+    One report: rows `ta/ta=<variant>` in TA_VARIANT_GRID order, then rows
+    `loss/<pretrain>+<finetune>` in LOSS_GRID order.
+    """
     config.validate()
-    ta_rows = [
-        _run_cell(dataset, replace(config, ta_variant=variant), f"ta={variant.value}")
+    rows = [
+        _run_cell(dataset, replace(config, ta_variant=variant), f"ta/ta={variant.value}")
         for variant in TA_VARIANT_GRID
     ]
-    loss_rows = [
+    rows += [
         _run_cell(
             dataset,
             replace(config, pretrain_loss=p, finetune_loss=f),
-            f"{p.value}+{f.value}",
+            f"loss/{p.value}+{f.value}",
         )
         for p, f in LOSS_GRID
     ]
-    meta = dict(
+    return EvalReport(
+        ks=tuple(config.eval_ks),
+        rows=rows,
         seed=config.seed,
         epochs_pretrain=config.epochs_pretrain,
         epochs_finetune=config.epochs_finetune,
-    )
-    return AblationReport(
-        ta_variants=EvalReport(ks=tuple(config.eval_ks), rows=ta_rows, **meta),
-        loss_combinations=EvalReport(ks=tuple(config.eval_ks), rows=loss_rows, **meta),
     )
 
 

@@ -198,18 +198,18 @@ def test_criterion_7_loss_combination_harness(planted_dataset):
         cfg = TrainConfig(seed=TRAIN_SEED, epochs_pretrain=10, epochs_finetune=10)
         first = run_ablation(planted_dataset, cfg)
         second = run_ablation(planted_dataset, cfg)
-        assert len(first.ta_variants.rows) == 4
-        assert len(first.loss_combinations.rows) == 10
-        labels = [r.label for r in first.loss_combinations.rows]
-        assert "align+bpr" in labels
-        for rep_a, rep_b in ((first.ta_variants, second.ta_variants),
-                             (first.loss_combinations, second.loss_combinations)):
-            for row_a, row_b in zip(rep_a.rows, rep_b.rows):
-                for k in rep_a.ks:
-                    assert 0.0 <= row_a.recall[k] <= 1.0
-                    assert 0.0 <= row_a.ndcg[k] <= 1.0
-                    assert row_a.recall[k] == row_b.recall[k]
-                    assert row_a.ndcg[k] == row_b.ndcg[k]
+        labels = [r.label for r in first.rows]
+        assert sum(label.startswith("ta/") for label in labels) == 4
+        assert sum(label.startswith("loss/") for label in labels) == 10
+        assert len(labels) == 14
+        assert "loss/align+bpr" in labels
+        for row_a, row_b in zip(first.rows, second.rows, strict=True):
+            assert row_a.label == row_b.label
+            for k in first.ks:
+                assert 0.0 <= row_a.recall[k] <= 1.0
+                assert 0.0 <= row_a.ndcg[k] <= 1.0
+                assert row_a.recall[k] == row_b.recall[k]
+                assert row_a.ndcg[k] == row_b.ndcg[k]
 
 
 def test_criterion_8_cold_start_harness():

@@ -1,13 +1,16 @@
+import argparse
 import json
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import taskhg.train
-from taskhg.cli import main
-from taskhg.io import load_checkpoint
+from taskhg.cli import _config_from, build_parser, main
+from taskhg.config import LossKind, TAVariant, TrainConfig
+from taskhg.io import _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 
 TRAIN_FLAGS = [
     "--dim", "8", "--epochs-pretrain", "3", "--epochs-finetune", "3",
@@ -314,7 +317,9 @@ class TestExitCodes:
         assert load_checkpoint(fine).dim == 8
 
     @pytest.mark.parametrize(
-        "ks, named", [("0", "(0,)"), ("-5", "(-5,)"), ("20,10", "(20, 10)"), ("a", "'a'")]
+        "ks, named",
+        [("0", "(0,)"), ("-5", "(-5,)"), ("20,10", "(20, 10)"), ("a", "'a'"),
+         ("10,10,20", "(10, 10, 20)")],
     )
     def test_bad_ks_is_one(self, synth_dir, tmp_path, ks, named, capsys):
         ckpt = tmp_path / "pre.ckpt"
@@ -363,8 +368,86 @@ class TestExitCodes:
         assert "40 users x 20 items" in err and "48 users x 24 items" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_checkpoint_header_of_dim_zero_is_two(self, synth_dir, tmp_path, command, capsys):
+        ckpt = tmp_path / "zero.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
+                         + _HEADER.pack(0, 40, 20, 3, bytes(32)))
+        out = tmp_path / "out"
+        flags = {"finetune": ["--seed", "3", "--out", str(out), "--epochs-finetune", "1"],
+                 "evaluate": ["--report", str(out)]}[command]
+        code = run_cli([command, "--data", str(synth_dir), "--checkpoint", str(ckpt), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: header dim must be >= 1, got 0"
+        ]
+        assert not out.exists()
+
     def test_help_is_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "taskhg.cli", "--help"], capture_output=True
         )
         assert proc.returncode == 0
+
+
+DATA_FLAGS = {"-h", "--help", "--data", "--manifest", "--train-fraction", "--split-seed"}
+# The training flags as written out by hand before they were generated from
+# TrainConfig; every field but seed and the Adam constants has one.
+CONFIG_FLAGS = {
+    "--dim", "--gamma", "--beta", "--lambda-reg", "--lr", "--epochs-pretrain",
+    "--epochs-finetune", "--batch-size", "--negatives-per-positive", "--pretrain-loss",
+    "--finetune-loss", "--ta-layers", "--aux-encoder-layers", "--ks", "--quantization-bins",
+    "--ta-variant", "--non-unified-attributes", "--uniformity-weight",
+}
+COMMAND_FLAGS = {
+    "pretrain": {"--seed", "--out"},
+    "finetune": {"--seed", "--checkpoint", "--out"},
+    "ablate": {"--seed", "--report", "--format"},
+    "coldstart": {"--seed", "--ratio", "--report", "--format"},
+}
+
+
+def subparser(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestGeneratedFlags:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_option_strings_are_unchanged(self, command):
+        options = {s for a in subparser(command)._actions for s in a.option_strings}
+        assert options == DATA_FLAGS | CONFIG_FLAGS | COMMAND_FLAGS[command]
+
+    def test_every_field_but_adam_has_a_flag(self):
+        # seed's flag is the command's own required --seed.
+        dests = {a.dest for a in subparser("pretrain")._actions}
+        flagless = {f.name for f in fields(TrainConfig) if f.name not in dests}
+        assert flagless == {"adam_beta1", "adam_beta2", "adam_epsilon"}
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_no_config_flags_give_the_default_config(self, command):
+        required = {"pretrain": ["--out", "o"], "finetune": ["--checkpoint", "c", "--out", "o"],
+                    "ablate": ["--report", "r"], "coldstart": ["--ratio", "0.2", "--report", "r"]}
+        args = build_parser().parse_args(
+            [command, "--data", "d", "--seed", "5", *required[command]]
+        )
+        assert _config_from(args) == TrainConfig(seed=5)
+
+    def test_every_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "pretrain", "--data", "d", "--seed", "5", "--out", "o",
+            "--dim", "16", "--gamma", "0.25", "--beta", "0.75", "--lambda-reg", "0.001",
+            "--lr", "0.5", "--epochs-pretrain", "3", "--epochs-finetune", "4",
+            "--batch-size", "32", "--negatives-per-positive", "2", "--pretrain-loss", "au",
+            "--finetune-loss", "bpr_pos", "--ta-layers", "2", "--aux-encoder-layers", "3",
+            "--ks", "5,50", "--quantization-bins", "7", "--ta-variant", "concat",
+            "--non-unified-attributes", "--uniformity-weight", "0.5",
+        ])
+        assert _config_from(args) == TrainConfig(
+            dim=16, gamma=0.25, beta=0.75, lambda_reg=0.001, lr=0.5, epochs_pretrain=3,
+            epochs_finetune=4, batch_size=32, negatives_per_positive=2, seed=5,
+            pretrain_loss=LossKind.AU, finetune_loss=LossKind.BPR_POS, ta_layers=2,
+            aux_encoder_layers=3, eval_ks=(5, 50), quantization_bins=7,
+            ta_variant=TAVariant.CONCAT, unified_attributes=False, uniformity_weight=0.5,
+        )

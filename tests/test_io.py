@@ -13,6 +13,9 @@ from taskhg.errors import (
 )
 from taskhg.evaluate import EvalReport, MetricRow
 from taskhg.io import (
+    _HEADER,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     emit_report,
     format_report,
     load_checkpoint,
@@ -237,6 +240,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dim, seed, named", [(0, 0, "dim must be >= 1, got 0"),
+                                                  (1, -3, "seed must be >= 0, got -3")])
+    def test_header_out_of_range_rejected(self, tmp_path, dim, seed, named):
+        path = tmp_path / "ckpt.bin"
+        header = _HEADER.pack(dim, 1, 1, seed, bytes(32))
+        path.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header + bytes(16 * dim))
+        with pytest.raises(CheckpointFormatError, match=named) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         table = EmbeddingTable(np.ones((1, 2)), np.ones((1, 2)))

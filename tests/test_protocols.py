@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taskhg.config import LossKind, TAVariant, TrainConfig
-from taskhg.data import generate_synthetic_dataset
+from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.errors import DataError
 from taskhg.protocols import LOSS_GRID, TA_VARIANT_GRID, cold_start_eval, run_ablation
 
@@ -22,26 +22,23 @@ def fast_config(**overrides):
 class TestAblation:
     def test_grid_shapes(self, dataset):
         report = run_ablation(dataset, fast_config())
-        assert len(report.ta_variants.rows) == 4
-        assert len(report.loss_combinations.rows) == 10
-        labels = [r.label for r in report.ta_variants.rows]
-        assert labels == ["ta=full", "ta=no_ta", "ta=sum", "ta=concat"]
-        loss_labels = {r.label for r in report.loss_combinations.rows}
-        assert "align+bpr" in loss_labels
-        assert "bpr+bpr" in loss_labels
+        labels = [r.label for r in report.rows]
+        assert labels[:4] == ["ta/ta=full", "ta/ta=no_ta", "ta/ta=sum", "ta/ta=concat"]
+        assert labels[4:] == [f"loss/{p.value}+{f.value}" for p, f in LOSS_GRID]
+        assert "loss/align+bpr" in labels
+        assert "loss/bpr+bpr" in labels
 
     def test_grid_metrics_bounded_and_deterministic(self, dataset):
         a = run_ablation(dataset, fast_config())
         b = run_ablation(dataset, fast_config())
-        for rep_a, rep_b in ((a.ta_variants, b.ta_variants),
-                             (a.loss_combinations, b.loss_combinations)):
-            for row_a, row_b in zip(rep_a.rows, rep_b.rows):
-                assert row_a.label == row_b.label
-                for k in rep_a.ks:
-                    assert 0.0 <= row_a.recall[k] <= 1.0
-                    assert 0.0 <= row_a.ndcg[k] <= 1.0
-                    assert row_a.recall[k] == row_b.recall[k]
-                    assert row_a.ndcg[k] == row_b.ndcg[k]
+        assert len(a.rows) == len(b.rows) == 14
+        for row_a, row_b in zip(a.rows, b.rows):
+            assert row_a.label == row_b.label
+            for k in a.ks:
+                assert 0.0 <= row_a.recall[k] <= 1.0
+                assert 0.0 <= row_a.ndcg[k] <= 1.0
+                assert row_a.recall[k] == row_b.recall[k]
+                assert row_a.ndcg[k] == row_b.ndcg[k]
 
     def test_grid_covers_declared_combinations(self):
         assert len(LOSS_GRID) == 10
@@ -59,7 +56,7 @@ class TestAblation:
 
         cfg = fast_config(ta_variant=TAVariant.NO_TA)
         report = run_ablation(dataset, fast_config())
-        no_ta_row = report.ta_variants.row("ta=no_ta")
+        no_ta_row = report.row("ta/ta=no_ta")
         pre = pretrain(dataset, fast_config(gamma=0.0))
         fine = finetune(pre.table, dataset, fast_config(gamma=0.0))
         direct = evaluate(fine.table, dataset, cfg.eval_ks).rows[0]
@@ -104,7 +101,8 @@ class TestColdStart:
         n_cold = int(round(0.2 * dataset.num_users))
         cold = sorted(int(u) for u in rng.choice(dataset.num_users, n_cold, replace=False))
         reduced = {(u, i) for (u, i) in dataset.train_edges if u not in cold}
-        train_ds = dataset.replace_edges(reduced, dataset.test_edges)
+        train_ds = InteractionDataset(dataset.num_users, dataset.num_items, reduced,
+                                      set(dataset.test_edges), dataset.auxiliary_tasks)
         result = pretrain(train_ds, cfg)
         init = init_embeddings(dataset.num_users, dataset.num_items, cfg.dim, cfg.seed)
         for u in cold:

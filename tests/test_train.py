@@ -42,6 +42,7 @@ class TestConfig:
         ("adam_epsilon", math.inf),
         ("dim", 0),
         ("quantization_bins", 1),
+        ("eval_ks", (5, 5)),
     ])
     def test_out_of_range_value_is_named(self, field, value):
         with pytest.raises(ValueError, match=field) as info:
