@@ -27,7 +27,7 @@ def check_eval_ks(ks) -> tuple:
     """The cutoffs as a tuple; ValueError unless non-empty, each >= 1, strictly ascending."""
     ks = tuple(ks)
     if not ks or any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ValueError(f"eval_ks must be non-empty, each >= 1 and ascending, got {ks}")
+        raise ValueError(f"eval_ks must be non-empty, each >= 1 and strictly ascending, got {ks}")
     return ks
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,13 +85,34 @@ def rank_items(score_row: np.ndarray) -> np.ndarray:
 def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     """`rank_items(row)[:k]` for every row of a score block, without a full sort.
 
-    Every item scoring at least the row's k-th largest score survives, so
-    items tied at the boundary do too; one lexsort over the survivors
-    orders them as `rank_items` does, and each row keeps its first k.
-    Returns a (rows, min(k, items)) array of item indices.
+    One index partition picks each row's k largest scores. A row is clean
+    when exactly k items score at least the smallest of them: then they
+    are its top k, ordered by descending score and ascending item index.
+    Rows with ties at the boundary, a NaN, or fewer than k finite scores
+    are left to `_top_k_survivors`. Returns a (rows, min(k, items)) array
+    of item indices.
     """
-    n_rows, n_items = block.shape
+    n_items = block.shape[1]
     k = min(k, n_items)
+    cand = np.argpartition(block, n_items - k, axis=1)[:, n_items - k :]
+    vals = np.take_along_axis(block, cand, axis=1)
+    # A NaN makes the bound NaN, which no score reaches.
+    bound = vals.min(axis=1, keepdims=True)
+    clean = np.count_nonzero(block >= bound, axis=1) == k
+    top = np.take_along_axis(cand, np.lexsort((cand, -vals), axis=1), axis=1)
+    if not clean.all():
+        dirty = ~clean
+        top[dirty] = _top_k_survivors(block[dirty], k)
+    return top
+
+
+def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
+    """`top_k_items` for any rows, k <= items: every item scoring at least
+    the row's k-th largest score survives, so items tied at the boundary do
+    too; one lexsort over the survivors orders them as `rank_items` does,
+    and each row keeps its first k.
+    """
+    n_rows = block.shape[0]
     neg = np.negative(block)
     neg.partition(k - 1, axis=1)  # NaN sorts last, as in rank_items
     kth = -neg[:, k - 1 : k]
@@ -110,28 +132,48 @@ def evaluate_scores(user_out, item_out, seen, ks, test_by_user: dict, users):
     each user's row of `seen`, a users x items CSR incidence, is masked.
     BLAS picks its kernel by the product's shape, so a score's last bits can
     depend on the block's size; only scores within an ulp or so can swap.
+    `test_by_user` maps a user to the set of their test items.
+
+    Each metric is computed for a whole block from one hit matrix, with the
+    arithmetic of `recall_at_k` and `ndcg_at_k`: gains are summed in rank
+    order and the means over users in user order, so the results are
+    bit-identical to averaging those functions user by user.
     """
-    kmax = max(ks)
     users = [u for u in users if test_by_user.get(u)]
-    recall = {k: 0.0 for k in ks}
-    ndcg = {k: 0.0 for k in ks}
-    step = max(1, SCORE_BLOCK_CELLS // item_out.shape[0])
-    for lo in range(0, len(users), step):
-        chunk = np.asarray(users[lo : lo + step])
+    count = len(users)
+    if not count:
+        return {k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0
+    n_items = item_out.shape[0]
+    width = min(max(ks), n_items)
+    cols = [min(k, width) - 1 for k in ks]
+    disc = np.array([1.0 / math.log2(p + 1) for p in range(1, width + 1)])
+    tests = [test_by_user[u] for u in users]
+    n_test = np.fromiter(map(len, tests), dtype=np.int64, count=count)
+    test_items = np.fromiter(chain.from_iterable(tests), dtype=np.intp, count=int(n_test.sum()))
+    test_start = np.concatenate(([0], np.cumsum(n_test)))
+    ideal = np.cumsum(disc)
+    recall = np.empty((len(ks), count))
+    ndcg = np.empty((len(ks), count))
+    step = max(1, SCORE_BLOCK_CELLS // n_items)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        chunk = np.asarray(users[lo:hi])
+        rows = np.arange(hi - lo)
         block = user_out[chunk] @ item_out.T
         masked = seen[chunk]
-        block[np.repeat(np.arange(len(chunk)), np.diff(masked.indptr)), masked.indices] = -np.inf
-        for u, top in zip(chunk.tolist(), top_k_items(block, kmax)):
-            test_items = test_by_user[u]
-            for k in ks:
-                recall[k] += recall_at_k(top, test_items, k)
-                ndcg[k] += ndcg_at_k(top, test_items, k)
-    count = len(users)
-    if count:
-        for k in ks:
-            recall[k] /= count
-            ndcg[k] /= count
-    return recall, ndcg, count
+        block[np.repeat(rows, np.diff(masked.indptr)), masked.indices] = -np.inf
+        is_test = np.zeros(block.shape, dtype=bool)
+        is_test[np.repeat(rows, n_test[lo:hi]), test_items[test_start[lo] : test_start[hi]]] = True
+        hit = np.take_along_axis(is_test, top_k_items(block, width), axis=1)
+        hits = np.cumsum(hit, axis=1)
+        dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
+        for j, (k, col) in enumerate(zip(ks, cols)):
+            recall[j, lo:hi] = hits[:, col] / n_test[lo:hi]
+            ndcg[j, lo:hi] = dcg[:, col] / ideal[np.minimum(k, n_test[lo:hi]) - 1]
+    # Sequential sums, in user order: np.sum would add pairwise.
+    recall_mean = {k: float(np.cumsum(recall[j])[-1] / count) for j, k in enumerate(ks)}
+    ndcg_mean = {k: float(np.cumsum(ndcg[j])[-1] / count) for j, k in enumerate(ks)}
+    return recall_mean, ndcg_mean, count
 
 
 def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):

@@ -440,6 +440,12 @@ def load_checkpoint(path) -> Checkpoint:
     flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
     user = flat[: num_users * dim].reshape(num_users, dim)
     item = flat[num_users * dim :].reshape(num_items, dim)
+    for block, emb in (("user", user), ("item", item)):
+        finite = np.isfinite(emb).all(axis=1)
+        if not finite.all():
+            raise CheckpointFormatError(
+                f"{path}: {block} row {int(np.argmin(finite))} holds a non-finite value"
+            )
     return Checkpoint(
         format_version=version,
         dim=dim,

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from taskhg.evaluate import ndcg_at_k, rank_items, recall_at_k
+
 
 def dense_convolve(H: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Explicit dense product: D^-1 H B^-1 H^T X with zero-degree pseudo-inverse."""
@@ -238,3 +240,29 @@ def adam_step(params, grads, first_moment, second_moment, t, lr, beta1, beta2, e
         v *= beta2
         v += (1.0 - beta2) * g * g
         params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+
+
+def mean_ranking_metrics(user_out, item_out, seen, ks, test_by_user, users):
+    """Mean Recall@K / NDCG@K, one user at a time.
+
+    Each user's whole row of scores, with the items of their `seen` CSR
+    row masked, is ranked by `rank_items`; `recall_at_k` and `ndcg_at_k`
+    are summed user by user in `users` order and divided by the count.
+    Scores are made one row at a time, so they match a block product only
+    where every sum is exact (say, small dyadic embeddings).
+    """
+    users = [u for u in users if test_by_user.get(u)]
+    recall = {k: 0.0 for k in ks}
+    ndcg = {k: 0.0 for k in ks}
+    for u in users:
+        row = item_out @ user_out[u]
+        row[seen[u].indices] = -np.inf
+        ranked = rank_items(row)
+        for k in ks:
+            recall[k] += recall_at_k(ranked, test_by_user[u], k)
+            ndcg[k] += ndcg_at_k(ranked, test_by_user[u], k)
+    if users:
+        for k in ks:
+            recall[k] /= len(users)
+            ndcg[k] /= len(users)
+    return recall, ndcg, len(users)

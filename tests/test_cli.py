@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import taskhg.train
@@ -346,7 +347,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         # One error line naming the cutoff: no dataset statistics, no checkpoint error.
         assert captured.err.splitlines() == [
-            "error: eval_ks must be non-empty, each >= 1 and ascending, got (0,)"
+            "error: eval_ks must be non-empty, each >= 1 and strictly ascending, got (0,)"
         ]
         assert captured.out == ""
 
@@ -380,6 +381,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {ckpt}: header dim must be >= 1, got 0"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_checkpoint_holding_nan_is_two(self, synth_dir, tmp_path, command, capsys):
+        ckpt = tmp_path / "pre.ckpt"
+        assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",
+                        "--out", str(ckpt), *TRAIN_FLAGS]) == 0
+        blob = bytearray(ckpt.read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last item's last cell
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = {"finetune": ["--seed", "3", "--out", str(out), "--epochs-finetune", "1"],
+                 "evaluate": ["--report", str(out)]}[command]
+        code = run_cli([command, "--data", str(synth_dir), "--checkpoint", str(ckpt), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: item row 19 holds a non-finite value"
         ]
         assert not out.exists()
 

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 import scipy.sparse as sp
 
@@ -11,6 +12,7 @@ from taskhg.errors import DataError
 from taskhg.evaluate import (
     EvalReport,
     MetricRow,
+    _top_k_survivors,
     evaluate,
     evaluate_scores,
     ndcg_at_k,
@@ -21,6 +23,43 @@ from taskhg.evaluate import (
 from taskhg.model import EmbeddingTable, init_embeddings
 
 EVALUATE_MODULE = sys.modules["taskhg.evaluate"]  # the package re-exports `evaluate`
+
+# Score blocks of 1, 2 or 7 users, or of every user at once.
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [1, 2, 7, None], ids=lambda r: f"rows={r}")
+
+
+def set_block_rows(monkeypatch, block_rows, n_users, n_items):
+    rows = n_users if block_rows is None else block_rows
+    monkeypatch.setattr(EVALUATE_MODULE, "SCORE_BLOCK_CELLS", rows * n_items)
+
+
+def exact_embeddings(rng, shape, ties):
+    """Small integers (many tied scores) or multiples of 1/64: every inner
+    product is exact in float64, so no BLAS kernel can change a score."""
+    if ties:
+        return rng.integers(-2, 3, size=shape).astype(float)
+    return np.round(rng.normal(size=shape) * 64.0) / 64.0
+
+
+def random_eval_instance(rng, trial):
+    """evaluate_scores' arguments: tied or distinct scores, masked rows
+    (user 0 has every item seen), test sets often larger than max(ks), and
+    cutoffs often above the item count."""
+    n_users, n_items = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+    dim = int(rng.integers(1, 5))
+    user_out = exact_embeddings(rng, (n_users, dim), ties=trial % 2 == 0)
+    item_out = exact_embeddings(rng, (n_items, dim), ties=trial % 2 == 0)
+    seen = rng.random((n_users, n_items)) < rng.uniform(0.0, 0.6)
+    seen[0] = True
+    test_by_user = {
+        u: set(rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False).tolist())
+        for u in range(n_users)
+        if rng.random() < 0.8
+    }
+    ks = tuple(sorted(set(rng.integers(1, n_items + 6, size=int(rng.integers(1, 4))).tolist())))
+    users = rng.choice(n_users, size=int(rng.integers(1, n_users + 1)), replace=False)
+    users = sorted(users.tolist())
+    return user_out, item_out, sp.csr_matrix(seen.astype(float)), ks, test_by_user, users
 
 
 class TestMetricPrimitives:
@@ -92,16 +131,49 @@ class TestTopK:
 
     def test_equals_rank_items_on_random_blocks(self):
         rng = np.random.default_rng(17)
-        for trial in range(300):
+        for trial in range(600):
             n_rows, n_items = int(rng.integers(1, 9)), int(rng.integers(1, 16))
             k = int(rng.integers(1, 20))  # often >= n_items
-            # Integer scores in a small range: many ties, also at the boundary.
-            block = rng.integers(-3, 4, size=(n_rows, n_items)).astype(float)
+            if trial % 2 == 0:
+                # Integer scores in a small range: many ties, also at the
+                # boundary, so most rows take the exact fallback.
+                block = rng.integers(-3, 4, size=(n_rows, n_items)).astype(float)
+            else:
+                block = rng.normal(size=(n_rows, n_items))  # continuous: rarely a tie
             block[rng.random(block.shape) < 0.4] = -np.inf
             block[0, :] = -np.inf  # a row with no unmasked item at all
+            if trial % 3 == 0:
+                block[rng.random(block.shape) < 0.1] = np.inf
             if trial % 4 == 0:
                 block[rng.random(block.shape) < 0.2] = np.nan
             self.assert_matches_rank_items(block, k)
+
+    def test_only_rows_tied_at_the_boundary_take_the_fallback(self, monkeypatch):
+        fallback_rows = []
+
+        def recording_survivors(block, k):
+            fallback_rows.extend(block.tolist())
+            return _top_k_survivors(block, k)
+
+        monkeypatch.setattr(EVALUATE_MODULE, "_top_k_survivors", recording_survivors)
+        rng = np.random.default_rng(8)
+        block = rng.normal(size=(12, 30))
+        block[rng.random(block.shape) < 0.3] = -np.inf
+        block[1, :3] = -np.inf  # masked items among a row's top k
+        block[2, [4, 9]] = 5.0  # a tie inside the top k, not at its boundary
+        block[3, 3] = np.inf
+        self.assert_matches_rank_items(block, 5)
+        assert fallback_rows == []
+
+        order = np.argsort(-block, axis=1, kind="stable")
+        dirty = block.copy()
+        dirty[4, order[4, 5]] = dirty[4, order[4, 4]]  # 5th and 6th best tie
+        dirty[5, order[5, 5:]] = -np.inf
+        dirty[5, order[5, 3:5]] = -np.inf  # 3 finite scores for k = 5
+        dirty[6, 7] = np.nan
+        dirty[7, order[7, :6]] = np.inf  # six +inf scores for k = 5
+        self.assert_matches_rank_items(dirty, 5)
+        assert np.array_equal(fallback_rows, dirty[4:8], equal_nan=True)
 
     def test_rows_with_fewer_unmasked_items_than_k(self):
         block = np.array([[2.0, -np.inf, 2.0, -np.inf, 1.0], [-np.inf] * 5])
@@ -113,14 +185,26 @@ class TestTopK:
         for k in (6, 7, 100):
             self.assert_matches_rank_items(block, k)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 7, None], ids=lambda r: f"rows={r}")
+    @BLOCK_ROWS
     def test_report_does_not_depend_on_the_block_size(self, monkeypatch, block_rows):
         ds = generate_synthetic_dataset(60, 40, 4, 0.1, seed=2, interactions_per_user=5)
         table = init_embeddings(60, 40, 8, seed=4)
         expected = evaluate(table, ds, ks=(1, 5, 20))
-        rows = ds.num_users if block_rows is None else block_rows
-        monkeypatch.setattr(EVALUATE_MODULE, "SCORE_BLOCK_CELLS", rows * ds.num_items)
+        set_block_rows(monkeypatch, block_rows, ds.num_users, ds.num_items)
         assert evaluate(table, ds, ks=(1, 5, 20)) == expected
+
+    @BLOCK_ROWS
+    def test_metrics_bit_identical_to_the_per_user_oracle(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            args = random_eval_instance(rng, trial)
+            user_out, item_out, _, ks, _, _ = args
+            set_block_rows(monkeypatch, block_rows, user_out.shape[0], item_out.shape[0])
+            recall, ndcg, count = evaluate_scores(*args)
+            want_recall, want_ndcg, want_count = oracles.mean_ranking_metrics(*args)
+            assert count == want_count
+            assert [recall[k].hex() for k in ks] == [want_recall[k].hex() for k in ks]
+            assert [ndcg[k].hex() for k in ks] == [want_ndcg[k].hex() for k in ks]
 
     def test_memory_stays_below_a_dense_score_matrix(self):
         # 4000 users x 2000 items: a dense float64 score matrix alone is 64 MB.

@@ -251,6 +251,16 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value, block, row", [(np.nan, "item", 3), (-np.inf, "user", 1)])
+    def test_non_finite_value_rejected(self, tmp_path, value, block, row):
+        table = EmbeddingTable(np.ones((3, 2)), np.ones((4, 2)))
+        getattr(table, f"{block}_emb")[row:, 1] = value  # the first bad row is `row`
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(table, TrainConfig(dim=2), path)
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {block} row {row} holds a non-finite value"
+
     def test_trailing_garbage_rejected(self, tmp_path):
         table = EmbeddingTable(np.ones((1, 2)), np.ones((1, 2)))
         path = tmp_path / "ckpt.bin"
