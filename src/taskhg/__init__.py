@@ -17,11 +17,7 @@ from .errors import (
     TaskHGError,
 )
 from .evaluate import EvalReport, MetricRow, evaluate, ndcg_at_k, recall_at_k
-from .hypergraph import (
-    Hypergraph,
-    build_hypergraph,
-    hypergraph_convolve,
-)
+from .hypergraph import Hypergraph, build_hypergraph
 from .io import (
     Checkpoint,
     DatasetStats,

@@ -6,9 +6,12 @@ operator has a matching adjoint here, chained in reverse. Every path is
 covered: the attention softmax and tanh, the degree-normalized
 aggregations, every recommendation loss, the auxiliary hyperedge-ranking
 and attribute cross-entropy losses, and the optional linear heads of the
-ablation variants. Each loss exists once, as a (value, gradients) function
-with batch-mean normalization. Correctness is pinned by central finite
-differences and by independent scalar oracles in the test suite.
+ablation variants. Encoders and TA stacks share one reverse loop, as they
+share one forward loop. Each loss exists once, as a (value, gradients)
+function with batch-mean normalization; a full step returns one gradient
+dict keyed like the optimizer's parameter blocks. Correctness is pinned by
+central finite differences and by independent scalar oracles in the test
+suite.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .hypergraph import (
 )
 from .model import (
     EmbeddingTable,
-    EncoderTrace,
     TATrace,
     encode_auxiliary_task_traced,
     forward_pretrain,
@@ -34,52 +36,25 @@ from .model import (
 from .tasks import NodeSide
 
 
-@dataclass
-class GradientTape:
-    """Gradients of a scalar loss with respect to every parameter block."""
+def _reverse(trace: TATrace, g_out, g_edge=None):
+    """Reverse of the convolution stack: (g_input, g_task_embs, g_concat_weight).
 
-    grad_user: np.ndarray
-    grad_item: np.ndarray
-    extra: dict = field(default_factory=dict)
-
-
-def encoder_backward(trace: EncoderTrace, g_node, g_edge=None) -> np.ndarray:
-    """Backpropagate through a stack of hypergraph convolutions.
-
-    g_node is the gradient on the final node embeddings, g_edge the
-    gradient on the final layer's hyperedge embeddings (may be None).
-    """
-    graph = trace.graph
-    g = np.asarray(g_node, dtype=np.float64)
-    for layer in range(trace.layers - 1, -1, -1):
-        g_y = aggregate_hyperedges_to_nodes_adjoint(graph, g)
-        if layer == trace.layers - 1 and g_edge is not None:
-            g_y = g_y + g_edge
-        g = aggregate_nodes_to_hyperedges_adjoint(graph, g_y)
-    return g
-
-
-def ta_backward(trace: TATrace, g_out):
-    """Backpropagate through the transitional attention stack.
-
-    Returns (g_input, g_task_embs, g_concat_weight): the gradient on the
-    layer-0 side input, per-task gradients on the opposite-side node
-    embeddings, and the gradient on the concat head when that variant ran.
+    g_out is the gradient on the stack's node output, g_edge (or None) the
+    gradient on its final layer's hyperedge embeddings.
     """
     graph = trace.graph
     gamma = trace.gamma
     zs = trace.task_embs
     g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, zs)}
     g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
-    attend = bool(zs) and trace.variant != TAVariant.NO_TA
-    sqrt_d = math.sqrt(g_out.shape[1])
     g = np.asarray(g_out, dtype=np.float64)
     for layer in reversed(trace.layers):
         g_q = aggregate_hyperedges_to_nodes_adjoint(graph, g)
         g_eps = g_q
-        if attend:
+        if trace.attends:
             g_s = (gamma * g_q) * (1.0 - layer.a**2)
             if trace.variant == TAVariant.FULL:
+                sqrt_d = math.sqrt(g_q.shape[1])
                 alpha = layer.alpha
                 g_alpha = np.stack([(g_s * z).sum(axis=1) for z in zs], axis=1)
                 row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
@@ -100,8 +75,30 @@ def ta_backward(trace: TATrace, g_out):
                 dim = g_out.shape[1]
                 for t, tid in enumerate(trace.task_ids):
                     g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
+        if g_edge is not None:  # the final layer, which comes first
+            g_eps += g_edge  # in place: g_eps is this layer's own array
+            g_edge = None
         g = aggregate_nodes_to_hyperedges_adjoint(graph, g_eps)
     return g, g_zs, g_w
+
+
+def encoder_backward(trace: TATrace, g_node, g_edge=None) -> np.ndarray:
+    """Backpropagate through an encoder to its input node embeddings.
+
+    g_node is the gradient on the final node embeddings, g_edge the
+    gradient on the final layer's hyperedge embeddings (may be None).
+    """
+    return _reverse(trace, g_node, g_edge)[0]
+
+
+def ta_backward(trace: TATrace, g_out):
+    """Backpropagate through the transitional attention stack.
+
+    Returns (g_input, g_task_embs, g_concat_weight): the gradient on the
+    layer-0 side input, per-task gradients on the opposite-side node
+    embeddings, and the gradient on the concat head when that variant ran.
+    """
+    return _reverse(trace, g_out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +313,20 @@ def pretrain_loss_and_grad(
     batch: PretrainBatch,
     extra_params: dict | None = None,
 ):
-    """Forward the full model on one batch and return (loss, tape, activations).
+    """Forward the full model on one batch and return (loss, grads, activations).
 
     The scalar is the joint objective: beta-weighted recommendation loss
     plus (1 - beta)-weighted sum of per-task losses (each normalized by
-    its batch size) plus the L2 term on both embedding blocks.
+    its batch size) plus the L2 term on both embedding blocks. grads maps
+    "user", "item" and then each extra_params block, in that order, to its
+    gradient; a head with no batch this step gets a zero gradient.
     """
     extra_params = extra_params or {}
-    concat_weights = {
-        key: extra_params[f"ta_concat_{key}"]
-        for key in ("user", "item")
-        if f"ta_concat_{key}" in extra_params
-    }
-    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, concat_weights)
+    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
     rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
         cfg.pretrain_loss,
-        acts.ta_user_out,
-        acts.ta_item_out,
+        acts.ta_user_trace.node_emb,
+        acts.ta_item_trace.node_emb,
         batch.rec_users,
         batch.rec_pos_items,
         batch.rec_neg_items,
@@ -380,32 +374,23 @@ def pretrain_loss_and_grad(
     if g_w_item is not None:
         extra_grads["ta_concat_item"] += g_w_item
 
-    grad_user = g_user_in
-    grad_item = g_item_in
+    # Every auxiliary task fed the opposite side's TA stack, which returns a
+    # gradient for it under every variant (zeros under no_ta); merge that
+    # path with the task's own loss before entering the encoder.
+    g_ta_tasks = {**g_z_user_side, **g_z_item_side}
+    grads = {"user": g_user_in, "item": g_item_in}
     for task in aux_tasks:
         tid = task.task_id
-        g_node = aux_node_grads.get(tid)
-        # The TA layer on the opposite side also consumed this task's node
-        # embeddings; merge that path before entering the encoder.
-        ta_side = g_z_user_side if task.side == NodeSide.ITEMS else g_z_item_side
-        if tid in ta_side:
-            g_node = ta_side[tid] if g_node is None else g_node + ta_side[tid]
-        g_edge = aux_edge_grads.get(tid)
-        if g_node is None and g_edge is None:
-            continue
-        if g_node is None:
-            g_node = np.zeros_like(acts.encoder_traces[tid].node_emb)
-        g_x0 = encoder_backward(acts.encoder_traces[tid], g_node, g_edge)
-        if task.side == NodeSide.USERS:
-            grad_user += g_x0
-        else:
-            grad_item += g_x0
-    reg = _add_l2(table.user_emb, cfg.lambda_reg, grad_user) + _add_l2(
-        table.item_emb, cfg.lambda_reg, grad_item
+        g_node = g_ta_tasks[tid]
+        if tid in aux_node_grads:
+            g_node = aux_node_grads[tid] + g_node
+        g_x0 = encoder_backward(acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid))
+        grads["user" if task.side == NodeSide.USERS else "item"] += g_x0
+    reg = _add_l2(table.user_emb, cfg.lambda_reg, grads["user"]) + _add_l2(
+        table.item_emb, cfg.lambda_reg, grads["item"]
     )
     total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
-    tape = GradientTape(grad_user, grad_item, extra_grads)
-    return total, tape, acts
+    return total, {**grads, **extra_grads}, acts
 
 
 def finetune_loss_and_grad(
@@ -429,11 +414,12 @@ def finetune_loss_and_grad(
         neg,
         cfg.uniformity_weight,
     )
-    grad_user = encoder_backward(trace_u, g_u_out)
-    grad_item = encoder_backward(trace_i, g_i_out)
-    reg = _add_l2(table.user_emb, cfg.lambda_reg, grad_user) + _add_l2(
-        table.item_emb, cfg.lambda_reg, grad_item
+    grads = {
+        "user": encoder_backward(trace_u, g_u_out),
+        "item": encoder_backward(trace_i, g_i_out),
+    }
+    reg = _add_l2(table.user_emb, cfg.lambda_reg, grads["user"]) + _add_l2(
+        table.item_emb, cfg.lambda_reg, grads["item"]
     )
     total = loss + cfg.lambda_reg * reg
-    tape = GradientTape(grad_user, grad_item)
-    return total, tape, (trace_u.node_emb, trace_i.node_emb)
+    return total, grads, (trace_u.node_emb, trace_i.node_emb)

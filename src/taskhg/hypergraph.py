@@ -159,11 +159,6 @@ def aggregate_hyperedges_to_nodes(h: Hypergraph, edge_emb: np.ndarray) -> np.nda
     return sums
 
 
-def hypergraph_convolve(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
-    """One convolution layer: nodes -> hyperedges -> nodes, both mean-normalized."""
-    return aggregate_hyperedges_to_nodes(h, aggregate_nodes_to_hyperedges(h, node_emb))
-
-
 def aggregate_nodes_to_hyperedges_adjoint(h: Hypergraph, grad_edge: np.ndarray) -> np.ndarray:
     """Adjoint of aggregate_nodes_to_hyperedges (gradient wrt node embeddings)."""
     grad_edge = _check_rows("grad_edge", grad_edge, h.num_hyperedges)

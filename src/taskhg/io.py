@@ -71,7 +71,7 @@ def parse_manifest(path) -> TaskManifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"manifest {path} must be a JSON object, got {payload!r}")
@@ -155,7 +155,7 @@ class DatasetStats:
 def _read_tsv(path: Path, num_fields: int):
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -177,17 +177,20 @@ class _IdMapper:
         raw_ids = set(raw_ids)
         as_int = None
         try:
-            as_int = {int(r) for r in raw_ids}
+            as_int = {r: int(r) for r in raw_ids}
         except ValueError:
             pass
-        if as_int is not None and as_int == set(range(len(as_int))):
+        # Ids such as "00" or "+1" are distinct strings, so only canonical
+        # ones ("0", "1", ...) may stand for their own index.
+        canonical = as_int is not None and all(str(v) == r for r, v in as_int.items())
+        if canonical and set(as_int.values()) == set(range(len(as_int))):
             self.identity = True
             self.count = len(as_int)
             self.mapping = None
         else:
             self.identity = False
             if as_int is not None:
-                ordered = sorted(raw_ids, key=int)
+                ordered = sorted(raw_ids, key=lambda r: (as_int[r], r))
             else:
                 ordered = sorted(raw_ids)
             self.mapping = {raw: idx for idx, raw in enumerate(ordered)}

@@ -5,9 +5,10 @@ item embeddings. Auxiliary tasks are encoded with weight-free hypergraph
 convolutions; the transitional attention (TA) layer then fuses, per
 recommendation hyperedge, an attention-weighted mix of the corresponding
 entity's task-specific embeddings into the hyperedge before the node
-update. Each operator has a single form that records the intermediates
-the reverse pass in `gradients` needs; the TA settings (gamma, depth,
-variant) and the encoder depth are read from the `TrainConfig`.
+update. Both run one layer loop: an encoder is a TA stack with no tasks.
+The loop records, in a `TATrace`, the intermediates the reverse pass in
+`gradients` needs; the TA settings (gamma, depth, variant) and the
+encoder depth are read from the `TrainConfig`.
 """
 
 from __future__ import annotations
@@ -75,47 +76,82 @@ def init_embeddings(num_users: int, num_items: int, dim: int, seed: int) -> Embe
 
 
 @dataclass
-class EncoderTrace:
-    """Intermediates of one auxiliary-task encoder forward."""
-
-    graph: Hypergraph
-    layers: int
-    edge_emb: np.ndarray = field(repr=False)  # hyperedge embeddings, final layer
-    node_emb: np.ndarray = field(repr=False)  # node embeddings, final layer
-
-
-def encode_auxiliary_task_traced(graph: Hypergraph, x0: np.ndarray, layers: int) -> EncoderTrace:
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    x = np.asarray(x0, dtype=np.float64)
-    edge = None
-    for _ in range(layers):
-        edge = aggregate_nodes_to_hyperedges(graph, x)
-        x = aggregate_hyperedges_to_nodes(graph, edge)
-    return EncoderTrace(graph=graph, layers=layers, edge_emb=edge, node_emb=x)
-
-
-@dataclass
 class TALayerTrace:
-    eps: np.ndarray = field(repr=False)
+    eps: np.ndarray = field(repr=False)  # hyperedge embeddings before the TA term
     alpha: np.ndarray | None = field(repr=False)  # (num_hyperedges, T), FULL only
     a: np.ndarray | None = field(repr=False)  # tanh output, None when attention is off
 
 
 @dataclass
 class TATrace:
+    """Intermediates of one stack of convolution layers.
+
+    With no tasks (or the NO_TA variant) the stack is the plain weight-free
+    encoder; otherwise each layer adds gamma times its task mix `a` to the
+    hyperedges before the node update.
+    """
+
     graph: Hypergraph
-    gamma: float
-    variant: TAVariant
-    task_ids: list
-    task_embs: list = field(repr=False)
+    gamma: float = 0.0
+    variant: TAVariant = TAVariant.NO_TA
+    task_ids: list = field(default_factory=list)
+    task_embs: list = field(default_factory=list, repr=False)
     layers: list = field(default_factory=list, repr=False)
     concat_weight: np.ndarray | None = field(default=None, repr=False)
+    node_emb: np.ndarray | None = field(default=None, repr=False)  # final layer's output
+
+    @property
+    def attends(self) -> bool:
+        return bool(self.task_embs) and self.variant != TAVariant.NO_TA
+
+    @property
+    def edge_emb(self) -> np.ndarray:
+        """The final layer's hyperedge embeddings."""
+        return self.layers[-1].eps
 
     @property
     def attention(self) -> list:
         """Per-layer (num_hyperedges, T) attention weight arrays."""
         return [layer.alpha for layer in self.layers if layer.alpha is not None]
+
+
+def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
+    """Run `num_layers` layers from node embeddings x, recording each in `trace`."""
+    zs = trace.task_embs
+    for _ in range(num_layers):
+        eps = aggregate_nodes_to_hyperedges(trace.graph, x)
+        alpha = None
+        a = None
+        if trace.attends:
+            if trace.variant == TAVariant.FULL:
+                sqrt_d = math.sqrt(eps.shape[1])
+                logits = np.stack([(eps * z).sum(axis=1) for z in zs], axis=1) / sqrt_d
+                logits -= logits.max(axis=1, keepdims=True)
+                expw = np.exp(logits)
+                alpha = expw / expw.sum(axis=1, keepdims=True)
+                s = np.zeros_like(eps)
+                for t, z in enumerate(zs):
+                    s += alpha[:, t : t + 1] * z
+                a = np.tanh(s)
+            elif trace.variant == TAVariant.SUM:
+                a = np.tanh(sum(zs) / len(zs))
+            else:  # CONCAT
+                stacked = np.concatenate(zs, axis=1)
+                a = np.tanh(stacked @ trace.concat_weight)
+            q = eps + trace.gamma * a
+        else:
+            q = eps
+        x = aggregate_hyperedges_to_nodes(trace.graph, q)
+        trace.layers.append(TALayerTrace(eps=eps, alpha=alpha, a=a))
+    trace.node_emb = x
+    return trace
+
+
+def encode_auxiliary_task_traced(graph: Hypergraph, x0: np.ndarray, layers: int) -> TATrace:
+    """Weight-free hypergraph convolution: a TA stack with no tasks."""
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    return _convolve(TATrace(graph), np.asarray(x0, dtype=np.float64), layers)
 
 
 def ta_forward_traced(
@@ -124,13 +160,14 @@ def ta_forward_traced(
     opposite_tasks,
     cfg: TrainConfig,
     concat_weight: np.ndarray | None = None,
-):
+) -> TATrace:
     """Matrix-form transitional attention over `cfg.ta_layers` layers.
 
     opposite_tasks is a list of (task_id, node_emb) pairs for auxiliary
     tasks on the entity type playing the hyperedge role; each layer feeds
-    its node output into the next. With no opposite tasks (or the plain
-    variant) the layer degrades to a weight-free hypergraph convolution.
+    its node output into the next, and the trace's `node_emb` is the
+    stack's output. With no opposite tasks (or the NO_TA variant) the
+    layer degrades to a weight-free hypergraph convolution.
     """
     x = np.asarray(side_input, dtype=np.float64)
     task_ids = [tid for tid, _ in opposite_tasks]
@@ -141,53 +178,19 @@ def ta_forward_traced(
                 "opposite task embeddings must have one row per hyperedge: "
                 f"expected {(graph.num_hyperedges, x.shape[1])}, got {z.shape}"
             )
-    attend = bool(zs) and cfg.ta_variant != TAVariant.NO_TA
-    if cfg.ta_variant == TAVariant.CONCAT and attend and concat_weight is None:
-        raise ValueError("CONCAT variant requires a concat weight matrix")
-    trace = TATrace(
-        graph=graph,
-        gamma=cfg.gamma,
-        variant=cfg.ta_variant,
-        task_ids=task_ids,
-        task_embs=zs,
-        concat_weight=concat_weight if attend else None,
-    )
-    sqrt_d = math.sqrt(x.shape[1])
-    for _ in range(cfg.ta_layers):
-        eps = aggregate_nodes_to_hyperedges(graph, x)
-        alpha = None
-        a = None
-        if attend:
-            if cfg.ta_variant == TAVariant.FULL:
-                logits = np.stack([(eps * z).sum(axis=1) for z in zs], axis=1) / sqrt_d
-                logits -= logits.max(axis=1, keepdims=True)
-                expw = np.exp(logits)
-                alpha = expw / expw.sum(axis=1, keepdims=True)
-                s = np.zeros_like(eps)
-                for t, z in enumerate(zs):
-                    s += alpha[:, t : t + 1] * z
-                a = np.tanh(s)
-            elif cfg.ta_variant == TAVariant.SUM:
-                a = np.tanh(sum(zs) / len(zs))
-            else:  # CONCAT
-                stacked = np.concatenate(zs, axis=1)
-                a = np.tanh(stacked @ concat_weight)
-            q = eps + cfg.gamma * a
-        else:
-            q = eps
-        out = aggregate_hyperedges_to_nodes(graph, q)
-        trace.layers.append(TALayerTrace(eps=eps, alpha=alpha, a=a))
-        x = out
-    return x, trace
+    trace = TATrace(graph, cfg.gamma, cfg.ta_variant, task_ids, zs)
+    if cfg.ta_variant == TAVariant.CONCAT and trace.attends:
+        if concat_weight is None:
+            raise ValueError("CONCAT variant requires a concat weight matrix")
+        trace.concat_weight = concat_weight
+    return _convolve(trace, x, cfg.ta_layers)
 
 
 @dataclass
 class TaskActivations:
-    """All per-forward activations: encoder traces, TA outputs and traces."""
+    """All per-forward activations: one trace per encoder and per TA side."""
 
-    ta_user_out: np.ndarray
-    ta_item_out: np.ndarray
-    encoder_traces: dict = field(repr=False)  # task_id -> EncoderTrace
+    encoder_traces: dict = field(repr=False)  # task_id -> TATrace
     ta_user_trace: TATrace = field(repr=False)
     ta_item_trace: TATrace = field(repr=False)
 
@@ -202,10 +205,14 @@ def forward_pretrain(
     rec_item_task: TaskHypergraph,
     aux_tasks,
     cfg: TrainConfig,
-    concat_weights: dict | None = None,
+    extra_params: dict | None = None,
 ) -> TaskActivations:
-    """Full pretraining forward: all auxiliary encoders plus both TA sides."""
-    concat_weights = concat_weights or {}
+    """Full pretraining forward: all auxiliary encoders plus both TA sides.
+
+    The CONCAT variant reads its heads `ta_concat_user` / `ta_concat_item`
+    from extra_params.
+    """
+    extra_params = extra_params or {}
     traces = {
         task.task_id: encode_auxiliary_task_traced(
             task.graph, table.side_emb(task.side), cfg.aux_encoder_layers
@@ -216,16 +223,14 @@ def forward_pretrain(
                  if t.side == NodeSide.ITEMS]
     user_side = [(t.task_id, traces[t.task_id].node_emb) for t in aux_tasks
                  if t.side == NodeSide.USERS]
-    ta_user_out, ta_user_trace = ta_forward_traced(
-        table.user_emb, rec_user_task.graph, item_side, cfg, concat_weights.get("user")
-    )
-    ta_item_out, ta_item_trace = ta_forward_traced(
-        table.item_emb, rec_item_task.graph, user_side, cfg, concat_weights.get("item")
-    )
     return TaskActivations(
-        ta_user_out=ta_user_out,
-        ta_item_out=ta_item_out,
         encoder_traces=traces,
-        ta_user_trace=ta_user_trace,
-        ta_item_trace=ta_item_trace,
+        ta_user_trace=ta_forward_traced(
+            table.user_emb, rec_user_task.graph, item_side, cfg,
+            extra_params.get("ta_concat_user"),
+        ),
+        ta_item_trace=ta_forward_traced(
+            table.item_emb, rec_item_task.graph, user_side, cfg,
+            extra_params.get("ta_concat_item"),
+        ),
     )

@@ -101,7 +101,8 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
     negatives, negative sampling, the divergence check, the Adam update and
     the per-epoch mean loss. `step_for_epoch(steps)` runs once per epoch
     after the shuffle and returns the step function, which maps
-    (step, users, items, negs) to (loss, tape, attention arrays).
+    (step, users, items, negs) to (loss, gradients keyed like `params`,
+    attention arrays).
     """
     log = TrainingLog()
     shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + stream_offset)
@@ -134,12 +135,12 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
                 users = np.repeat(users, k)
                 items = np.repeat(items, k)
                 negs = sample_negative_items(neg_rng, rec_user_task, users)
-            loss, tape, attention = step_fn(step, users, items, negs)
+            loss, grads, attention = step_fn(step, users, items, negs)
             # apply() checks every gradient block before it changes anything.
             try:
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite loss {loss}")
-                adam.apply({"user": tape.grad_user, "item": tape.grad_item, **tape.extra}, params)
+                adam.apply(grads, params)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"non-finite loss or gradient at {stage} epoch {epoch}, batch {step}"
@@ -195,10 +196,10 @@ def pretrain(
                 elif len(chunk):
                     neg_edges = sample_negative_hyperedges(aux_rng, task, chunk[:, 0])
                     batch.aux_bpr[tid] = (chunk[:, 0], chunk[:, 1], neg_edges)
-            loss, tape, acts = pretrain_loss_and_grad(
+            loss, grads, acts = pretrain_loss_and_grad(
                 table, rec_user_task, rec_item_task, aux_tasks, config, batch, extra
             )
-            return loss, tape, acts.attention_arrays()
+            return loss, grads, acts.attention_arrays()
 
         return step
 
@@ -224,10 +225,10 @@ def finetune(
     rec_user_task, rec_item_task = dataset.rec_pair()
 
     def step(index, users, items, negs):
-        loss, tape, _ = finetune_loss_and_grad(
+        loss, grads, _ = finetune_loss_and_grad(
             table, rec_user_task, rec_item_task, config, users, items, negs
         )
-        return loss, tape, ()
+        return loss, grads, ()
 
     params = {"user": table.user_emb, "item": table.item_emb}
     log = _train_loop(

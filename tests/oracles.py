@@ -2,7 +2,9 @@
 
 Everything here is written against dense arrays and plain Python loops, on
 purpose: these oracles must not share code with the sparse/matrix-form
-paths they check.
+paths they check. The one exception is `hypergraph_convolve`, which
+composes the package's two aggregations; it is itself checked against
+`dense_convolve`.
 """
 
 import math
@@ -10,6 +12,16 @@ import math
 import numpy as np
 
 from taskhg.evaluate import ndcg_at_k, rank_items, recall_at_k
+from taskhg.hypergraph import (
+    Hypergraph,
+    aggregate_hyperedges_to_nodes,
+    aggregate_nodes_to_hyperedges,
+)
+
+
+def hypergraph_convolve(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
+    """One convolution layer: nodes -> hyperedges -> nodes, both mean-normalized."""
+    return aggregate_hyperedges_to_nodes(h, aggregate_nodes_to_hyperedges(h, node_emb))
 
 
 def dense_convolve(H: np.ndarray, X: np.ndarray) -> np.ndarray:

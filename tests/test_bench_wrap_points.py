@@ -20,7 +20,7 @@ from taskhg.evaluate import evaluate
 from taskhg.hypergraph import build_hypergraph
 from taskhg.model import init_embeddings
 from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind
-from taskhg.train import pretrain
+from taskhg.train import finetune, pretrain
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -76,6 +76,48 @@ def test_adam_counter_hook_fits_the_calls():
     assert calls["optim.adam"] > 0
     rows = traced.counts["adam_rows"]
     assert traced.counts["adam_rows_with_grad"] == rows > 0
+
+
+CONVOLUTION_LAYERS = (
+    "model.encoder_fwd", "model.ta_fwd", "gradients.ta_bwd", "gradients.encoder_bwd"
+)
+
+
+def test_convolution_layers_keep_their_calls_and_never_nest():
+    # Two item-side tasks and 4 steps per stage. Per pretrain step: 2
+    # encoders and 2 TA sides forward, the same 4 stacks backward; per
+    # finetune step: 2 encoders each way. evaluate encodes both sides
+    # through taskhg.evaluate, whose reference is not wrapped, so only its
+    # 2 aggregations of each kind show.
+    ds = generate_synthetic_dataset(30, 12, 3, 0.1, seed=2, interactions_per_user=3)
+    cfg = TrainConfig(dim=4, epochs_pretrain=1, epochs_finetune=1, batch_size=16, seed=2)
+    traced = tracer.Tracer()
+    with tracer.installed(traced) as absent:
+        table = finetune(pretrain(ds, cfg).table, ds, cfg).table
+        evaluate(table, ds, cfg.eval_ks)
+    assert absent == []
+    calls, _ = traced.layer_totals()
+    expected = {
+        "model.encoder_fwd": 16,
+        "model.ta_fwd": 8,
+        "gradients.ta_bwd": 8,
+        "gradients.encoder_bwd": 16,
+        "hypergraph.n2e": 26,
+        "hypergraph.e2n": 26,
+        "hypergraph.n2e_adj": 24,
+        "hypergraph.e2n_adj": 24,
+    }
+    assert {name: calls[name] for name in expected} == expected
+    # The encoder and TA share private loops; a wrapped layer that called
+    # another wrapped one would book the callee's time under the caller.
+    nested = [
+        (name, traced.spans[parent][0])
+        for name, _, _, parent in traced.spans
+        if name in CONVOLUTION_LAYERS
+        and parent >= 0
+        and traced.spans[parent][0] in CONVOLUTION_LAYERS
+    ]
+    assert nested == []
 
 
 def test_negative_draw_counter_counts_every_draw():

@@ -288,6 +288,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and key in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("name", ["interactions.tsv", "manifest.json"])
+    def test_file_that_is_not_utf8_is_two_and_named(self, synth_dir, tmp_path, name, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        with open(data / name, "ab") as f:
+            f.write(b"\xff\xfe\t1\n")
+        code = run_cli(["pretrain", "--data", str(data), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(data / name) in err.splitlines()[-1] and "utf-8" in err
+
     @pytest.mark.parametrize("fields", [{}, {"bins": None}, {"bins": 2}], ids=json.dumps)
     def test_good_manifest_bins_are_accepted(self, synth_dir, tmp_path, fields):
         data = continuous_copy(synth_dir, tmp_path, fields)

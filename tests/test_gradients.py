@@ -13,6 +13,7 @@ from oracles import (
     l2_terms,
 )
 
+import taskhg.gradients
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.gradients import (
     PretrainBatch,
@@ -21,22 +22,20 @@ from taskhg.gradients import (
     pretrain_loss_and_grad,
 )
 from taskhg.model import EmbeddingTable
-from taskhg.tasks import build_recommendation_hypergraphs
+from taskhg.tasks import NodeSide, build_recommendation_hypergraphs
 
 
 def check_pretrain_instance(table, rec_u, rec_i, aux, cfg, batch, extra):
-    _, tape, _ = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+    _, grads, _ = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+    assert list(grads) == ["user", "item", *extra]
 
     def loss():
         return pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)[0]
 
-    num_user = central_difference_grad(loss, table.user_emb)
-    num_item = central_difference_grad(loss, table.item_emb)
-    assert_grad_close(tape.grad_user, num_user, context="user block")
-    assert_grad_close(tape.grad_item, num_item, context="item block")
-    for name, param in extra.items():
+    params = {"user": table.user_emb, "item": table.item_emb, **extra}
+    for name, param in params.items():
         num = central_difference_grad(loss, param)
-        assert_grad_close(tape.extra[name], num, context=name)
+        assert_grad_close(grads[name], num, context=name)
 
 
 @pytest.mark.parametrize(
@@ -80,13 +79,13 @@ def test_au_gradient_with_single_pair_batch():
         rng, loss=LossKind.AU, max_tasks=0
     )
     single = PretrainBatch(batch.rec_users[:1], batch.rec_pos_items[:1])
-    _, tape, _ = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, single, extra)
+    _, grads, _ = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, single, extra)
 
     def loss():
         return pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, single, extra)[0]
 
-    assert_grad_close(tape.grad_user, central_difference_grad(loss, table.user_emb))
-    assert_grad_close(tape.grad_item, central_difference_grad(loss, table.item_emb))
+    assert_grad_close(grads["user"], central_difference_grad(loss, table.user_emb))
+    assert_grad_close(grads["item"], central_difference_grad(loss, table.item_emb))
 
 
 def test_pretrain_gradients_non_unified_attributes():
@@ -106,7 +105,7 @@ def test_finetune_gradients_match_finite_differences(loss_kind):
     rng = np.random.default_rng(5)
     for _ in range(3):
         table, rec_u, rec_i, _, cfg, batch, _ = make_joint_instance(rng, loss=loss_kind)
-        _, tape, _ = finetune_loss_and_grad(
+        _, grads, _ = finetune_loss_and_grad(
             table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items, batch.rec_neg_items
         )
 
@@ -116,8 +115,9 @@ def test_finetune_gradients_match_finite_differences(loss_kind):
                 batch.rec_users, batch.rec_pos_items, batch.rec_neg_items,
             )[0]
 
-        assert_grad_close(tape.grad_user, central_difference_grad(loss, table.user_emb))
-        assert_grad_close(tape.grad_item, central_difference_grad(loss, table.item_emb))
+        assert list(grads) == ["user", "item"]
+        assert_grad_close(grads["user"], central_difference_grad(loss, table.user_emb))
+        assert_grad_close(grads["item"], central_difference_grad(loss, table.item_emb))
 
 
 def one_by_one_instance(e_u, e_i, beta=1.0, lam=0.0, gamma=0.0):
@@ -134,45 +134,54 @@ def test_one_by_one_alignment_gradient_is_hand_expression():
     # collapses to the plain alignment gradient 2(e_u - e_i).
     e_u, e_i = [0.4, -1.0], [1.1, 0.5]
     table, rec_u, rec_i, cfg, batch = one_by_one_instance(e_u, e_i)
-    _, tape, _ = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, batch)
+    _, grads, _ = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, batch)
     expected = 2.0 * (np.array(e_u) - np.array(e_i))
-    assert np.allclose(tape.grad_user[0], expected, atol=1e-14)
-    assert np.allclose(tape.grad_item[0], -expected, atol=1e-14)
+    assert np.allclose(grads["user"][0], expected, atol=1e-14)
+    assert np.allclose(grads["item"][0], -expected, atol=1e-14)
 
 
 def test_zero_loss_leaves_only_regularizer_gradient():
     e = [0.3, 0.9]
     table, rec_u, rec_i, cfg, batch = one_by_one_instance(e, list(e), lam=0.05)
-    loss, tape, _ = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, batch)
+    loss, grads, _ = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, batch)
     reg = 0.05 * 2 * (np.array(e) ** 2).sum()
     assert loss == pytest.approx(reg)
-    assert np.allclose(tape.grad_user, 0.05 * 2.0 * table.user_emb)
-    assert np.allclose(tape.grad_item, 0.05 * 2.0 * table.item_emb)
+    assert np.allclose(grads["user"], 0.05 * 2.0 * table.user_emb)
+    assert np.allclose(grads["item"], 0.05 * 2.0 * table.item_emb)
 
 
-def test_beta_one_isolates_auxiliary_loss_term():
+def test_beta_one_isolates_auxiliary_loss_term(monkeypatch):
     rng = np.random.default_rng(23)
     table, rec_u, rec_i, aux, cfg, batch, extra = make_joint_instance(
         rng, loss=LossKind.ALIGNMENT, min_tasks=1
     )
     cfg = replace(cfg, beta=1.0, lambda_reg=0.0)
-    loss_full, tape_full, _ = pretrain_loss_and_grad(
+    loss_full, grads_full, _ = pretrain_loss_and_grad(
         table, rec_u, rec_i, aux, cfg, batch, extra
     )
     empty_batch = PretrainBatch(batch.rec_users, batch.rec_pos_items, batch.rec_neg_items)
-    loss_rec, tape_rec, _ = pretrain_loss_and_grad(
+    loss_rec, grads_rec, _ = pretrain_loss_and_grad(
         table, rec_u, rec_i, aux, cfg, empty_batch, extra
     )
     # The auxiliary loss term contributes nothing at beta=1...
     assert loss_full == pytest.approx(loss_rec)
-    assert np.allclose(tape_full.grad_user, tape_rec.grad_user, atol=1e-15)
-    assert np.allclose(tape_full.grad_item, tape_rec.grad_item, atol=1e-15)
+    for name in ("user", "item"):
+        assert np.allclose(grads_full[name], grads_rec[name], atol=1e-15)
     # ...while the TA layer still routes auxiliary features forward: the
-    # encoders receive gradient through the attention path.
-    has_item_tasks = any(t.side.value == "items" for t in aux)
-    if has_item_tasks and cfg.gamma > 0:
-        no_aux_out = pretrain_loss_and_grad(table, rec_u, rec_i, [], cfg, empty_batch, {})
-        assert not np.allclose(no_aux_out[1].grad_item, tape_rec.grad_item)
+    # encoders receive gradient through the opposite side's attention path.
+    # Cutting that path changes the gradient of the side holding the tasks.
+    assert cfg.gamma > 0
+    sides = {"user" if t.side == NodeSide.USERS else "item" for t in aux}
+    assert sides
+
+    def no_encoder_path(trace, g_node, g_edge=None):
+        return np.zeros((trace.graph.num_nodes, g_node.shape[1]))
+
+    monkeypatch.setattr(taskhg.gradients, "encoder_backward", no_encoder_path)
+    _, grads_cut, _ = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, empty_batch, extra)
+    for name in ("user", "item"):
+        changed = not np.allclose(grads_cut[name], grads_rec[name], rtol=0.0, atol=1e-12)
+        assert changed == (name in sides), name
 
 
 def test_loss_values_match_spec_loss_functions():
@@ -198,7 +207,7 @@ def test_loss_values_match_spec_loss_functions():
         loss, _, acts = pretrain_loss_and_grad(
             table, rec_u, rec_i, [], replace(cfg, pretrain_loss=kind), batch, {}
         )
-        expected = oracle(acts.ta_user_out, acts.ta_item_out)
+        expected = oracle(acts.ta_user_trace.node_emb, acts.ta_item_trace.node_emb)
         assert loss == pytest.approx(expected, rel=1e-12), kind
 
 
@@ -256,9 +265,9 @@ def test_l2_term_is_bit_identical_to_out_of_place_expressions(stage):
                 batch.rec_users, batch.rec_pos_items, batch.rec_neg_items,
             )
 
-        loss, tape, _ = run(cfg)
+        loss, grads, _ = run(cfg)
         base_loss, base, _ = run(replace(cfg, lambda_reg=0.0))
         reg, g_user, g_item = l2_terms(table.user_emb, table.item_emb, cfg.lambda_reg)
         assert np.float64(loss).tobytes() == np.float64(base_loss + cfg.lambda_reg * reg).tobytes()
-        assert tape.grad_user.tobytes() == (base.grad_user + g_user).tobytes()
-        assert tape.grad_item.tobytes() == (base.grad_item + g_item).tobytes()
+        assert grads["user"].tobytes() == (base["user"] + g_user).tobytes()
+        assert grads["item"].tobytes() == (base["item"] + g_item).tobytes()

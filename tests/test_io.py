@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskhg
 from taskhg.config import TrainConfig
 from taskhg.errors import (
     CheckpointFormatError,
@@ -143,6 +147,36 @@ class TestLoadDataset:
         dataset, stats = load_dataset(root, "manifest.json")
         assert stats.num_users == 2 and stats.num_items == 1
         assert (root / "idmap.users.tsv").read_text() == "2\t0\n10\t1\n"
+
+    @pytest.mark.parametrize(
+        "last, users_map",
+        [("1", "0\t0\n00\t1\n1\t2\n"), ("2", "0\t0\n00\t1\n2\t2\n")],
+        ids=["dense-ints", "sparse-ints"],
+    )
+    def test_non_canonical_int_ids_are_distinct_users(self, tmp_path, last, users_map):
+        # "0" and "00" name two users whether or not int() of the ids is dense.
+        root = write_dataset(tmp_path, f"0\t0\n00\t0\n{last}\t1\n")
+        dataset, stats = load_dataset(root, "manifest.json")
+        assert stats.num_users == 3
+        assert (root / "idmap.users.tsv").read_text() == users_map
+        assert dataset.train_edges == {(0, 0), (1, 0), (2, 1)}
+
+    def test_id_order_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # "0" and "00" tie on int(); these two seeds put them in opposite set
+        # orders, so an order taken from the set would differ between them.
+        root = write_dataset(tmp_path, "0\t0\n00\t0\n2\t1\n")
+        script = (
+            "import sys; from taskhg.io import load_dataset; "
+            "load_dataset(sys.argv[1], 'manifest.json')"
+        )
+        src = str(Path(taskhg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        maps = []
+        for seed in ("0", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", script, str(root)], env=env, check=True)
+            maps.append((root / "idmap.users.tsv").read_text())
+        assert maps == ["0\t0\n00\t1\n2\t2\n"] * 2
 
     def test_relation_and_stats_counters(self, tmp_path):
         root = write_dataset(

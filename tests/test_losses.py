@@ -239,7 +239,10 @@ def joint_instance(beta, lambda_reg=0.05):
 def oracle_terms(table, rec_u, rec_i, aux, cfg, batch):
     """(rec, [aux per task], ||E||^2), each term from the scalar oracles."""
     acts = forward_pretrain(table, rec_u, rec_i, aux, cfg)
-    rec = alignment_loss(acts.ta_user_out, acts.ta_item_out, batch.rec_users, batch.rec_pos_items)
+    rec = alignment_loss(
+        acts.ta_user_trace.node_emb, acts.ta_item_trace.node_emb,
+        batch.rec_users, batch.rec_pos_items,
+    )
     traces = acts.encoder_traces
     aux_terms = [
         bpr_loss(traces[tid].node_emb, traces[tid].edge_emb, *triples)
@@ -319,7 +322,7 @@ class TestStableHelpers:
         # the two task rows give logits of +-1e16 / sqrt(2).
         user_task, _ = build_recommendation_hypergraphs([(0, 0)], 1, 1)
         zs = [("a", np.array([[1e8, 0.0]])), ("b", np.array([[-1e8, 0.0]]))]
-        out, trace = ta_forward_traced(np.array([[1e8, 0.0]]), user_task.graph, zs, TrainConfig())
+        trace = ta_forward_traced(np.array([[1e8, 0.0]]), user_task.graph, zs, TrainConfig())
         alpha = trace.attention[0]
-        assert np.isfinite(alpha).all() and np.isfinite(out).all()
+        assert np.isfinite(alpha).all() and np.isfinite(trace.node_emb).all()
         assert alpha.sum() == pytest.approx(1.0)

@@ -1,10 +1,10 @@
 import math
 
 import numpy as np
-from oracles import loop_ta_forward
+from oracles import hypergraph_convolve, loop_ta_forward
 
 from taskhg.config import TAVariant, TrainConfig
-from taskhg.hypergraph import build_hypergraph, hypergraph_convolve
+from taskhg.hypergraph import build_hypergraph
 from taskhg.model import (
     EmbeddingTable,
     encode_auxiliary_task_traced,
@@ -42,7 +42,7 @@ def random_rec_instance(rng, max_users=10, max_items=10, max_tasks=3, d=None):
 
 
 def ta_forward(x, rec_task, task_embs, cfg, concat_weight=None):
-    return ta_forward_traced(x, rec_task.graph, task_embs, cfg, concat_weight)[0]
+    return ta_forward_traced(x, rec_task.graph, task_embs, cfg, concat_weight).node_emb
 
 
 def encode(task, table, layers):
@@ -54,10 +54,10 @@ def one_edge_attention(edge_row, task_rows, gamma=1.0):
     """TA on one user and one item: the hyperedge embedding is `edge_row`."""
     user_task, _ = rec_pair_from_edges([(0, 0)], 1, 1)
     zs = [(tid, np.array([row], dtype=float)) for tid, row in task_rows]
-    out, trace = ta_forward_traced(
+    trace = ta_forward_traced(
         np.array([edge_row], dtype=float), user_task.graph, zs, TrainConfig(gamma=gamma)
     )
-    return out[0], trace.layers[0]
+    return trace.node_emb[0], trace.layers[0]
 
 
 class TestInit:
@@ -115,7 +115,7 @@ class TestTAPieces:
     def test_hyperedge_init_matches_mean(self):
         user_task, _ = rec_pair_from_edges([(0, 0), (1, 0), (2, 0)], 3, 1)
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        _, trace = ta_forward_traced(emb, user_task.graph, [], TrainConfig())
+        trace = ta_forward_traced(emb, user_task.graph, [], TrainConfig())
         assert np.allclose(trace.layers[0].eps, [[2 / 3, 2 / 3]])
 
     def test_attention_symmetry(self):
@@ -193,7 +193,7 @@ class TestTAForward:
         user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
         while not task_embs:
             user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
-        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(ta_layers=2))
+        trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(ta_layers=2))
         assert trace.attention
         for alpha in trace.attention:
             assert np.all(alpha >= 0)
@@ -205,7 +205,7 @@ class TestTAForward:
         user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
         while not task_embs:
             user_task, _, x, task_embs, _ = random_rec_instance(rng, max_tasks=3)
-        _, trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(gamma=gamma))
+        trace = ta_forward_traced(x, user_task.graph, task_embs, TrainConfig(gamma=gamma))
         for layer in trace.layers:
             q = layer.eps + gamma * layer.a
             assert np.abs(q - layer.eps).max() <= gamma + 1e-15
@@ -272,8 +272,8 @@ class TestForwardPretrain:
         )
         table = EmbeddingTable(rng.normal(size=(6, 5)), rng.normal(size=(4, 5)))
         acts = forward_pretrain(table, user_task, item_task, [item_aux, user_aux], TrainConfig())
-        assert acts.ta_user_out.shape == (6, 5)
-        assert acts.ta_item_out.shape == (4, 5)
+        assert acts.ta_user_trace.node_emb.shape == (6, 5)
+        assert acts.ta_item_trace.node_emb.shape == (4, 5)
         assert set(acts.encoder_traces) == {"cat", "grp"}
         assert acts.encoder_traces["cat"].edge_emb.shape == (2, 5)
         assert acts.ta_user_trace.task_ids == ["cat"]
