@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
+from .hypergraph import csr_from_sorted
 from .tasks import (
     AttributeTable,
     NodeSide,
@@ -35,37 +35,96 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-@dataclass
+def edge_array(edges) -> np.ndarray:
+    """(user, item) pairs as a sorted, duplicate-free int64 (n, 2) array.
+
+    Rows are in row-major order, the order of the sorted tuples. `edges` is
+    an (n, 2) array or any iterable of pairs; pairs already in that order
+    are only copied.
+    """
+    pairs = np.array(
+        edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+    ).reshape(-1, 2)
+    users, items = pairs[:, 0], pairs[:, 1]
+    user_step = np.diff(users)
+    if ((user_step > 0) | ((user_step == 0) & (np.diff(items) > 0))).all():
+        return pairs
+    pairs = pairs[np.lexsort((items, users))]
+    keep = np.ones(len(pairs), dtype=bool)
+    keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[keep]
+
+
 class InteractionDataset:
-    """User-item edges with a train/test split plus auxiliary task hypergraphs."""
+    """User-item edges with a train/test split plus auxiliary task hypergraphs.
 
-    num_users: int
-    num_items: int
-    train_edges: set
-    test_edges: set
-    auxiliary_tasks: list = field(default_factory=list)
+    The split is held as two read-only `edge_array`s, `train_array` and
+    `test_array`: int64 (n, 2) arrays of (user, item) rows in row-major
+    order, without duplicates. The constructor takes each side of the split
+    as a set or list of pairs or as an (n, 2) array. `train_edges` and
+    `test_edges` are frozenset views of the two arrays, made on first use
+    for callers that want set semantics; the package reads only the arrays.
+    """
 
-    def __post_init__(self):
-        overlap = self.train_edges & self.test_edges
-        if overlap:
-            raise DataError(f"train/test overlap on {len(overlap)} edges, e.g. {sorted(overlap)[0]}")
-        for u, i in self.train_edges | self.test_edges:
-            if not (0 <= u < self.num_users and 0 <= i < self.num_items):
+    def __init__(self, num_users, num_items, train_edges, test_edges, auxiliary_tasks=None):
+        self.num_users = num_users
+        self.num_items = num_items
+        self.train_array = edge_array(train_edges)
+        self.test_array = edge_array(test_edges)
+        self.auxiliary_tasks = [] if auxiliary_tasks is None else auxiliary_tasks
+        for pairs in (self.train_array, self.test_array):
+            bad = (pairs < 0).any(axis=1) | (pairs[:, 0] >= num_users) | (pairs[:, 1] >= num_items)
+            if bad.any():
+                u, i = pairs[bad.argmax()].tolist()
                 raise DataError(f"edge ({u}, {i}) out of range for "
-                                f"{self.num_users} users x {self.num_items} items")
+                                f"{num_users} users x {num_items} items")
+            pairs.flags.writeable = False
+        # In range, the keys u * num_items + i name each pair once.
+        train_keys = self.train_array[:, 0] * num_items + self.train_array[:, 1]
+        test_keys = self.test_array[:, 0] * num_items + self.test_array[:, 1]
+        overlap = np.intersect1d(train_keys, test_keys, assume_unique=True)
+        if len(overlap):
+            raise DataError(f"train/test overlap on {len(overlap)} edges, "
+                            f"e.g. {divmod(int(overlap[0]), num_items)}")
+        self._train_set = None
+        self._test_set = None
         self._rec_pair = None
-        self._test_by_user = None
+        self._test_incidence = None
+
+    @property
+    def train_edges(self) -> frozenset:
+        """`train_array` as a frozenset of (user, item) tuples, made on first use."""
+        if self._train_set is None:
+            self._train_set = frozenset(zip(*self.train_array.T.tolist()))
+        return self._train_set
+
+    @property
+    def test_edges(self) -> frozenset:
+        """`test_array` as a frozenset of (user, item) tuples, made on first use."""
+        if self._test_set is None:
+            self._test_set = frozenset(zip(*self.test_array.T.tolist()))
+        return self._test_set
 
     def rec_pair(self):
         """The transposed pair of recommendation hypergraphs over train edges."""
         if self._rec_pair is None:
-            self._rec_pair = self.rec_pair_with(())
+            self._rec_pair = build_recommendation_hypergraphs(
+                self.train_array, self.num_users, self.num_items
+            )
         return self._rec_pair
 
     def rec_pair_with(self, extra_edges):
         """Recommendation pair over train edges plus inference-only edges."""
-        edges = sorted(self.train_edges | set(extra_edges))
+        edges = np.concatenate((self.train_array, edge_array(extra_edges)))
         return build_recommendation_hypergraphs(edges, self.num_users, self.num_items)
+
+    def test_incidence(self) -> sp.csr_matrix:
+        """The test edges as a users x items 0/1 CSR matrix, made on first use."""
+        if self._test_incidence is None:
+            self._test_incidence = csr_from_sorted(
+                self.test_array[:, 0], self.test_array[:, 1], (self.num_users, self.num_items)
+            )
+        return self._test_incidence
 
     def check_table(self, table):
         """Raise DataError unless `table` has one row per user and per item."""
@@ -75,14 +134,6 @@ class InteractionDataset:
                 f"dataset has {self.num_users} users x {self.num_items} items"
             )
 
-    def test_by_user(self) -> dict:
-        if self._test_by_user is None:
-            by_user: dict = {}
-            for u, i in sorted(self.test_edges):
-                by_user.setdefault(u, set()).add(i)
-            self._test_by_user = by_user
-        return self._test_by_user
-
     def tasks_on(self, side: NodeSide) -> list:
         return [t for t in self.auxiliary_tasks if t.side == side]
 
@@ -90,30 +141,30 @@ class InteractionDataset:
 def split_interactions(edges, train_fraction: float, seed: int):
     """Uniform per-edge split; users left without train edges get one back.
 
-    Deterministic under the seed. Returns (train_set, test_set).
+    The edges are taken as an `edge_array` and permuted under the seed; the
+    first round(train_fraction * n) of the permutation are train edges.
+    Each user then left with no train edge gets back their test edge with
+    the smallest item. Returns (train, test) as `edge_array`s.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if seed < 0:
         raise ValueError(f"split seed must be >= 0, got {seed}")
-    edges = sorted(set(edges))
+    edges = edge_array(edges)
     if len(edges) < 2:
         raise DataError("need at least 2 interactions to split")
     rng = rng_for(seed, STREAM_SPLIT)
     order = rng.permutation(len(edges))
     n_train = int(round(train_fraction * len(edges)))
     n_train = min(max(n_train, 1), len(edges) - 1)
-    train = {edges[j] for j in order[:n_train]}
-    test = {edges[j] for j in order[n_train:]}
-    # Keep every user reachable during training: users whose edges all fell
-    # into test get their first test edge moved back.
-    train_users = {u for u, _ in train}
-    for u, i in sorted(test):
-        if u not in train_users:
-            test.discard((u, i))
-            train.add((u, i))
-            train_users.add(u)
-    return train, test
+    in_train = np.zeros(len(edges), dtype=bool)
+    in_train[order[:n_train]] = True
+    users = edges[:, 0]
+    test_rows = np.flatnonzero(~in_train)
+    # Rows ascend, so a user's first test row holds their smallest test item.
+    first = test_rows[np.concatenate(([True], np.diff(users[test_rows]) != 0))]
+    in_train[first[~np.isin(users[first], users[in_train])]] = True
+    return edges[in_train], edges[~in_train]
 
 
 def task_positive_pairs(task: TaskHypergraph) -> np.ndarray:
@@ -216,6 +267,7 @@ def synthetic_records(
     user draws `interactions_per_user` items, within their own block except
     with probability `noise`. The attribute records label every item with
     its block; the relation records link each item to a few block partners.
+    The edges are returned as an `edge_array`.
     """
     for name, value, low in (
         ("num_users", num_users, 1),
@@ -239,7 +291,7 @@ def synthetic_records(
     items_per_block = num_items // num_blocks
     user_block = np.arange(num_users) // users_per_block
     item_block = np.arange(num_items) // items_per_block
-    edges = set()
+    edges = []
     for u in range(num_users):
         b = user_block[u]
         base = b * items_per_block
@@ -250,7 +302,7 @@ def synthetic_records(
                     i = int(rng.integers(num_items))
             else:
                 i = base + int(rng.integers(items_per_block))
-            edges.add((u, i))
+            edges.append((u, i))
     attr_records = [(i, f"block_{item_block[i]}") for i in range(num_items)]
     relations = []
     for i in range(num_items):
@@ -259,7 +311,7 @@ def synthetic_records(
         count = min(relation_partners, len(pool))
         partners = rng.choice(len(pool), size=count, replace=False) if count else []
         relations.append((i, {pool[int(p)] for p in partners}))
-    return edges, attr_records, relations
+    return edge_array(edges), attr_records, relations
 
 
 def generate_synthetic_dataset(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -125,21 +124,24 @@ def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
     return cols[rank < k].reshape(n_rows, k)
 
 
-def evaluate_scores(user_out, item_out, seen, ks, test_by_user: dict, users):
+def evaluate_scores(user_out, item_out, seen, ks, tests, users):
     """Mean Recall@K / NDCG@K over `users` from the encoded user and item tables.
 
     Scores are `user_out @ item_out.T`, made for a block of users at a time;
     each user's row of `seen`, a users x items CSR incidence, is masked.
     BLAS picks its kernel by the product's shape, so a score's last bits can
     depend on the block's size; only scores within an ulp or so can swap.
-    `test_by_user` maps a user to the set of their test items.
+    A user's row of `tests`, the users x items CSR incidence of the test
+    edges, holds their test items; users without one are skipped.
 
     Each metric is computed for a whole block from one hit matrix, with the
     arithmetic of `recall_at_k` and `ndcg_at_k`: gains are summed in rank
     order and the means over users in user order, so the results are
     bit-identical to averaging those functions user by user.
     """
-    users = [u for u in users if test_by_user.get(u)]
+    users = np.asarray(users, dtype=np.intp)
+    test_counts = np.diff(tests.indptr)
+    users = users[test_counts[users] > 0]
     count = len(users)
     if not count:
         return {k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0
@@ -147,23 +149,20 @@ def evaluate_scores(user_out, item_out, seen, ks, test_by_user: dict, users):
     width = min(max(ks), n_items)
     cols = [min(k, width) - 1 for k in ks]
     disc = np.array([1.0 / math.log2(p + 1) for p in range(1, width + 1)])
-    tests = [test_by_user[u] for u in users]
-    n_test = np.fromiter(map(len, tests), dtype=np.int64, count=count)
-    test_items = np.fromiter(chain.from_iterable(tests), dtype=np.intp, count=int(n_test.sum()))
-    test_start = np.concatenate(([0], np.cumsum(n_test)))
+    n_test = test_counts[users]
     ideal = np.cumsum(disc)
     recall = np.empty((len(ks), count))
     ndcg = np.empty((len(ks), count))
     step = max(1, SCORE_BLOCK_CELLS // n_items)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        chunk = np.asarray(users[lo:hi])
+        chunk = users[lo:hi]
         rows = np.arange(hi - lo)
         block = user_out[chunk] @ item_out.T
         masked = seen[chunk]
         block[np.repeat(rows, np.diff(masked.indptr)), masked.indices] = -np.inf
         is_test = np.zeros(block.shape, dtype=bool)
-        is_test[np.repeat(rows, n_test[lo:hi]), test_items[test_start[lo] : test_start[hi]]] = True
+        is_test[np.repeat(rows, n_test[lo:hi]), tests[chunk].indices] = True
         hit = np.take_along_axis(is_test, top_k_items(block, width), axis=1)
         hits = np.cumsum(hit, axis=1)
         dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
@@ -201,20 +200,20 @@ def evaluate(
     that pair are evaluated, with their edges masked from the ranking.
     """
     ks = check_eval_ks(ks)
-    if not dataset.test_edges:
+    if not len(dataset.test_array):
         raise ValueError("evaluate requires a non-empty test set")
     dataset.check_table(table)
-    if extra_inference_edges:
-        rec_user_task, rec_item_task = dataset.rec_pair_with(extra_inference_edges)
-    else:
+    if extra_inference_edges is None or not len(extra_inference_edges):
         rec_user_task, rec_item_task = dataset.rec_pair()
+    else:
+        rec_user_task, rec_item_task = dataset.rec_pair_with(extra_inference_edges)
     user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task)
     seen = rec_user_task.graph.incidence
-    known = rec_user_task.graph.node_degrees > 0
-    test_by_user = dataset.test_by_user()
-    candidates = test_by_user if users is None else set(users) & set(test_by_user)
-    users = sorted(u for u in candidates if known[u])
-    recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, test_by_user, users)
+    known = np.flatnonzero(rec_user_task.graph.node_degrees)
+    if users is not None:
+        known = known[np.isin(known, np.fromiter(users, dtype=np.int64))]
+    tests = dataset.test_incidence()
+    recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
     return EvalReport(
         ks=ks,

@@ -30,6 +30,7 @@ from .errors import (
     DataError,
 )
 from .evaluate import EvalReport
+from .hypergraph import sorted_unique
 from .model import EmbeddingTable
 from .tasks import (
     AttributeTable,
@@ -170,6 +171,34 @@ def _read_tsv(path: Path, num_fields: int):
     return rows
 
 
+# The line breaks of `str.splitlines` other than LF.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_pairs(path: Path):
+    """The two fields of every line of a two-field TSV, as two lists of strings.
+
+    Reads what `_read_tsv` reads. A UTF-8 text whose every line ends in LF
+    and holds exactly one tab is split in one pass; any other text, or a
+    file that cannot be read, goes through `_read_tsv`, which skips blank
+    lines, takes every `str.splitlines` break and names a malformed line.
+    """
+    try:
+        raw = path.read_bytes()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        text = None
+    if text is not None and raw.endswith(b"\n") and not any(c in text for c in _OTHER_BREAKS):
+        codes = np.frombuffer(raw, dtype=np.uint8)
+        seps = codes[(codes == 9) | (codes == 10)]
+        # Tab, LF, tab, LF, ...: one tab in every line and no blank line.
+        if (seps[0::2] == 9).all() and (seps[1::2] == 10).all():
+            fields = text[:-1].replace("\n", "\t").split("\t")
+            return fields[0::2], fields[1::2]
+    rows = _read_tsv(path, 2)
+    return [u for _, (u, _) in rows], [i for _, (_, i) in rows]
+
+
 class _IdMapper:
     """Deterministic raw-id -> dense-index assignment for one entity side."""
 
@@ -200,6 +229,12 @@ class _IdMapper:
         if self.identity:
             return int(raw)
         return self.mapping[raw]
+
+    def indices(self, column) -> np.ndarray:
+        """`index` of every id in `column` as an int64 array; each distinct id
+        is mapped once."""
+        index = {raw: self.index(raw) for raw in dict.fromkeys(column)}
+        return np.fromiter(map(index.__getitem__, column), dtype=np.int64, count=len(column))
 
     def persist(self, path: Path):
         # Concurrent readers must never see a partial map: write only on a
@@ -233,12 +268,12 @@ def load_dataset(
     root = Path(root)
     if not isinstance(manifest, TaskManifest):
         manifest = parse_manifest(root / manifest if not Path(manifest).is_absolute() else manifest)
-    inter_rows = _read_tsv(root / manifest.interactions_path, 2)
-    if not inter_rows:
+    user_column, item_column = _read_pairs(root / manifest.interactions_path)
+    if not user_column:
         raise DataError(f"interactions file {manifest.interactions_path} is empty")
 
-    raw_users = [u for _, (u, _) in inter_rows]
-    raw_items = [i for _, (_, i) in inter_rows]
+    raw_users = list(user_column)
+    raw_items = list(item_column)
     task_rows = {}
     for decl in manifest.tasks:
         if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
@@ -263,7 +298,9 @@ def load_dataset(
     users.persist(root / "idmap.users.tsv")
     items.persist(root / "idmap.items.tsv")
 
-    edges = {(users.index(u), items.index(i)) for _, (u, i) in inter_rows}
+    # In range, the keys u * items.count + i ascend in row-major order.
+    keys = sorted_unique(users.indices(user_column) * items.count + items.indices(item_column))
+    edges = np.column_stack(np.divmod(keys, items.count))
     aux_tasks = []
     total_attributes = 0
     total_relations = 0
@@ -307,7 +344,7 @@ def load_dataset(
     if train_fraction is not None:
         train, test = split_interactions(edges, train_fraction, split_seed)
     else:
-        train, test = set(edges), set()
+        train, test = edges, edges[:0]
     dataset = InteractionDataset(
         num_users=users.count,
         num_items=items.count,
@@ -346,7 +383,7 @@ def write_synthetic_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "interactions.tsv").write_text(
-        "".join(f"{u}\t{i}\n" for u, i in sorted(edges)), encoding="utf-8"
+        "".join(f"{u}\t{i}\n" for u, i in edges.tolist()), encoding="utf-8"
     )
     (out / "item_blocks.tsv").write_text(
         "".join(f"{i}\t{label}\n" for i, label in attr_records), encoding="utf-8"

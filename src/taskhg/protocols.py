@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .config import LossKind, TAVariant, TrainConfig
 from .data import STREAM_COLD, InteractionDataset, rng_for
 from .errors import DataError
@@ -80,18 +82,21 @@ def cold_start_eval(
     n_cold = int(round(ratio * dataset.num_users))
     if n_cold < 1 or n_cold >= dataset.num_users:
         raise DataError(f"ratio {ratio} leaves no cold or no warm users")
-    cold_users = set(int(u) for u in rng.choice(dataset.num_users, n_cold, replace=False))
-    withheld = {(u, i) for (u, i) in dataset.train_edges if u in cold_users}
-    reduced_train = dataset.train_edges - withheld
-    if not reduced_train:
+    cold_users = rng.choice(dataset.num_users, n_cold, replace=False)
+    is_cold = np.zeros(dataset.num_users, dtype=bool)
+    is_cold[cold_users] = True
+    withheld_rows = is_cold[dataset.train_array[:, 0]]
+    withheld = dataset.train_array[withheld_rows]
+    reduced_train = dataset.train_array[~withheld_rows]
+    if not len(reduced_train):
         raise DataError("cold-start removal left no training interactions")
     rows = []
     for label, aux_tasks in (("full", dataset.auxiliary_tasks), ("no_auxiliary", [])):
         train_ds = InteractionDataset(
             dataset.num_users,
             dataset.num_items,
-            set(reduced_train),
-            set(dataset.test_edges),
+            reduced_train,
+            dataset.test_array,
             list(aux_tasks),
         )
         pre = pretrain(train_ds, config)
@@ -101,7 +106,7 @@ def cold_start_eval(
             train_ds,
             config.eval_ks,
             users=cold_users,
-            extra_inference_edges=sorted(withheld),
+            extra_inference_edges=withheld,
             label=label,
         )
         rows.append(report.rows[0])

@@ -66,12 +66,12 @@ def build_recommendation_hypergraphs(interactions, num_users: int, num_items: in
     """Build the transposed pair of recommendation hypergraphs.
 
     The user-side graph connects, per item, all users who interacted with
-    it; the item-side graph is its exact transpose.
+    it; the item-side graph is its exact transpose. `interactions` is an
+    (n, 2) int array of (user, item) rows or any iterable of pairs.
     """
-    pairs = list(interactions)
-    if not pairs:
+    user_graph = build_hypergraph(interactions, num_users, num_items)
+    if not user_graph.nnz:
         raise DataError("a recommendation task needs at least one interaction")
-    user_graph = build_hypergraph(pairs, num_users, num_items)
     item_graph = Hypergraph(user_graph.incidence_t)
     user_task = TaskHypergraph(REC_TASK_ID, TaskKind.RECOMMENDATION, NodeSide.USERS, user_graph)
     item_task = TaskHypergraph(REC_TASK_ID, TaskKind.RECOMMENDATION, NodeSide.ITEMS, item_graph)

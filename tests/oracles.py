@@ -8,9 +8,13 @@ composes the package's two aggregations; it is itself checked against
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from taskhg.data import STREAM_SPLIT, rng_for
+from taskhg.errors import DataError
 from taskhg.evaluate import ndcg_at_k, rank_items, recall_at_k
 from taskhg.hypergraph import (
     Hypergraph,
@@ -254,16 +258,19 @@ def adam_step(params, grads, first_moment, second_moment, t, lr, beta1, beta2, e
         params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
 
 
-def mean_ranking_metrics(user_out, item_out, seen, ks, test_by_user, users):
+def mean_ranking_metrics(user_out, item_out, seen, ks, tests, users):
     """Mean Recall@K / NDCG@K, one user at a time.
 
     Each user's whole row of scores, with the items of their `seen` CSR
     row masked, is ranked by `rank_items`; `recall_at_k` and `ndcg_at_k`
-    are summed user by user in `users` order and divided by the count.
+    against the set of items in their `tests` CSR row are summed user by
+    user in `users` order and divided by the count; users whose `tests`
+    row is empty are skipped.
     Scores are made one row at a time, so they match a block product only
     where every sum is exact (say, small dyadic embeddings).
     """
-    users = [u for u in users if test_by_user.get(u)]
+    test_items = {u: set(tests[u].indices.tolist()) for u in users}
+    users = [u for u in users if test_items[u]]
     recall = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}
     for u in users:
@@ -271,10 +278,94 @@ def mean_ranking_metrics(user_out, item_out, seen, ks, test_by_user, users):
         row[seen[u].indices] = -np.inf
         ranked = rank_items(row)
         for k in ks:
-            recall[k] += recall_at_k(ranked, test_by_user[u], k)
-            ndcg[k] += ndcg_at_k(ranked, test_by_user[u], k)
+            recall[k] += recall_at_k(ranked, test_items[u], k)
+            ndcg[k] += ndcg_at_k(ranked, test_items[u], k)
     if users:
         for k in ks:
             recall[k] /= len(users)
             ndcg[k] /= len(users)
     return recall, ndcg, len(users)
+
+
+# ---------------------------------------------------------------------------
+# Edges as Python sets of (user, item) tuples: the package's construction,
+# split and interaction loading before they moved to sorted int64 arrays.
+
+
+def unique_pairs_incidence(memberships, num_nodes, num_hyperedges) -> Hypergraph:
+    """A hypergraph built through `np.unique(pairs, axis=0)` and a COO
+    (row, col) constructor."""
+    pairs = np.asarray(list(memberships), dtype=np.int64).reshape(-1, 2)
+    if pairs.size:
+        pairs = np.unique(pairs, axis=0)
+    data = np.ones(len(pairs), dtype=np.float64)
+    mat = sp.csr_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(num_nodes, num_hyperedges))
+    return Hypergraph(mat)
+
+
+def split_interactions(edges, train_fraction, seed):
+    """Set-based split: the seeded permutation of the sorted tuples, then
+    each user whose edges all fell in test gets their first test edge back,
+    in sorted order. Returns (train set, test set)."""
+    edges = sorted(set(edges))
+    order = rng_for(seed, STREAM_SPLIT).permutation(len(edges))
+    n_train = int(round(train_fraction * len(edges)))
+    n_train = min(max(n_train, 1), len(edges) - 1)
+    train = {edges[j] for j in order[:n_train]}
+    test = {edges[j] for j in order[n_train:]}
+    train_users = {u for u, _ in train}
+    for u, i in sorted(test):
+        if u not in train_users:
+            test.discard((u, i))
+            train.add((u, i))
+            train_users.add(u)
+    return train, test
+
+
+def _id_map(raw_ids):
+    """raw id -> dense index, or None where the ids are "0" ... "n-1".
+
+    Otherwise the ids are ordered by (int, string) if every id parses as
+    an int, else by string."""
+    raw_ids = set(raw_ids)
+    try:
+        as_int = {r: int(r) for r in raw_ids}
+    except ValueError:
+        ordered = sorted(raw_ids)
+    else:
+        if sorted(raw_ids) == sorted(str(k) for k in range(len(raw_ids))):
+            return None
+        ordered = sorted(raw_ids, key=lambda r: (as_int[r], r))
+    return {raw: idx for idx, raw in enumerate(ordered)}
+
+
+def load_interactions(root, train_fraction=None, seed=0):
+    """Line-by-line reading of `interactions.tsv` in a dataset without
+    auxiliary tasks: `str.splitlines`, blank lines skipped, two tab-separated
+    fields per line, one id-map lookup per line.
+
+    Returns (num_users, num_items, train set, test set, id-map texts keyed
+    by file name, None where no map is written).
+    """
+    path = Path(root) / "interactions.tsv"
+    rows = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if line:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {line!r}")
+            rows.append(fields)
+    maps = [_id_map(column) for column in zip(*rows)]
+    edges = {
+        tuple(int(raw) if m is None else m[raw] for raw, m in zip(row, maps)) for row in rows
+    }
+    if train_fraction is None:
+        train, test = edges, set()
+    else:
+        train, test = split_interactions(edges, train_fraction, seed)
+    counts = [len(set(column)) for column in zip(*rows)]
+    texts = {
+        f"idmap.{side}.tsv": None if m is None else "".join(f"{raw}\t{idx}\n" for raw, idx in m.items())
+        for side, m in zip(("users", "items"), maps)
+    }
+    return counts[0], counts[1], train, test, texts

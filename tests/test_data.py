@@ -1,10 +1,13 @@
 import numpy as np
 import oracles
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import taskhg.data
 from taskhg.data import (
     InteractionDataset,
+    edge_array,
     generate_synthetic_dataset,
     sample_negative_hyperedges,
     sample_negative_items,
@@ -21,27 +24,35 @@ from taskhg.tasks import (
 )
 
 
+def rows(pairs) -> list:
+    return [tuple(row) for row in pairs.tolist()]
+
+
+def as_set(pairs) -> set:
+    return set(rows(pairs))
+
+
 class TestSplit:
     def test_exact_counts(self):
         edges = [(u, 0) for u in range(5)] + [(u, 1) for u in range(5)]
         train, test = split_interactions(edges, 0.8, seed=0)
         assert len(train) == 8 and len(test) == 2
-        assert train | test == set(edges)
-        assert not train & test
+        assert as_set(train) | as_set(test) == set(edges)
+        assert not as_set(train) & as_set(test)
 
     def test_deterministic(self):
         edges = [(u, i) for u in range(10) for i in range(4)]
         a = split_interactions(edges, 0.7, seed=5)
         b = split_interactions(edges, 0.7, seed=5)
-        assert a == b
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
         c = split_interactions(edges, 0.7, seed=6)
-        assert a != c
+        assert [x.tolist() for x in a] != [x.tolist() for x in c]
 
     def test_single_edge_user_forced_into_train(self):
         edges = [(0, i) for i in range(50)] + [(1, 3)]
         for seed in range(10):
             train, _ = split_interactions(edges, 0.5, seed=seed)
-            assert (1, 3) in train
+            assert (1, 3) in as_set(train)
 
     def test_too_few_edges(self):
         with pytest.raises(DataError):
@@ -50,6 +61,51 @@ class TestSplit:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             split_interactions([(0, 0), (1, 1)], 1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 0), (1, 1)],
+            [(0, 1), (0, 0)],
+            [(0, i) for i in range(30)] + [(u, 0) for u in range(1, 20)],
+            [(u, i) for u in range(40) for i in range(3)],
+            [(u, (7 * u + i) % 11) for u in range(60) for i in range(u % 4 + 1)] * 2,
+        ],
+        ids=["two-edges", "two-edges-one-user", "single-edge-users", "three-per-user", "mixed"],
+    )
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_matches_set_oracle(self, edges, fraction):
+        for seed in range(25):
+            train, test = split_interactions(edges, fraction, seed)
+            want_train, want_test = oracles.split_interactions(edges, fraction, seed)
+            assert rows(train) == sorted(want_train)
+            assert rows(test) == sorted(want_test)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=2, max_size=80),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_set_oracle_on_random_edges(self, edges, fraction, seed):
+        assume(len(set(edges)) >= 2)
+        train, test = split_interactions(edges, fraction, seed)
+        want_train, want_test = oracles.split_interactions(edges, fraction, seed)
+        assert rows(train) == sorted(want_train)
+        assert rows(test) == sorted(want_test)
+
+
+class TestEdgeArray:
+    @pytest.mark.parametrize(
+        "edges",
+        [[], [(3, 1)], [(2, 0), (0, 5), (2, 0), (0, 1), (1, 1)], {(0, 2), (0, 1), (1, 0)},
+         np.array([[1, 1], [0, 3], [0, 3]])],
+        ids=["empty", "one", "list-with-duplicates", "set", "array-with-duplicates"],
+    )
+    def test_sorted_unique_rows(self, edges):
+        pairs = edge_array(edges)
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        assert rows(pairs) == sorted({tuple(map(int, e)) for e in edges})
 
 
 class TestDataset:

@@ -51,15 +51,14 @@ def random_eval_instance(rng, trial):
     item_out = exact_embeddings(rng, (n_items, dim), ties=trial % 2 == 0)
     seen = rng.random((n_users, n_items)) < rng.uniform(0.0, 0.6)
     seen[0] = True
-    test_by_user = {
-        u: set(rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False).tolist())
-        for u in range(n_users)
-        if rng.random() < 0.8
-    }
+    tests = np.zeros((n_users, n_items))
+    for u in range(n_users):
+        if rng.random() < 0.8:
+            tests[u, rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False)] = 1
     ks = tuple(sorted(set(rng.integers(1, n_items + 6, size=int(rng.integers(1, 4))).tolist())))
     users = rng.choice(n_users, size=int(rng.integers(1, n_users + 1)), replace=False)
     users = sorted(users.tolist())
-    return user_out, item_out, sp.csr_matrix(seen.astype(float)), ks, test_by_user, users
+    return user_out, item_out, sp.csr_matrix(seen.astype(float)), ks, sp.csr_matrix(tests), users
 
 
 class TestMetricPrimitives:
@@ -105,7 +104,8 @@ class TestRanking:
         user_out = np.array([[1.0]])
         item_out = np.array([[9.0], [5.0], [1.0]])
         seen = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
-        recall, _, n = evaluate_scores(user_out, item_out, seen, (1,), {0: {1}}, [0])
+        tests = sp.csr_matrix(np.array([[0.0, 1.0, 0.0]]))
+        recall, _, n = evaluate_scores(user_out, item_out, seen, (1,), tests, [0])
         assert n == 1
         assert recall[1] == 1.0  # item 0 masked, item 1 tops the list
 
@@ -250,6 +250,18 @@ class TestEvaluate:
         table = EmbeddingTable(np.ones((3, 2)), np.ones((3, 2)))
         report = evaluate(table, ds, ks=(1,))
         assert report.rows[0].num_users == 1  # user 2 has no train edge
+
+    @pytest.mark.parametrize(
+        "users, count",
+        [([0], 1), ({1, 7, -2}, 1), (np.array([1, 0, 1]), 2), ([], 0), (range(3), 2)],
+        ids=["one", "set-with-unknown-users", "array-with-repeats", "none", "range"],
+    )
+    def test_users_restrict_the_evaluated_rows(self, users, count):
+        ds = self.make_dataset()
+        table = EmbeddingTable(np.random.default_rng(0).normal(size=(2, 4)),
+                               np.random.default_rng(1).normal(size=(3, 4)))
+        report = evaluate(table, ds, ks=(1, 2), users=users)
+        assert report.rows[0].num_users == count
 
     def test_extra_inference_edges_enable_cold_users(self):
         ds = InteractionDataset(3, 3, {(0, 0), (1, 1)}, {(0, 1), (2, 2)}, [])

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import dense_convolve, hypergraph_convolve, max_rel_error, random_hypergraph_dense
+from oracles import (
+    dense_convolve,
+    hypergraph_convolve,
+    max_rel_error,
+    random_hypergraph_dense,
+    unique_pairs_incidence,
+)
 
 from taskhg.errors import ConstructionError
 from taskhg.hypergraph import (
@@ -43,6 +49,42 @@ class TestBuild:
             build_hypergraph([(0, 0), (3, 0)], 2, 1)
         with pytest.raises(ConstructionError, match=r"\(0, 5\)"):
             build_hypergraph([(0, 5)], 2, 1)
+        # The first bad pair in input order, from an array as from a list.
+        with pytest.raises(ConstructionError, match=r"\(0, -1\)"):
+            build_hypergraph(np.array([[1, 0], [0, -1], [5, 0]]), 2, 1)
+
+    @pytest.mark.parametrize(
+        "pairs, n, m",
+        [
+            ([], 3, 2),
+            ([], 0, 0),
+            ([(0, 0)], 1, 1),
+            ([(2, 1), (0, 1), (2, 1), (1, 0), (0, 1), (2, 0)], 4, 3),
+            (np.array([[3, 0], [0, 2], [3, 0], [1, 1]]), 5, 4),
+            (np.zeros((0, 2), dtype=np.int64), 2, 3),
+        ],
+        ids=["empty", "empty-no-nodes", "single", "unsorted-with-duplicates", "array", "empty-array"],
+    )
+    def test_same_bytes_as_unique_pairs_construction(self, pairs, n, m):
+        self.assert_same_bytes(build_hypergraph(pairs, n, m), unique_pairs_incidence(pairs, n, m))
+
+    def test_same_bytes_as_unique_pairs_construction_on_random_pairs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n, m = (int(x) for x in rng.integers(1, 60, size=2))
+            pairs = rng.integers(0, (n, m), size=(int(rng.integers(0, 400)), 2))
+            self.assert_same_bytes(build_hypergraph(pairs, n, m), unique_pairs_incidence(pairs, n, m))
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        for name in ("incidence", "incidence_t", "incidence_by_edge_degree",
+                     "incidence_t_by_node_degree"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+        assert got.incidence_keys.tobytes() == want.incidence_keys.tobytes()
 
     def test_degree_sums_match_nnz(self):
         rng = np.random.default_rng(7)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 import taskhg
@@ -32,6 +33,7 @@ from taskhg.model import EmbeddingTable
 
 
 def write_dataset(tmp_path, interactions, tasks=(), files=()):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     (tmp_path / "interactions.tsv").write_text(interactions, encoding="utf-8")
     for name, content in files:
         (tmp_path / name).write_text(content, encoding="utf-8")
@@ -233,6 +235,128 @@ class TestLoadDataset:
         dataset, _ = load_dataset(root, "manifest.json", train_fraction=0.8, split_seed=3)
         assert len(dataset.train_edges) == 16
         assert len(dataset.test_edges) == 4
+
+
+def interaction_lines(users, items, seed):
+    """Every user with two to four items drawn from `items`, some twice, shuffled."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, items[int(j)]) for u in users for j in rng.integers(len(items), size=rng.integers(2, 5))]
+    pairs += pairs[:5]
+    return "".join(f"{u}\t{i}\n" for u, i in (pairs[int(k)] for k in rng.permutation(len(pairs))))
+
+
+ID_KINDS = {
+    "canonical": ([str(u) for u in range(30)], [str(i) for i in range(12)]),
+    # The users parse as ints but are not canonical; the items mix ints and strings.
+    "non-canonical": (
+        ["0", "00", "+1", " 1", "2", "10", "007", "-3", "5"] + [str(u) for u in range(11, 30)],
+        ["a b", "é", "1", "x", "01", "0", "ü ö", "10", "zz", "9", "日本", "B"],
+    ),
+}
+
+
+def assert_same_dataset(dataset, want):
+    num_users, num_items, train, test, _ = want
+    assert (dataset.num_users, dataset.num_items) == (num_users, num_items)
+    assert [tuple(r) for r in dataset.train_array.tolist()] == sorted(train)
+    assert [tuple(r) for r in dataset.test_array.tolist()] == sorted(test)
+
+
+def id_map_texts(root):
+    return {
+        name: (root / name).read_text(encoding="utf-8") if (root / name).exists() else None
+        for name in ("idmap.users.tsv", "idmap.items.tsv")
+    }
+
+
+class TestInteractionParsing:
+    @pytest.mark.parametrize("kind", list(ID_KINDS))
+    @pytest.mark.parametrize("train_fraction", [None, 0.7])
+    def test_matches_line_by_line_reference(self, tmp_path, kind, train_fraction):
+        users, items = ID_KINDS[kind]
+        text = interaction_lines(users, items, seed=len(kind))
+        lf = write_dataset(tmp_path / "lf", text)
+        crlf = write_dataset(tmp_path / "crlf", text.replace("\n", "\r\n"))
+        got, stats = load_dataset(lf, "manifest.json", train_fraction, split_seed=4)
+        want = oracles.load_interactions(lf, train_fraction, seed=4)
+        assert_same_dataset(got, want)
+        assert stats.num_interactions == len(want[2]) + len(want[3])
+        assert id_map_texts(lf) == want[4]
+        assert (want[4]["idmap.users.tsv"] is None) == (kind == "canonical")
+        # CRLF lines take the line-by-line scan: the same dataset, statistics and maps.
+        slow, slow_stats = load_dataset(crlf, "manifest.json", train_fraction, split_seed=4)
+        assert_same_dataset(slow, want)
+        assert slow_stats.lines() == stats.lines()
+        assert id_map_texts(crlf) == id_map_texts(lf)
+
+    def test_auxiliary_ids_join_the_id_space(self, tmp_path):
+        # Item "q" occurs only in the attribute file; both reads agree on it.
+        tasks = [{"id": "cat", "kind": "attribute", "side": "items", "path": "cat.tsv"}]
+        files = [("cat.tsv", "q\ttoys\nb\tbooks\n")]
+        texts = {"lf": "x\tb\ny\ta\n", "crlf": "x\tb\r\ny\ta\r\n"}
+        loaded = {}
+        for name, text in texts.items():
+            root = write_dataset(tmp_path / name, text, tasks=tasks, files=files)
+            dataset, stats = load_dataset(root, "manifest.json")
+            loaded[name] = (dataset.train_array.tolist(), stats.lines(), id_map_texts(root))
+        assert loaded["lf"] == loaded["crlf"]
+        assert loaded["lf"][0] == [[0, 1], [1, 0]]
+        assert loaded["lf"][2]["idmap.items.tsv"] == "a\t0\nb\t1\nq\t2\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\t0\r\n1\t1\r\n0\t1\r\n",
+            "0\t0\n\n1\t1\n\n\n0\t1\n",
+            "\n0\t0\n1\t1\n",
+            "0\t0\r1\t1\r0\t1\r",
+            "0\t0\x0c1\t1\n0\t1\n",
+            "0\t0\x851\t1\n0\t1\n",
+            "0\t0\u20281\t1\n0\t1\n",
+            "0\t0\x1e1\t1\n0\t1\n",
+            "0\t0\n1\t1\n0\t1",
+            "0\t0\n1\x00\t1\n0\x00\x00\t\x001\n",
+            "\t\n0\t\n",
+        ],
+        ids=["crlf", "blank-lines", "leading-blank-line", "cr-only", "form-feed", "next-line",
+             "line-separator", "record-separator", "no-final-newline", "nul", "empty-fields"],
+    )
+    def test_unusual_text_reads_as_the_reference(self, tmp_path, text):
+        root = write_dataset(tmp_path, text)
+        dataset, stats = load_dataset(root, "manifest.json")
+        want = oracles.load_interactions(root)
+        assert_same_dataset(dataset, want)
+        assert stats.num_interactions == len(want[2])
+        assert id_map_texts(root) == want[4]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\t0\n1\n1\t1\n",
+            "0\t0\n1\t1\t1\n0\t1\n",
+            "0\t0\n1\t1\n2\n",
+            "0\tab\x0ccd\n",
+            "0\tab\u2029cd\n",
+            "0\t0\r\n1\t1\t2\r\n",
+            "0\t0\n\n\n1\n",
+        ],
+        ids=["one-field", "three-fields", "last-line-one-field", "form-feed-in-id",
+             "paragraph-separator-in-id", "crlf-three-fields", "after-blank-lines"],
+    )
+    def test_malformed_line_named_as_the_reference(self, tmp_path, text):
+        root = write_dataset(tmp_path, text)
+        with pytest.raises(DataError) as want:
+            oracles.load_interactions(root)
+        with pytest.raises(DataError) as got:
+            load_dataset(root, "manifest.json")
+        assert str(got.value) == str(want.value)
+        assert "interactions.tsv:" in str(got.value)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        root = write_dataset(tmp_path, "")
+        (root / "interactions.tsv").write_bytes(b"0\t0\n\xff\t1\n")
+        with pytest.raises(DataError, match=r"cannot read .*interactions.tsv"):
+            load_dataset(root, "manifest.json")
 
 
 class TestCheckpoint:

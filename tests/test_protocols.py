@@ -88,6 +88,27 @@ class TestColdStart:
         with pytest.raises(DataError):
             cold_start_eval(dataset, fast_config(), ratio=0.999)
 
+    def test_matches_the_protocol_written_with_sets(self, dataset):
+        from taskhg.data import STREAM_COLD, rng_for
+        from taskhg.evaluate import evaluate
+        from taskhg.train import finetune, pretrain
+
+        cfg = fast_config()
+        rng = rng_for(cfg.seed, STREAM_COLD)
+        n_cold = int(round(0.25 * dataset.num_users))
+        cold = {int(u) for u in rng.choice(dataset.num_users, n_cold, replace=False)}
+        withheld = {(u, i) for (u, i) in dataset.train_edges if u in cold}
+        reduced = dataset.train_edges - withheld
+        report = cold_start_eval(dataset, cfg, ratio=0.25)
+        for row, aux in zip(report.rows, (dataset.auxiliary_tasks, [])):
+            train_ds = InteractionDataset(dataset.num_users, dataset.num_items, set(reduced),
+                                          set(dataset.test_edges), list(aux))
+            fine = finetune(pretrain(train_ds, cfg).table, train_ds, cfg)
+            want = evaluate(fine.table, train_ds, cfg.eval_ks, users=cold,
+                            extra_inference_edges=sorted(withheld)).rows[0]
+            assert 0 < row.num_users == want.num_users <= len(cold)
+            assert (row.recall, row.ndcg) == (want.recall, want.ndcg)
+
     def test_cold_users_isolated_at_training_time(self, dataset):
         # The protocol must not leak withheld edges into training: with no
         # weight decay, a user whose every edge is withheld receives exactly
