@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from enum import Enum
+
+import numpy as np
 
 from .config import TrainConfig, check_eval_ks
 from .errors import DataError, DivergenceError
@@ -85,6 +88,7 @@ def _training_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_config_flags(p)
     _add_seed_flag(p)
+    p.set_defaults(trains=True)
     return p
 
 
@@ -230,8 +234,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A diverging run overflows before the finiteness checks stop it (exit
+    # 3); NumPy's warnings would only repeat that, ahead of the error line.
+    quiet = np.errstate(over="ignore", invalid="ignore")
     try:
-        return args.func(args)
+        with quiet if getattr(args, "trains", False) else nullcontext():
+            return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,6 +33,7 @@ from .model import (
     encode_auxiliary_task_traced,
     forward_pretrain,
 )
+from .schedule import run_pair
 from .tasks import NodeSide
 
 
@@ -312,6 +313,7 @@ def pretrain_loss_and_grad(
     cfg: TrainConfig,
     batch: PretrainBatch,
     extra_params: dict | None = None,
+    pool=None,
 ):
     """Forward the full model on one batch and return (loss, grads, activations).
 
@@ -319,10 +321,14 @@ def pretrain_loss_and_grad(
     plus (1 - beta)-weighted sum of per-task losses (each normalized by
     its batch size) plus the L2 term on both embedding blocks. grads maps
     "user", "item" and then each extra_params block, in that order, to its
-    gradient; a head with no batch this step gets a zero gradient.
+    gradient; a head with no batch this step gets a zero gradient. The
+    user and item halves of the forward and reverse passes run on `pool`
+    (see `taskhg.schedule`).
     """
     extra_params = extra_params or {}
-    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
+    acts = forward_pretrain(
+        table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params, pool
+    )
     rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
         cfg.pretrain_loss,
         acts.ta_user_trace.node_emb,
@@ -366,26 +372,35 @@ def pretrain_loss_and_grad(
             aux_node_grads[tid] = one_minus_beta * g_n
             extra_grads[f"attr_head:{tid}"] += one_minus_beta * g_w
 
-    # Reverse pass: recommendation loss through both TA stacks first.
-    g_user_in, g_z_user_side, g_w_user = ta_backward(acts.ta_user_trace, cfg.beta * g_ta_user)
-    g_item_in, g_z_item_side, g_w_item = ta_backward(acts.ta_item_trace, cfg.beta * g_ta_item)
+    def reverse(ta_trace, g_ta):
+        # The recommendation loss through one TA stack, then through the
+        # encoder of every task that stack attended over. Each such task
+        # gets a gradient from the stack under every variant (zeros under
+        # no_ta); merge it with the task's own loss before the encoder.
+        g_in, g_zs, g_w = ta_backward(ta_trace, cfg.beta * g_ta)
+        g_x0 = {}
+        for tid, g_node in g_zs.items():
+            if tid in aux_node_grads:
+                g_node = aux_node_grads[tid] + g_node
+            g_x0[tid] = encoder_backward(
+                acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid)
+            )
+        return g_in, g_x0, g_w
+
+    (g_user_in, g_x0_items, g_w_user), (g_item_in, g_x0_users, g_w_item) = run_pair(
+        pool,
+        lambda: reverse(acts.ta_user_trace, g_ta_user),
+        lambda: reverse(acts.ta_item_trace, g_ta_item),
+    )
     if g_w_user is not None:
         extra_grads["ta_concat_user"] += g_w_user
     if g_w_item is not None:
         extra_grads["ta_concat_item"] += g_w_item
 
-    # Every auxiliary task fed the opposite side's TA stack, which returns a
-    # gradient for it under every variant (zeros under no_ta); merge that
-    # path with the task's own loss before entering the encoder.
-    g_ta_tasks = {**g_z_user_side, **g_z_item_side}
+    g_x0 = {**g_x0_items, **g_x0_users}
     grads = {"user": g_user_in, "item": g_item_in}
     for task in aux_tasks:
-        tid = task.task_id
-        g_node = g_ta_tasks[tid]
-        if tid in aux_node_grads:
-            g_node = aux_node_grads[tid] + g_node
-        g_x0 = encoder_backward(acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid))
-        grads["user" if task.side == NodeSide.USERS else "item"] += g_x0
+        grads["user" if task.side == NodeSide.USERS else "item"] += g_x0[task.task_id]
     reg = _add_l2(table.user_emb, cfg.lambda_reg, grads["user"]) + _add_l2(
         table.item_emb, cfg.lambda_reg, grads["item"]
     )
@@ -401,10 +416,17 @@ def finetune_loss_and_grad(
     users,
     pos,
     neg=None,
+    pool=None,
 ):
-    """One-layer downstream encoder plus the configured finetuning loss."""
-    trace_u = encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1)
-    trace_i = encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1)
+    """One-layer downstream encoder plus the configured finetuning loss.
+
+    The user and item encoders, forward and backward, run on `pool`.
+    """
+    trace_u, trace_i = run_pair(
+        pool,
+        lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1),
+        lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1),
+    )
     loss, g_u_out, g_i_out = rec_loss_grad(
         cfg.finetune_loss,
         trace_u.node_emb,
@@ -414,12 +436,17 @@ def finetune_loss_and_grad(
         neg,
         cfg.uniformity_weight,
     )
-    grads = {
-        "user": encoder_backward(trace_u, g_u_out),
-        "item": encoder_backward(trace_i, g_i_out),
-    }
-    reg = _add_l2(table.user_emb, cfg.lambda_reg, grads["user"]) + _add_l2(
-        table.item_emb, cfg.lambda_reg, grads["item"]
+
+    def backward(trace, g_out, emb):
+        g = encoder_backward(trace, g_out)
+        return g, _add_l2(emb, cfg.lambda_reg, g)
+
+    (g_user, reg_user), (g_item, reg_item) = run_pair(
+        pool,
+        lambda: backward(trace_u, g_u_out, table.user_emb),
+        lambda: backward(trace_i, g_i_out, table.item_emb),
     )
+    grads = {"user": g_user, "item": g_item}
+    reg = reg_user + reg_item
     total = loss + cfg.lambda_reg * reg
     return total, grads, (trace_u.node_emb, trace_i.node_emb)

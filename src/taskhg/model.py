@@ -24,6 +24,7 @@ from .hypergraph import (
     aggregate_hyperedges_to_nodes,
     aggregate_nodes_to_hyperedges,
 )
+from .schedule import run_pair
 from .tasks import NodeSide, TaskHypergraph
 
 
@@ -206,31 +207,38 @@ def forward_pretrain(
     aux_tasks,
     cfg: TrainConfig,
     extra_params: dict | None = None,
+    pool=None,
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides.
 
     The CONCAT variant reads its heads `ta_concat_user` / `ta_concat_item`
-    from extra_params.
+    from extra_params. Each TA side reads only the encoders of the opposite
+    side's tasks, so [item-side encoders -> user TA] and [user-side
+    encoders -> item TA] are two independent halves, run by `run_pair` on
+    `pool`.
     """
     extra_params = extra_params or {}
-    traces = {
-        task.task_id: encode_auxiliary_task_traced(
-            task.graph, table.side_emb(task.side), cfg.aux_encoder_layers
-        )
-        for task in aux_tasks
-    }
-    item_side = [(t.task_id, traces[t.task_id].node_emb) for t in aux_tasks
-                 if t.side == NodeSide.ITEMS]
-    user_side = [(t.task_id, traces[t.task_id].node_emb) for t in aux_tasks
-                 if t.side == NodeSide.USERS]
+
+    def side(graph, side_input, tasks_side, head):
+        traces = {
+            task.task_id: encode_auxiliary_task_traced(
+                task.graph, table.side_emb(task.side), cfg.aux_encoder_layers
+            )
+            for task in aux_tasks
+            if task.side == tasks_side
+        }
+        opposite = [(tid, trace.node_emb) for tid, trace in traces.items()]
+        ta = ta_forward_traced(side_input, graph, opposite, cfg, extra_params.get(head))
+        return traces, ta
+
+    (item_traces, ta_user), (user_traces, ta_item) = run_pair(
+        pool,
+        lambda: side(rec_user_task.graph, table.user_emb, NodeSide.ITEMS, "ta_concat_user"),
+        lambda: side(rec_item_task.graph, table.item_emb, NodeSide.USERS, "ta_concat_item"),
+    )
+    traces = {**item_traces, **user_traces}
     return TaskActivations(
-        encoder_traces=traces,
-        ta_user_trace=ta_forward_traced(
-            table.user_emb, rec_user_task.graph, item_side, cfg,
-            extra_params.get("ta_concat_user"),
-        ),
-        ta_item_trace=ta_forward_traced(
-            table.item_emb, rec_item_task.graph, user_side, cfg,
-            extra_params.get("ta_concat_item"),
-        ),
+        encoder_traces={task.task_id: traces[task.task_id] for task in aux_tasks},
+        ta_user_trace=ta_user,
+        ta_item_trace=ta_item,
     )

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
+from .schedule import run_pair
 
 # Cells per row slice of the in-place update: 2**16 float64 cells is 512 KB
 # per scratch buffer. A slice always holds at least one whole row.
@@ -36,16 +37,19 @@ class AdamState:
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
         cells = max([BLOCK_CELLS, *(_row_cells(p) for p in params.values())])
-        state.scratch = (np.empty(cells), np.empty(cells))
+        # One pair of buffers for each half of the slices.
+        state.scratch = tuple((np.empty(cells), np.empty(cells)) for _ in range(2))
         return state
 
-    def apply(self, grads: dict, params: dict):
+    def apply(self, grads: dict, params: dict, pool=None):
         """Bias-corrected Adam update, in place, one step for all blocks.
 
         Each block is updated in row slices of about BLOCK_CELLS cells; every
-        intermediate goes to the two scratch buffers, and `grads` is only
+        intermediate goes to a pair of scratch buffers, and `grads` is only
         read. The operations and their order are those of the textbook
-        expression, so the result does not depend on the slice size.
+        expression, so the result does not depend on the slice size. The
+        slices touch disjoint rows: the first half of them runs on `pool`,
+        the second on the calling thread, each with its own scratch pair.
         """
         for name, g in grads.items():
             if not np.isfinite(g).all():
@@ -54,20 +58,33 @@ class AdamState:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        slices = []
         for name, g in grads.items():
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            p = params[name]
             rows = max(1, BLOCK_CELLS // max(1, _row_cells(g)))
-            for lo in range(0, len(g), rows):
-                rs = slice(lo, lo + rows)
-                self._update_rows(g[rs], m[rs], v[rs], p[rs], bc1, bc2)
+            slices += [(name, slice(lo, lo + rows)) for lo in range(0, len(g), rows)]
 
-    def _update_rows(self, g, m, v, p, bc1, bc2):
+        def update(part, scratch):
+            for name, rs in part:
+                g = grads[name][rs]
+                m = self.first_moment[name][rs]
+                v = self.second_moment[name][rs]
+                self._update_rows(g, m, v, params[name][rs], bc1, bc2, scratch)
+
+        if pool is None or len(slices) < 2:
+            update(slices, self.scratch[0])
+            return
+        half = len(slices) // 2
+        run_pair(
+            pool,
+            lambda: update(slices[:half], self.scratch[1]),
+            lambda: update(slices[half:], self.scratch[0]),
+        )
+
+    def _update_rows(self, g, m, v, p, bc1, bc2, scratch):
         # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
         # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-        a = self.scratch[0][: g.size].reshape(g.shape)
-        b = self.scratch[1][: g.size].reshape(g.shape)
+        a = scratch[0][: g.size].reshape(g.shape)
+        b = scratch[1][: g.size].reshape(g.shape)
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=a)
         m += a

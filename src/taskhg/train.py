@@ -32,6 +32,7 @@ from .errors import DataError, DivergenceError
 from .gradients import PretrainBatch, finetune_loss_and_grad, pretrain_loss_and_grad
 from .model import EmbeddingTable, init_embeddings
 from .optim import AdamState
+from .schedule import step_pool
 from .tasks import NodeSide, TaskKind
 
 
@@ -101,8 +102,10 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
     negatives, negative sampling, the divergence check, the Adam update and
     the per-epoch mean loss. `step_for_epoch(steps)` runs once per epoch
     after the shuffle and returns the step function, which maps
-    (step, users, items, negs) to (loss, gradients keyed like `params`,
-    attention arrays).
+    (step, users, items, negs, pool) to (loss, gradients keyed like
+    `params`, attention arrays). The stage's pool (None below two CPUs)
+    runs the independent halves of each step and of the update; every
+    random draw is made here or in the step function, on this thread.
     """
     log = TrainingLog()
     shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + stream_offset)
@@ -121,33 +124,34 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
         pos_pairs = rec_user_task.graph.memberships()
     n_pos = len(pos_pairs)
     steps = max(1, math.ceil(n_pos / config.batch_size))
-    for epoch in range(epochs):
-        perm = shuffle_rng.permutation(n_pos)
-        step_fn = step_for_epoch(steps)
-        epoch_loss = 0.0
-        for step in range(steps):
-            idx = perm[step * config.batch_size : (step + 1) * config.batch_size]
-            users = pos_pairs[idx, 0]
-            items = pos_pairs[idx, 1]
-            negs = None
-            if need_negatives:
-                k = config.negatives_per_positive
-                users = np.repeat(users, k)
-                items = np.repeat(items, k)
-                negs = sample_negative_items(neg_rng, rec_user_task, users)
-            loss, grads, attention = step_fn(step, users, items, negs)
-            # apply() checks every gradient block before it changes anything.
-            try:
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss {loss}")
-                adam.apply(grads, params)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"non-finite loss or gradient at {stage} epoch {epoch}, batch {step}"
-                ) from exc
-            log.attention.update(attention)
-            epoch_loss += loss
-        log.epoch_losses.append(epoch_loss / steps)
+    with step_pool() as pool:
+        for epoch in range(epochs):
+            perm = shuffle_rng.permutation(n_pos)
+            step_fn = step_for_epoch(steps)
+            epoch_loss = 0.0
+            for step in range(steps):
+                idx = perm[step * config.batch_size : (step + 1) * config.batch_size]
+                users = pos_pairs[idx, 0]
+                items = pos_pairs[idx, 1]
+                negs = None
+                if need_negatives:
+                    k = config.negatives_per_positive
+                    users = np.repeat(users, k)
+                    items = np.repeat(items, k)
+                    negs = sample_negative_items(neg_rng, rec_user_task, users)
+                loss, grads, attention = step_fn(step, users, items, negs, pool)
+                # apply() checks every gradient block before it changes anything.
+                try:
+                    if not math.isfinite(loss):
+                        raise DivergenceError(f"non-finite loss {loss}")
+                    adam.apply(grads, params, pool)
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"non-finite loss or gradient at {stage} epoch {epoch}, batch {step}"
+                    ) from exc
+                log.attention.update(attention)
+                epoch_loss += loss
+            log.epoch_losses.append(epoch_loss / steps)
     return log
 
 
@@ -183,7 +187,7 @@ def pretrain(
     def step_for_epoch(steps):
         aux_perm = {tid: aux_rng.permutation(len(p)) for tid, p in aux_pairs.items()}
 
-        def step(index, users, items, negs):
+        def step(index, users, items, negs, pool):
             batch = PretrainBatch(users, items, negs)
             for task in aux_tasks:
                 tid = task.task_id
@@ -197,7 +201,7 @@ def pretrain(
                     neg_edges = sample_negative_hyperedges(aux_rng, task, chunk[:, 0])
                     batch.aux_bpr[tid] = (chunk[:, 0], chunk[:, 1], neg_edges)
             loss, grads, acts = pretrain_loss_and_grad(
-                table, rec_user_task, rec_item_task, aux_tasks, config, batch, extra
+                table, rec_user_task, rec_item_task, aux_tasks, config, batch, extra, pool
             )
             return loss, grads, acts.attention_arrays()
 
@@ -224,9 +228,9 @@ def finetune(
         return FinetuneResult(table, TrainingLog())
     rec_user_task, rec_item_task = dataset.rec_pair()
 
-    def step(index, users, items, negs):
+    def step(index, users, items, negs, pool):
         loss, grads, _ = finetune_loss_and_grad(
-            table, rec_user_task, rec_item_task, config, users, items, negs
+            table, rec_user_task, rec_item_task, config, users, items, negs, pool
         )
         return loss, grads, ()
 

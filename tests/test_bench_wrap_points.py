@@ -7,6 +7,7 @@ perfbench/ are not part of this suite, so check both here.
 """
 
 import importlib.util
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -83,6 +84,27 @@ CONVOLUTION_LAYERS = (
 )
 
 
+def per_thread_nesting(layer, fn, open_layers, nested):
+    """Wrap fn to record (layer, caller) when a layer opens inside another one.
+
+    The open layers are kept per thread: the tracer's span stack is one per
+    process, so with a step's two halves on two threads a span can take the
+    other thread's open span as its parent.
+    """
+
+    def wrapped(*args, **kwargs):
+        stack = open_layers.__dict__.setdefault("stack", [])
+        if stack:
+            nested.append((layer, stack[-1]))
+        stack.append(layer)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            stack.pop()
+
+    return wrapped
+
+
 def test_convolution_layers_keep_their_calls_and_never_nest():
     # Two item-side tasks and 4 steps per stage. Per pretrain step: 2
     # encoders and 2 TA sides forward, the same 4 stacks backward; per
@@ -92,7 +114,14 @@ def test_convolution_layers_keep_their_calls_and_never_nest():
     ds = generate_synthetic_dataset(30, 12, 3, 0.1, seed=2, interactions_per_user=3)
     cfg = TrainConfig(dim=4, epochs_pretrain=1, epochs_finetune=1, batch_size=16, seed=2)
     traced = tracer.Tracer()
-    with tracer.installed(traced) as absent:
+    open_layers = threading.local()
+    nested = []
+    with tracer.installed(traced) as absent, pytest.MonkeyPatch.context() as patch:
+        for layer, module_name, attr, _, _ in tracer.WRAP_POINTS:
+            if layer in CONVOLUTION_LAYERS:
+                owner, leaf = tracer._resolve(module_name, attr)
+                wrapped = per_thread_nesting(layer, getattr(owner, leaf), open_layers, nested)
+                patch.setattr(owner, leaf, wrapped)
         table = finetune(pretrain(ds, cfg).table, ds, cfg).table
         evaluate(table, ds, cfg.eval_ks)
     assert absent == []
@@ -110,13 +139,6 @@ def test_convolution_layers_keep_their_calls_and_never_nest():
     assert {name: calls[name] for name in expected} == expected
     # The encoder and TA share private loops; a wrapped layer that called
     # another wrapped one would book the callee's time under the caller.
-    nested = [
-        (name, traced.spans[parent][0])
-        for name, _, _, parent in traced.spans
-        if name in CONVOLUTION_LAYERS
-        and parent >= 0
-        and traced.spans[parent][0] in CONVOLUTION_LAYERS
-    ]
     assert nested == []
 
 

@@ -1,0 +1,304 @@
+"""The two-thread step schedule: same bits as the serial one, clean threads.
+
+Every comparison runs the same computation with a pool and without one and
+asks for byte-identical losses, gradient blocks (in the same key order),
+tables and epoch losses. The instances hold auxiliary tasks on both sides,
+so both TA stacks attend and both halves of each pair do real work.
+"""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from instances import make_joint_instance
+
+import taskhg.model
+import taskhg.optim
+from taskhg import schedule
+from taskhg.config import LossKind, TAVariant, TrainConfig
+from taskhg.data import InteractionDataset, generate_synthetic_dataset
+from taskhg.gradients import finetune_loss_and_grad, pretrain_loss_and_grad
+from taskhg.hypergraph import build_hypergraph
+from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind, build_relation_hypergraph
+from taskhg.train import finetune, pretrain
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class CountingPool:
+    """A step pool that counts the halves handed to its worker."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self._pool.submit(fn, *args)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    # Two CPUs as far as the schedule knows, so the pool exists on any host.
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    with schedule.step_pool() as real:
+        assert real is not None
+        yield CountingPool(real)
+
+
+def two_sided_instance(rng, **kwargs):
+    """A random joint instance with auxiliary tasks on both sides."""
+    while True:
+        instance = make_joint_instance(rng, min_tasks=2, max_tasks=4, **kwargs)
+        if {task.side for task in instance[3]} == {NodeSide.USERS, NodeSide.ITEMS}:
+            return instance
+
+
+def two_sided_dataset():
+    base = generate_synthetic_dataset(40, 20, 4, noise=0.1, seed=11, interactions_per_user=6)
+    relation, _ = build_relation_hypergraph(
+        "user_pairs", NodeSide.USERS, [(u, {u + 1}) for u in range(0, 39, 2)], 40
+    )
+    groups = build_hypergraph([(u, u % 3) for u in range(40)], 40, 3)
+    attribute = TaskHypergraph("user_group", TaskKind.ATTRIBUTE_PREDICTION, NodeSide.USERS, groups)
+    return InteractionDataset(
+        40, 20, set(base.train_edges), set(base.test_edges),
+        base.auxiliary_tasks + [relation, attribute],
+    )
+
+
+def assert_same_step(a, b):
+    loss_a, grads_a, _ = a
+    loss_b, grads_b, _ = b
+    assert np.float64(loss_a).tobytes() == np.float64(loss_b).tobytes()
+    assert list(grads_a) == list(grads_b)
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
+
+@pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
+def test_pretrain_step_is_the_same_on_both_schedules(pool, variant, loss):
+    rng = np.random.default_rng([7, list(TAVariant).index(variant), list(LossKind).index(loss)])
+    for layers in (1, 2):
+        for unified in (True, False):
+            table, rec_u, rec_i, aux, cfg, batch, extra = two_sided_instance(
+                rng, loss=loss, variant=variant, unified=unified,
+                ta_layers=layers, aux_layers=layers,
+            )
+            serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+            paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
+            assert_same_step(serial, paired)
+            attention = serial[2].attention_arrays()
+            assert [a.tobytes() for a in paired[2].attention_arrays()] == [
+                a.tobytes() for a in attention
+            ]
+            assert list(paired[2].encoder_traces) == [task.task_id for task in aux]
+    assert pool.submitted > 0
+
+
+@pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
+def test_finetune_step_is_the_same_on_both_schedules(pool, loss):
+    rng = np.random.default_rng([8, list(LossKind).index(loss)])
+    for _ in range(3):
+        table, rec_u, rec_i, _, cfg, batch, _ = make_joint_instance(rng, loss=loss)
+        args = (table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
+                batch.rec_neg_items)
+        assert_same_step(finetune_loss_and_grad(*args), finetune_loss_and_grad(*args, pool))
+    assert pool.submitted > 0
+
+
+def run_stages(dataset, cfg):
+    pre = pretrain(dataset, cfg)
+    fine = finetune(pre.table, dataset, cfg)
+    return pre, fine
+
+
+def assert_same_stages(a, b):
+    for x, y in zip(a, b):
+        assert x.table.user_emb.tobytes() == y.table.user_emb.tobytes()
+        assert x.table.item_emb.tobytes() == y.table.item_emb.tobytes()
+        assert x.log.epoch_losses == y.log.epoch_losses
+    assert a[0].log.attention == b[0].log.attention
+    assert list(a[0].extra_params) == list(b[0].extra_params)
+    for name, p in a[0].extra_params.items():
+        assert p.tobytes() == b[0].extra_params[name].tobytes(), name
+
+
+def worker_names(monkeypatch):
+    """Names of the threads that run a TA forward, recorded as they run."""
+    names = []
+    real = taskhg.model.ta_forward_traced
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(taskhg.model, "ta_forward_traced", spy)
+    return names
+
+
+@pytest.mark.parametrize(
+    "variant, loss, layers, unified",
+    [
+        (TAVariant.FULL, LossKind.BPR, 1, True),
+        (TAVariant.SUM, LossKind.AU, 2, False),
+        (TAVariant.CONCAT, LossKind.BPR_POS, 2, True),
+        (TAVariant.NO_TA, LossKind.ALIGNMENT, 1, False),
+    ],
+    ids=["full-bpr", "sum-au", "concat-bpr_pos", "no_ta-align"],
+)
+def test_training_runs_are_the_same_on_both_schedules(monkeypatch, variant, loss, layers, unified):
+    # Small Adam slices give the update many slices to split.
+    monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", 64)
+    dataset = two_sided_dataset()
+    cfg = TrainConfig(
+        dim=8, epochs_pretrain=3, epochs_finetune=2, batch_size=64, seed=3,
+        ta_variant=variant, pretrain_loss=loss, finetune_loss=loss,
+        ta_layers=layers, aux_encoder_layers=layers, unified_attributes=unified,
+        lambda_reg=1e-3,
+    )
+    names = worker_names(monkeypatch)
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 1)
+    serial = run_stages(dataset, cfg)
+    assert not [n for n in names if n.startswith(schedule.THREAD_NAME_PREFIX)]
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    paired = run_stages(dataset, cfg)
+    assert [n for n in names if n.startswith(schedule.THREAD_NAME_PREFIX)]
+    assert_same_stages(serial, paired)
+
+
+def test_same_bits_under_frequent_thread_switches(monkeypatch):
+    # Switching threads every microsecond interleaves the halves far more
+    # finely than the default 5 ms; any shared intermediate would show.
+    monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", 32)
+    dataset = two_sided_dataset()
+    cfg = TrainConfig(dim=8, epochs_pretrain=2, epochs_finetune=2, batch_size=32, seed=5,
+                      pretrain_loss=LossKind.BPR, lambda_reg=1e-3)
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 1)
+    serial = run_stages(dataset, cfg)
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        runs = 0
+        while runs == 0 or time.monotonic() < deadline:
+            assert_same_stages(serial, run_stages(dataset, cfg))
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs >= 1
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["first", "second"])
+def test_run_pair_raises_only_after_both_halves_finished(pool, raising):
+    error = Boom("half failed")
+    finished = []
+
+    def fail():
+        raise error
+
+    def slow():
+        time.sleep(0.05)
+        finished.append(threading.current_thread().name)
+
+    halves = (fail, slow) if raising == "first" else (slow, fail)
+    with pytest.raises(Boom) as info:
+        schedule.run_pair(pool, *halves)
+    assert info.value is error
+    assert len(finished) == 1
+    assert finished[0].startswith(schedule.THREAD_NAME_PREFIX) == (raising == "second")
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_error_on_one_side_surfaces_unchanged_after_the_other_finished(monkeypatch, raising):
+    # The raising side fails at once; the other side sleeps before its TA
+    # stack runs, so an error raised before it finished would show.
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    error = Boom("encoder failed")
+    finished = []
+    real_encode = taskhg.model.encode_auxiliary_task_traced
+    real_ta = taskhg.model.ta_forward_traced
+
+    def on_worker():
+        return threading.current_thread().name.startswith(schedule.THREAD_NAME_PREFIX)
+
+    def encode(*args, **kwargs):
+        if on_worker() == (raising == "worker"):
+            raise error
+        return real_encode(*args, **kwargs)
+
+    def ta(*args, **kwargs):
+        time.sleep(0.05)
+        out = real_ta(*args, **kwargs)
+        finished.append(on_worker())
+        return out
+
+    monkeypatch.setattr(taskhg.model, "encode_auxiliary_task_traced", encode)
+    monkeypatch.setattr(taskhg.model, "ta_forward_traced", ta)
+    with pytest.raises(Boom) as info:
+        pretrain(two_sided_dataset(), TrainConfig(dim=4, epochs_pretrain=1, seed=1))
+    assert info.value is error
+    assert finished == [raising == "caller"]
+
+
+class TestCpuCount:
+    def test_one_cpu_takes_the_serial_schedule(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU host started a step pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(schedule, "ThreadPoolExecutor", no_pool)
+        assert schedule.usable_cpus() == 1
+        with schedule.step_pool() as pool:
+            assert pool is None
+        pre, fine = run_stages(two_sided_dataset(),
+                               TrainConfig(dim=4, epochs_pretrain=1, epochs_finetune=1, seed=1))
+        assert pre.table.allfinite() and fine.table.allfinite()
+
+    def test_two_cpus_take_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        with schedule.step_pool() as pool:
+            assert pool is not None
+            here = threading.current_thread
+            worker, caller = schedule.run_pair(pool, here, here)
+            assert worker.name.startswith(schedule.THREAD_NAME_PREFIX)
+            assert caller is here()
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith(schedule.THREAD_NAME_PREFIX)]
+
+    @pytest.mark.parametrize("count, expected", [(None, 1), (1, 1), (4, 4)])
+    def test_cpu_count_is_the_fallback(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert schedule.usable_cpus() == expected
+
+
+def test_worker_inherits_the_callers_errstate(pool):
+    def overflow():
+        return np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="ignore"):
+        left, right = schedule.run_pair(pool, overflow, overflow)
+    assert left == right == np.inf
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        schedule.run_pair(pool, overflow, lambda: None)
+
+
+def test_importing_the_package_starts_no_thread():
+    code = ("import threading, taskhg, taskhg.cli; "
+            "print(threading.active_count(), [t.name for t in threading.enumerate()])")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split()[0] == "1", out
