@@ -34,7 +34,6 @@ from .model import (
     forward_pretrain,
 )
 from .schedule import run_pair
-from .tasks import NodeSide
 
 
 def _reverse(trace: TATrace, g_out, g_edge=None):
@@ -186,18 +185,20 @@ def _norm_backward(g_hat, hat, norms):
     return np.where(norms > 0, g, 0.0)
 
 
-def _uniformity_grad(hat_rows):
+def _uniformity_grad(hat_rows, gram=None):
     """Value and gradient (in normalized space) of the Gaussian uniformity term.
 
     Squared distances come from the Gram matrix, ||x||^2 + ||y||^2 - 2 x.y,
     clamped at 0 against rounding; the row norms are taken explicitly
-    because zero rows normalize to zero. Memory is a few (n, n) buffers.
+    because zero rows normalize to zero. The Gram matrix is the one (n, n)
+    array; it is written into `gram` when given (any (n, n) float64 array,
+    overwritten), so the caller decides who allocates and frees it.
     """
     n = hat_rows.shape[0]
     if n < 2:
         return 0.0, np.zeros_like(hat_rows)
     sq = np.einsum("ij,ij->i", hat_rows, hat_rows)
-    kmat = hat_rows @ hat_rows.T
+    kmat = np.matmul(hat_rows, hat_rows.T, out=gram)
     kmat *= -2.0
     kmat += sq[:, None]
     kmat += sq[None, :]
@@ -213,7 +214,13 @@ def _uniformity_grad(hat_rows):
     return value, g_hat
 
 
-def au_grad(user_out, item_out, users, items, uniformity_weight):
+def au_grad(user_out, item_out, users, items, uniformity_weight, pool=None):
+    """Alignment plus uniformity on the unit sphere.
+
+    The two uniformity terms run as a pair on `pool`, the user side on its
+    worker. This thread allocates both Gram buffers, so the worker never
+    frees an (n, n) array into its own allocator arena.
+    """
     n = len(users)
     user_hat, user_norms = _normalize_with_cache(user_out)
     item_hat, item_norms = _normalize_with_cache(item_out)
@@ -223,8 +230,14 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
     g_item_hat = _scatter_rows(len(item_out), items, -(2.0 / n) * diff)
     uu = np.unique(users)
     ii = np.unique(items)
-    u_val, u_g = _uniformity_grad(user_hat[uu])
-    i_val, i_g = _uniformity_grad(item_hat[ii])
+    u_rows, i_rows = user_hat[uu], item_hat[ii]
+    u_gram = np.empty((len(uu), len(uu)))
+    i_gram = np.empty((len(ii), len(ii)))
+    (u_val, u_g), (i_val, i_g) = run_pair(
+        pool,
+        lambda: _uniformity_grad(u_rows, u_gram),
+        lambda: _uniformity_grad(i_rows, i_gram),
+    )
     g_user_hat[uu] += (0.5 * uniformity_weight) * u_g
     g_item_hat[ii] += (0.5 * uniformity_weight) * i_g
     loss = align + uniformity_weight * 0.5 * (u_val + i_val)
@@ -233,8 +246,13 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
     return loss, g_user, g_item
 
 
-def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0):
-    """Dispatch to the configured recommendation-term loss."""
+def rec_loss_grad(
+    kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0, pool=None
+):
+    """Dispatch to the configured recommendation-term loss.
+
+    `pool` is the stage's step pool; only the `au` loss splits its work.
+    """
     if len(users) == 0:
         raise ValueError("empty recommendation batch")
     if kind == LossKind.ALIGNMENT:
@@ -246,7 +264,7 @@ def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformit
     if kind == LossKind.BPR_POS:
         return bpr_pos_grad(user_out, item_out, users, pos)
     if kind == LossKind.AU:
-        return au_grad(user_out, item_out, users, pos, uniformity_weight)
+        return au_grad(user_out, item_out, users, pos, uniformity_weight, pool)
     raise ValueError(f"unknown loss kind: {kind}")
 
 
@@ -292,17 +310,52 @@ class PretrainBatch:
     attr_ce: dict = field(default_factory=dict)
 
 
-def _add_l2(emb, lambda_reg, grad) -> float:
-    """Add the gradient of lambda_reg * ||emb||^2 into `grad`; return ||emb||^2.
+def _l2_terms(emb, lambda_reg):
+    """Return (||emb||^2, 2 lambda_reg * emb) for lambda_reg * ||emb||^2.
 
-    One temporary holds emb**2 and then (2 lambda_reg) * emb: the values of
-    the out-of-place expressions, with one table-sized allocation.
+    One table-sized array holds emb**2 and then (2 lambda_reg) * emb: the
+    values of the out-of-place expressions, with one allocation. The caller
+    adds the second term into the table's gradient, last.
     """
     buf = np.multiply(emb, emb)
     sq = float(buf.sum())
     np.multiply(emb, 2.0 * lambda_reg, out=buf)
-    grad += buf
-    return sq
+    return sq, buf
+
+
+def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_beta):
+    """Every auxiliary task's loss, in `aux_tasks` order.
+
+    Returns (loss sum, node gradients, edge gradients), the gradients keyed
+    by task id and already scaled by (1 - beta); a non-unified attribute
+    head's gradient is added into `extra_grads`.
+    """
+    total = 0.0
+    node_grads: dict = {}
+    edge_grads: dict = {}
+    for task in aux_tasks:
+        tid = task.task_id
+        trace = acts.encoder_traces[tid]
+        if tid in batch.aux_bpr:
+            nodes, pos_edges, neg_edges = batch.aux_bpr[tid]
+            if len(nodes) == 0:
+                continue
+            t_loss, g_n, g_e = aux_bpr_grad(
+                trace.node_emb, trace.edge_emb, nodes, pos_edges, neg_edges
+            )
+            edge_grads[tid] = one_minus_beta * g_e
+        elif tid in batch.attr_ce:
+            nodes, labels = batch.attr_ce[tid]
+            if len(nodes) == 0:
+                continue
+            head = extra_params[f"attr_head:{tid}"]
+            t_loss, g_n, g_w = attr_softmax_ce_grad(trace.node_emb, head, nodes, labels)
+            extra_grads[f"attr_head:{tid}"] += one_minus_beta * g_w
+        else:
+            continue
+        total += t_loss
+        node_grads[tid] = one_minus_beta * g_n
+    return total, node_grads, edge_grads
 
 
 def pretrain_loss_and_grad(
@@ -321,9 +374,17 @@ def pretrain_loss_and_grad(
     plus (1 - beta)-weighted sum of per-task losses (each normalized by
     its batch size) plus the L2 term on both embedding blocks. grads maps
     "user", "item" and then each extra_params block, in that order, to its
-    gradient; a head with no batch this step gets a zero gradient. The
-    user and item halves of the forward and reverse passes run on `pool`
-    (see `taskhg.schedule`).
+    gradient; a head with no batch this step gets a zero gradient.
+
+    With a `pool` (see `taskhg.schedule`) the step runs as four pairs:
+    the forward halves, the `au` loss's two uniformity terms, then two
+    reverse stages. Stage 1 runs the user-side TA backward on the worker;
+    this thread runs the item-side TA backward, every auxiliary loss and
+    both L2 terms, so their table-sized buffers come from this thread's
+    allocator. Stage 2 runs one half per table, items on the worker: the
+    backward of every encoder whose input is that table, then the table's
+    gradient summed as the TA stack's, each task's in `aux_tasks` order,
+    and the L2 term.
     """
     extra_params = extra_params or {}
     acts = forward_pretrain(
@@ -337,75 +398,48 @@ def pretrain_loss_and_grad(
         batch.rec_pos_items,
         batch.rec_neg_items,
         cfg.uniformity_weight,
+        pool,
     )
-
-    aux_total = 0.0
-    aux_node_grads: dict = {}
-    aux_edge_grads: dict = {}
     extra_grads = {name: np.zeros_like(p) for name, p in extra_params.items()}
     one_minus_beta = 1.0 - cfg.beta
-    for task in aux_tasks:
-        tid = task.task_id
-        if tid in batch.aux_bpr:
-            nodes, pos_edges, neg_edges = batch.aux_bpr[tid]
-            if len(nodes) == 0:
-                continue
-            t_loss, g_n, g_e = aux_bpr_grad(
-                acts.encoder_traces[tid].node_emb,
-                acts.encoder_traces[tid].edge_emb,
-                nodes,
-                pos_edges,
-                neg_edges,
-            )
-            aux_total += t_loss
-            aux_node_grads[tid] = one_minus_beta * g_n
-            aux_edge_grads[tid] = one_minus_beta * g_e
-        elif tid in batch.attr_ce:
-            nodes, labels = batch.attr_ce[tid]
-            if len(nodes) == 0:
-                continue
-            head = extra_params[f"attr_head:{tid}"]
-            t_loss, g_n, g_w = attr_softmax_ce_grad(
-                acts.encoder_traces[tid].node_emb, head, nodes, labels
-            )
-            aux_total += t_loss
-            aux_node_grads[tid] = one_minus_beta * g_n
-            extra_grads[f"attr_head:{tid}"] += one_minus_beta * g_w
 
-    def reverse(ta_trace, g_ta):
-        # The recommendation loss through one TA stack, then through the
-        # encoder of every task that stack attended over. Each such task
-        # gets a gradient from the stack under every variant (zeros under
-        # no_ta); merge it with the task's own loss before the encoder.
-        g_in, g_zs, g_w = ta_backward(ta_trace, cfg.beta * g_ta)
-        g_x0 = {}
-        for tid, g_node in g_zs.items():
-            if tid in aux_node_grads:
-                g_node = aux_node_grads[tid] + g_node
-            g_x0[tid] = encoder_backward(
-                acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid)
-            )
-        return g_in, g_x0, g_w
-
-    (g_user_in, g_x0_items, g_w_user), (g_item_in, g_x0_users, g_w_item) = run_pair(
+    (g_user_in, g_zs_items, g_w_user), (item_ta, aux, l2) = run_pair(
         pool,
-        lambda: reverse(acts.ta_user_trace, g_ta_user),
-        lambda: reverse(acts.ta_item_trace, g_ta_item),
+        lambda: ta_backward(acts.ta_user_trace, cfg.beta * g_ta_user),
+        lambda: (
+            ta_backward(acts.ta_item_trace, cfg.beta * g_ta_item),
+            _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_beta),
+            (_l2_terms(table.user_emb, cfg.lambda_reg), _l2_terms(table.item_emb, cfg.lambda_reg)),
+        ),
     )
+    g_item_in, g_zs_users, g_w_item = item_ta
+    aux_total, aux_node_grads, aux_edge_grads = aux
+    (sq_user, l2_user), (sq_item, l2_item) = l2
     if g_w_user is not None:
         extra_grads["ta_concat_user"] += g_w_user
     if g_w_item is not None:
         extra_grads["ta_concat_item"] += g_w_item
 
-    g_x0 = {**g_x0_items, **g_x0_users}
-    grads = {"user": g_user_in, "item": g_item_in}
-    for task in aux_tasks:
-        grads["user" if task.side == NodeSide.USERS else "item"] += g_x0[task.task_id]
-    reg = _add_l2(table.user_emb, cfg.lambda_reg, grads["user"]) + _add_l2(
-        table.item_emb, cfg.lambda_reg, grads["item"]
+    def table_grad(g, g_zs, g_l2):
+        # g_zs maps each task whose encoder reads this table, in `aux_tasks`
+        # order, to the gradient from the TA stack that attended over it
+        # (zeros under no_ta). Each encoder takes its task's own loss
+        # gradient plus that one; the outputs are summed into g in order.
+        for tid, g_node in g_zs.items():
+            if tid in aux_node_grads:
+                g_node = aux_node_grads[tid] + g_node
+            g += encoder_backward(acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid))
+        g += g_l2
+        return g
+
+    g_item, g_user = run_pair(
+        pool,
+        lambda: table_grad(g_item_in, g_zs_items, l2_item),
+        lambda: table_grad(g_user_in, g_zs_users, l2_user),
     )
+    reg = sq_user + sq_item
     total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
-    return total, {**grads, **extra_grads}, acts
+    return total, {"user": g_user, "item": g_item, **extra_grads}, acts
 
 
 def finetune_loss_and_grad(
@@ -420,7 +454,8 @@ def finetune_loss_and_grad(
 ):
     """One-layer downstream encoder plus the configured finetuning loss.
 
-    The user and item encoders, forward and backward, run on `pool`.
+    The user and item encoders, forward and backward, run on `pool`, and
+    so do the `au` loss's two uniformity terms.
     """
     trace_u, trace_i = run_pair(
         pool,
@@ -435,11 +470,14 @@ def finetune_loss_and_grad(
         pos,
         neg,
         cfg.uniformity_weight,
+        pool,
     )
 
     def backward(trace, g_out, emb):
         g = encoder_backward(trace, g_out)
-        return g, _add_l2(emb, cfg.lambda_reg, g)
+        sq, g_l2 = _l2_terms(emb, cfg.lambda_reg)
+        g += g_l2
+        return g, sq
 
     (g_user, reg_user), (g_item, reg_item) = run_pair(
         pool,

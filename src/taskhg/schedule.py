@@ -1,14 +1,33 @@
 """Two-thread schedule for the independent halves of a training step.
 
 Several parts of a step come in two halves that share no array until they
-meet in the loss or in the update: the user-side and item-side convolution
-stacks, forward and reverse, and the row slices of the Adam update.
-`run_pair` runs one half on the single worker of a stage's pool and the
-other on the calling thread. The sparse products and ufuncs that do the
-work release the interpreter lock, so the halves overlap on two CPUs. Each
-half makes its arrays with the same operations, in the same order, as the
-serial schedule, and the caller combines the results in a fixed order, so
-no result depends on the schedule.
+meet in the loss or in the update. `run_pair` runs one half on the single
+worker of a stage's pool and the other on the calling thread. The sparse
+products and ufuncs that do the work release the interpreter lock, so the
+halves overlap on two CPUs. The pairs, worker half first:
+
+- pretraining forward: item-side encoders -> user-side TA stack, beside
+  user-side encoders -> item-side TA stack;
+- the `au` loss: the user-side uniformity term, beside the item-side one;
+- pretraining reverse, stage 1: the user-side TA backward, beside the
+  item-side TA backward, every auxiliary loss and both L2 terms;
+- pretraining reverse, stage 2: the backward of every encoder that reads
+  the item table and the sum of that table's gradient, beside the same
+  for the user table;
+- finetuning: the user encoder beside the item encoder, forward, then
+  backward with its L2 term;
+- the Adam update: the first half of its row slices, beside the second.
+
+On data whose auxiliary tasks are all item-side, as the synthetic
+generator makes them, only the user-side TA stack attends; stage 1 gives
+the calling thread the rest of the reverse work while the worker runs
+that stack. The calling thread
+allocates the arrays that outlive a pair, such as the L2 terms and the
+`au` Gram buffers: the allocator keeps what a thread frees for that
+thread's later use, so the worker's arena stays small. Each half makes
+its arrays with the same operations, in the same order, as the serial
+schedule, and the caller combines the results in a fixed order, so no
+result depends on the schedule.
 """
 
 from __future__ import annotations

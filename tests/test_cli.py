@@ -1,9 +1,11 @@
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,17 @@ TRAIN_FLAGS = [
 
 def run_cli(args):
     return main(list(args))
+
+
+def run_cli_process(args):
+    """`python -m taskhg.cli` in a child that imports the package under test."""
+    src = str(Path(taskhg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "taskhg.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +104,8 @@ class TestPipeline:
         blobs = []
         for tag in ("p", "q"):
             ckpt = tmp_path / f"{tag}.ckpt"
-            proc = subprocess.run(
-                [sys.executable, "-m", "taskhg.cli", "pretrain",
-                 "--data", str(synth_dir), "--seed", "4", "--out", str(ckpt),
-                 *TRAIN_FLAGS],
-                capture_output=True,
-            )
+            proc = run_cli_process(["pretrain", "--data", str(synth_dir), "--seed", "4",
+                                    "--out", str(ckpt), *TRAIN_FLAGS])
             assert proc.returncode == 0, proc.stderr
             blobs.append(ckpt.read_bytes())
         assert blobs[0] == blobs[1]
@@ -136,16 +145,11 @@ class TestPipeline:
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskhg.cli", "pretrain", "--data", "/tmp/x"],
-            capture_output=True,
-        )
+        proc = run_cli_process(["pretrain", "--data", "/tmp/x"])
         assert proc.returncode == 1  # --seed and --out missing
 
     def test_unknown_command_is_one(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskhg.cli", "frobnicate"], capture_output=True
-        )
+        proc = run_cli_process(["frobnicate"])
         assert proc.returncode == 1
 
     def test_data_error_is_two(self, tmp_path):
@@ -419,9 +423,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_help_is_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskhg.cli", "--help"], capture_output=True
-        )
+        proc = run_cli_process(["--help"])
         assert proc.returncode == 0
 
 

@@ -16,6 +16,7 @@ from oracles import (
     pairwise_uniformity_grad,
 )
 
+from taskhg import schedule
 from taskhg.config import LossKind, TrainConfig
 from taskhg.gradients import (
     _uniformity_grad,
@@ -222,6 +223,39 @@ class TestUniformityGram:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"au_grad peaked at {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(np.zeros((0, 8)), id="n=0"),
+            pytest.param(unit_rows(np.arange(1.0, 9.0)[None, :]), id="n=1"),
+            pytest.param(unit_rows(np.random.default_rng(2).normal(size=(2, 8))), id="n=2"),
+            pytest.param(degenerate_rows()["duplicates_among_others"], id="duplicates"),
+            pytest.param(unit_rows(np.random.default_rng(3).normal(size=(300, 64))), id="random"),
+        ],
+    )
+    def test_caller_made_gram_buffer_gives_the_same_bytes(self, rows):
+        value, grad = _uniformity_grad(rows)
+        n = rows.shape[0]
+        gram = np.full((n, n), np.nan)  # overwritten, never read
+        buf_value, buf_grad = _uniformity_grad(rows, gram)
+        assert np.float64(buf_value).tobytes() == np.float64(value).tobytes()
+        assert buf_grad.tobytes() == grad.tobytes()
+
+    def test_au_grad_gives_the_same_bytes_with_a_pool(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        user_out = rng.normal(size=(40, 16))
+        item_out = rng.normal(size=(30, 16))
+        users = rng.integers(40, size=64)
+        items = rng.integers(30, size=64)
+        serial = au_grad(user_out, item_out, users, items, 0.7)
+        monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+        with schedule.step_pool() as pool:
+            assert pool is not None
+            paired = au_grad(user_out, item_out, users, items, 0.7, pool)
+        assert np.float64(paired[0]).tobytes() == np.float64(serial[0]).tobytes()
+        assert paired[1].tobytes() == serial[1].tobytes()
+        assert paired[2].tobytes() == serial[2].tobytes()
 
 
 def joint_instance(beta, lambda_reg=0.05):

@@ -2,10 +2,13 @@
 
 Every comparison runs the same computation with a pool and without one and
 asks for byte-identical losses, gradient blocks (in the same key order),
-tables and epoch losses. The instances hold auxiliary tasks on both sides,
-so both TA stacks attend and both halves of each pair do real work.
+tables and epoch losses. Most instances hold auxiliary tasks on both sides,
+so both TA stacks attend and both halves of each pair do real work; the
+step sweep adds instances whose tasks are all item-side, the layout of the
+synthetic data, where only the user-side stack attends.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -59,6 +62,14 @@ def two_sided_instance(rng, **kwargs):
             return instance
 
 
+def item_side_instance(rng, **kwargs):
+    """A random joint instance whose auxiliary tasks are all item-side."""
+    while True:
+        instance = make_joint_instance(rng, min_tasks=1, max_tasks=3, **kwargs)
+        if {task.side for task in instance[3]} == {NodeSide.ITEMS}:
+            return instance
+
+
 def two_sided_dataset():
     base = generate_synthetic_dataset(40, 20, 4, noise=0.1, seed=11, interactions_per_user=6)
     relation, _ = build_relation_hypergraph(
@@ -85,20 +96,21 @@ def assert_same_step(a, b):
 @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
 def test_pretrain_step_is_the_same_on_both_schedules(pool, variant, loss):
     rng = np.random.default_rng([7, list(TAVariant).index(variant), list(LossKind).index(loss)])
-    for layers in (1, 2):
-        for unified in (True, False):
-            table, rec_u, rec_i, aux, cfg, batch, extra = two_sided_instance(
-                rng, loss=loss, variant=variant, unified=unified,
-                ta_layers=layers, aux_layers=layers,
-            )
-            serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
-            paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
-            assert_same_step(serial, paired)
-            attention = serial[2].attention_arrays()
-            assert [a.tobytes() for a in paired[2].attention_arrays()] == [
-                a.tobytes() for a in attention
-            ]
-            assert list(paired[2].encoder_traces) == [task.task_id for task in aux]
+    for make_instance, layers, unified in itertools.product(
+        (two_sided_instance, item_side_instance), (1, 2), (True, False)
+    ):
+        table, rec_u, rec_i, aux, cfg, batch, extra = make_instance(
+            rng, loss=loss, variant=variant, unified=unified,
+            ta_layers=layers, aux_layers=layers,
+        )
+        serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+        paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
+        assert_same_step(serial, paired)
+        attention = serial[2].attention_arrays()
+        assert [a.tobytes() for a in paired[2].attention_arrays()] == [
+            a.tobytes() for a in attention
+        ]
+        assert list(paired[2].encoder_traces) == [task.task_id for task in aux]
     assert pool.submitted > 0
 
 
@@ -111,6 +123,25 @@ def test_finetune_step_is_the_same_on_both_schedules(pool, loss):
                 batch.rec_neg_items)
         assert_same_step(finetune_loss_and_grad(*args), finetune_loss_and_grad(*args, pool))
     assert pool.submitted > 0
+
+
+@pytest.mark.parametrize(
+    "loss, pretrain_halves, finetune_halves",
+    [(LossKind.ALIGNMENT, 3, 2), (LossKind.AU, 4, 3)],
+    ids=["align", "au"],
+)
+def test_one_step_hands_every_pair_to_the_worker(pool, loss, pretrain_halves, finetune_halves):
+    # Pretraining pairs its forward halves and its two reverse stages;
+    # finetuning its encodes and its backwards; `au` adds its uniformity
+    # terms to both. A pair that falls back to serial lowers the count.
+    rng = np.random.default_rng(9)
+    table, rec_u, rec_i, aux, cfg, batch, extra = item_side_instance(rng, loss=loss)
+    pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
+    assert pool.submitted == pretrain_halves
+    pool.submitted = 0
+    finetune_loss_and_grad(table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
+                           batch.rec_neg_items, pool)
+    assert pool.submitted == finetune_halves
 
 
 def run_stages(dataset, cfg):
