@@ -17,6 +17,7 @@ import numpy as np
 from .config import check_eval_ks
 from .data import InteractionDataset
 from .model import EmbeddingTable, encode_auxiliary_task_traced
+from .schedule import run_pair, step_pool
 
 
 def recall_at_k(ranked_items, test_items, k: int) -> float:
@@ -84,15 +85,30 @@ def rank_items(score_row: np.ndarray) -> np.ndarray:
 def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     """`rank_items(row)[:k]` for every row of a score block, without a full sort.
 
+    The rows are ranked in slices of about a quarter of a score block, so
+    the index partition's int64 scratch stays a quarter of the block's
+    size; ranking is row by row, so the slicing changes no result. Returns
+    a (rows, min(k, items)) array of item indices.
+    """
+    n_rows, n_items = block.shape
+    k = min(k, n_items)
+    top = np.empty((n_rows, k), dtype=np.intp)
+    step = max(1, SCORE_BLOCK_CELLS // (4 * max(1, n_items)))
+    for lo in range(0, n_rows, step):
+        top[lo : lo + step] = _top_k_slice(block[lo : lo + step], k)
+    return top
+
+
+def _top_k_slice(block: np.ndarray, k: int) -> np.ndarray:
+    """`top_k_items` for a slice of rows, k <= items.
+
     One index partition picks each row's k largest scores. A row is clean
     when exactly k items score at least the smallest of them: then they
     are its top k, ordered by descending score and ascending item index.
     Rows with ties at the boundary, a NaN, or fewer than k finite scores
-    are left to `_top_k_survivors`. Returns a (rows, min(k, items)) array
-    of item indices.
+    are left to `_top_k_survivors`.
     """
     n_items = block.shape[1]
-    k = min(k, n_items)
     cand = np.argpartition(block, n_items - k, axis=1)[:, n_items - k :]
     vals = np.take_along_axis(block, cand, axis=1)
     # A NaN makes the bound NaN, which no score reaches.
@@ -124,20 +140,29 @@ def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
     return cols[rank < k].reshape(n_rows, k)
 
 
-def evaluate_scores(user_out, item_out, seen, ks, tests, users):
+def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     """Mean Recall@K / NDCG@K over `users` from the encoded user and item tables.
 
     Scores are `user_out @ item_out.T`, made for a block of users at a time;
     each user's row of `seen`, a users x items CSR incidence, is masked.
     BLAS picks its kernel by the product's shape, so a score's last bits can
     depend on the block's size; only scores within an ulp or so can swap.
-    A user's row of `tests`, the users x items CSR incidence of the test
-    edges, holds their test items; users without one are skipped.
+    The blocks therefore have the same rows on every schedule. A user's row
+    of `tests`, the users x items CSR incidence of the test edges, holds
+    their test items; users without one are skipped.
+
+    With a pool (see `schedule.step_pool`) and at least two blocks, the
+    worker scores the even-numbered blocks and the calling thread the odd
+    ones; without one, the calling thread scores them all in order. Each
+    block writes only its own users' columns of the per-user metrics and is
+    freed before its thread scores the next, so at most two blocks, about
+    11 MB each with their ranking scratch, are held at once.
 
     Each metric is computed for a whole block from one hit matrix, with the
     arithmetic of `recall_at_k` and `ndcg_at_k`: gains are summed in rank
     order and the means over users in user order, so the results are
-    bit-identical to averaging those functions user by user.
+    bit-identical to averaging those functions user by user, on either
+    schedule.
     """
     users = np.asarray(users, dtype=np.intp)
     test_counts = np.diff(tests.indptr)
@@ -154,32 +179,49 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users):
     recall = np.empty((len(ks), count))
     ndcg = np.empty((len(ks), count))
     step = max(1, SCORE_BLOCK_CELLS // n_items)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        chunk = users[lo:hi]
-        rows = np.arange(hi - lo)
-        block = user_out[chunk] @ item_out.T
-        masked = seen[chunk]
-        block[np.repeat(rows, np.diff(masked.indptr)), masked.indices] = -np.inf
-        is_test = np.zeros(block.shape, dtype=bool)
-        is_test[np.repeat(rows, n_test[lo:hi]), tests[chunk].indices] = True
-        hit = np.take_along_axis(is_test, top_k_items(block, width), axis=1)
-        hits = np.cumsum(hit, axis=1)
-        dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
-        for j, (k, col) in enumerate(zip(ks, cols)):
-            recall[j, lo:hi] = hits[:, col] / n_test[lo:hi]
-            ndcg[j, lo:hi] = dcg[:, col] / ideal[np.minimum(k, n_test[lo:hi]) - 1]
+
+    def score_blocks(starts):
+        for lo in starts:
+            hi = min(lo + step, count)
+            chunk = users[lo:hi]
+            rows = np.arange(hi - lo)
+            block = user_out[chunk] @ item_out.T
+            masked = seen[chunk]
+            block[np.repeat(rows, np.diff(masked.indptr)), masked.indices] = -np.inf
+            top = top_k_items(block, width)
+            del block  # freed before the test matrix is made: one block per thread
+            is_test = np.zeros((hi - lo, n_items), dtype=bool)
+            is_test[np.repeat(rows, n_test[lo:hi]), tests[chunk].indices] = True
+            hit = np.take_along_axis(is_test, top, axis=1)
+            del is_test
+            hits = np.cumsum(hit, axis=1)
+            dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
+            for j, (k, col) in enumerate(zip(ks, cols)):
+                recall[j, lo:hi] = hits[:, col] / n_test[lo:hi]
+                ndcg[j, lo:hi] = dcg[:, col] / ideal[np.minimum(k, n_test[lo:hi]) - 1]
+
+    starts = range(0, count, step)
+    if pool is None or len(starts) < 2:
+        score_blocks(starts)
+    else:
+        run_pair(pool, lambda: score_blocks(starts[0::2]), lambda: score_blocks(starts[1::2]))
     # Sequential sums, in user order: np.sum would add pairwise.
     recall_mean = {k: float(np.cumsum(recall[j])[-1] / count) for j, k in enumerate(ks)}
     ndcg_mean = {k: float(np.cumsum(ndcg[j])[-1] / count) for j, k in enumerate(ks)}
     return recall_mean, ndcg_mean, count
 
 
-def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):
-    """Downstream encoder, as in finetuning: one layer over the recommendation pair."""
-    user_out = encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1).node_emb
-    item_out = encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1).node_emb
-    return user_out, item_out
+def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task, pool=None):
+    """Downstream encoder, as in finetuning: one layer over the recommendation pair.
+
+    As in finetuning, the user encoder runs on `pool`'s worker beside the
+    item encoder on the calling thread; the outputs are the same either way.
+    """
+    return run_pair(
+        pool,
+        lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1).node_emb,
+        lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1).node_emb,
+    )
 
 
 def evaluate(
@@ -207,13 +249,14 @@ def evaluate(
         rec_user_task, rec_item_task = dataset.rec_pair()
     else:
         rec_user_task, rec_item_task = dataset.rec_pair_with(extra_inference_edges)
-    user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task)
     seen = rec_user_task.graph.incidence
     known = np.flatnonzero(rec_user_task.graph.node_degrees)
     if users is not None:
         known = known[np.isin(known, np.fromiter(users, dtype=np.int64))]
     tests = dataset.test_incidence()
-    recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known)
+    with step_pool() as pool:
+        user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task, pool)
+        recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known, pool)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
     return EvalReport(
         ks=ks,

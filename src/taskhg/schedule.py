@@ -1,10 +1,11 @@
-"""Two-thread schedule for the independent halves of a training step.
+"""Two-thread schedule for the independent halves of a training step or an evaluation.
 
 Several parts of a step come in two halves that share no array until they
 meet in the loss or in the update. `run_pair` runs one half on the single
 worker of a stage's pool and the other on the calling thread. The sparse
-products and ufuncs that do the work release the interpreter lock, so the
-halves overlap on two CPUs. The pairs, worker half first:
+products, BLAS products and ufuncs that do the work release the
+interpreter lock, so the halves overlap on two CPUs. The pairs, worker
+half first:
 
 - pretraining forward: item-side encoders -> user-side TA stack, beside
   user-side encoders -> item-side TA stack;
@@ -16,7 +17,12 @@ halves overlap on two CPUs. The pairs, worker half first:
   for the user table;
 - finetuning: the user encoder beside the item encoder, forward, then
   backward with its L2 term;
-- the Adam update: the first half of its row slices, beside the second.
+- the Adam update: the first half of its row slices, beside the second;
+- evaluation: the user encoder beside the item encoder, then the
+  even-numbered score blocks beside the odd-numbered ones, each block
+  scored, ranked and freed before its thread takes the next. The blocks
+  keep the rows of the serial schedule, since BLAS picks its kernel by
+  the product's shape.
 
 On data whose auxiliary tasks are all item-side, as the synthetic
 generator makes them, only the user-side TA stack attends; stage 1 gives
@@ -50,7 +56,7 @@ def usable_cpus() -> int:
 
 @contextmanager
 def step_pool():
-    """A one-worker pool for one training stage, or None below two CPUs.
+    """A one-worker pool for one training stage or evaluation, or None below two CPUs.
 
     The worker thread starts at the first submitted half and is joined
     when the block exits.

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import oracles
 import pytest
 import scipy.sparse as sp
 
+from taskhg import schedule
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.errors import DataError
 from taskhg.evaluate import (
@@ -208,21 +210,99 @@ class TestTopK:
 
     def test_memory_stays_below_a_dense_score_matrix(self):
         # 4000 users x 2000 items: a dense float64 score matrix alone is 64 MB.
-        n_users, n_items = 4000, 2000
-        rng = np.random.default_rng(12)
-        items = rng.integers(n_items, size=(n_users, 3))
-        train = {(u, int(i)) for u in range(n_users) for i in items[u, :2]}
-        test = {(u, int(items[u, 2])) for u in range(n_users)} - train
-        ds = InteractionDataset(n_users, n_items, train, test, [])
-        table = init_embeddings(n_users, n_items, 16, seed=1)
-        tracemalloc.start()
-        try:
-            report = evaluate(table, ds, ks=(10, 20))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_evaluation_peak()
         assert report.rows[0].num_users > 3000
         assert peak < 32 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MB"
+
+    def test_serial_memory_stays_below_two_score_blocks(self, monkeypatch):
+        # One block of 8 MB at a time, ranked in quarter-block row slices.
+        monkeypatch.setattr(schedule, "usable_cpus", lambda: 1)
+        report, peak = traced_evaluation_peak()
+        assert report.rows[0].num_users > 3000
+        assert peak <= 16 * 2**20, f"serial evaluate peaked at {peak / 2**20:.1f} MB"
+
+
+def traced_evaluation_peak():
+    """Evaluate 4000 users x 2000 items under tracemalloc: (report, peak bytes)."""
+    n_users, n_items = 4000, 2000
+    rng = np.random.default_rng(12)
+    items = rng.integers(n_items, size=(n_users, 3))
+    train = {(u, int(i)) for u in range(n_users) for i in items[u, :2]}
+    test = {(u, int(items[u, 2])) for u in range(n_users)} - train
+    ds = InteractionDataset(n_users, n_items, train, test, [])
+    table = init_embeddings(n_users, n_items, 16, seed=1)
+    tracemalloc.start()
+    try:
+        report = evaluate(table, ds, ks=(10, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+class TestSchedules:
+    """Evaluation gives the same bits with the step pool as without it."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3], ids=lambda b: f"blocks={b}")
+    def test_both_schedules_give_the_same_bits(self, monkeypatch, pool, blocks):
+        rng = np.random.default_rng(23)
+        paired_calls = 0
+        for trial in range(60):
+            args = random_eval_instance(rng, trial)
+            user_out, item_out, _, ks, tests, users = args
+            count = int(np.count_nonzero(np.diff(tests.indptr)[users]))
+            rows = max(1, -(-count // blocks))
+            set_block_rows(monkeypatch, rows, user_out.shape[0], item_out.shape[0])
+            serial = evaluate_scores(*args)
+            pool.submitted = 0
+            paired = evaluate_scores(*args, pool)
+            assert pool.submitted == (1 if count > rows else 0)
+            paired_calls += pool.submitted
+            assert paired[2] == serial[2]
+            for got, want in zip(paired[:2], serial[:2]):
+                assert [got[k].hex() for k in ks] == [want[k].hex() for k in ks]
+        assert (paired_calls > 0) == (blocks > 1)
+
+    def test_evaluate_rows_are_the_same_on_both_schedules(self, monkeypatch):
+        ds = generate_synthetic_dataset(60, 40, 4, 0.1, seed=2, interactions_per_user=5)
+        table = init_embeddings(60, 40, 8, seed=4)
+        set_block_rows(monkeypatch, 5, ds.num_users, ds.num_items)
+        threads = []
+
+        def recording_top_k_items(block, k):
+            threads.append(threading.current_thread().name)
+            return top_k_items(block, k)
+
+        monkeypatch.setattr(EVALUATE_MODULE, "top_k_items", recording_top_k_items)
+        kwargs = dict(ks=(1, 5, 20), users=range(0, 60, 2),
+                      extra_inference_edges=[(1, 3), (2, 7), (4, 0)], label="cold")
+        reports = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(schedule, "usable_cpus", lambda cpus=cpus: cpus)
+            threads.clear()
+            reports[cpus] = evaluate(table, ds, **kwargs)
+            on_worker = [t.startswith(schedule.THREAD_NAME_PREFIX) for t in threads]
+            assert any(on_worker) == (cpus == 2) and not all(on_worker)
+        serial, paired = reports[1].rows[0], reports[2].rows[0]
+        assert paired.num_users == serial.num_users > 5
+        assert paired == serial
+        for k in kwargs["ks"]:
+            assert paired.recall[k].hex() == serial.recall[k].hex()
+            assert paired.ndcg[k].hex() == serial.ndcg[k].hex()
+
+    def test_one_cpu_host_evaluates_without_a_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU host started a step pool")
+
+        ds = generate_synthetic_dataset(60, 40, 4, 0.1, seed=2, interactions_per_user=5)
+        table = init_embeddings(60, 40, 8, seed=4)
+        expected = evaluate(table, ds, ks=(1, 5, 20))
+        monkeypatch.setattr(schedule, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(schedule, "ThreadPoolExecutor", no_pool)
+        set_block_rows(monkeypatch, 5, ds.num_users, ds.num_items)
+        before = threading.active_count()
+        assert evaluate(table, ds, ks=(1, 5, 20)) == expected
+        assert threading.active_count() == before
 
 
 class TestEvaluate:

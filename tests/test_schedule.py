@@ -33,27 +33,6 @@ from taskhg.train import finetune, pretrain
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class CountingPool:
-    """A step pool that counts the halves handed to its worker."""
-
-    def __init__(self, pool):
-        self._pool = pool
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return self._pool.submit(fn, *args)
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    # Two CPUs as far as the schedule knows, so the pool exists on any host.
-    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
-    with schedule.step_pool() as real:
-        assert real is not None
-        yield CountingPool(real)
-
-
 def two_sided_instance(rng, **kwargs):
     """A random joint instance with auxiliary tasks on both sides."""
     while True:
