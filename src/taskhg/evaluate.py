@@ -154,9 +154,10 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     With a pool (see `schedule.step_pool`) and at least two blocks, the
     worker scores the even-numbered blocks and the calling thread the odd
     ones; without one, the calling thread scores them all in order. Each
-    block writes only its own users' columns of the per-user metrics and is
-    freed before its thread scores the next, so at most two blocks, about
-    11 MB each with their ranking scratch, are held at once.
+    thread scores its blocks into one block buffer made by the calling
+    thread, and each block writes only its own users' columns of the
+    per-user metrics, so at most two blocks, about 11 MB each with their
+    ranking scratch, are held at once.
 
     Each metric is computed for a whole block from one hit matrix, with the
     arithmetic of `recall_at_k` and `ndcg_at_k`: gains are summed in rank
@@ -180,20 +181,19 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     ndcg = np.empty((len(ks), count))
     step = max(1, SCORE_BLOCK_CELLS // n_items)
 
-    def score_blocks(starts):
+    def score_blocks(starts, buf):
         for lo in starts:
             hi = min(lo + step, count)
             chunk = users[lo:hi]
             rows = np.arange(hi - lo)
-            block = user_out[chunk] @ item_out.T
+            block = np.matmul(user_out[chunk], item_out.T, out=buf[: hi - lo])
             masked = seen[chunk]
             block[np.repeat(rows, np.diff(masked.indptr)), masked.indices] = -np.inf
             top = top_k_items(block, width)
-            del block  # freed before the test matrix is made: one block per thread
             is_test = np.zeros((hi - lo, n_items), dtype=bool)
             is_test[np.repeat(rows, n_test[lo:hi]), tests[chunk].indices] = True
             hit = np.take_along_axis(is_test, top, axis=1)
-            del is_test
+            del is_test  # freed before the next block is ranked
             hits = np.cumsum(hit, axis=1)
             dcg = np.cumsum(np.where(hit, disc, 0.0), axis=1)
             for j, (k, col) in enumerate(zip(ks, cols)):
@@ -201,10 +201,17 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
                 ndcg[j, lo:hi] = dcg[:, col] / ideal[np.minimum(k, n_test[lo:hi]) - 1]
 
     starts = range(0, count, step)
+    # The calling thread allocates the block buffers, so the worker's
+    # allocator arena never holds a block (see `schedule`).
     if pool is None or len(starts) < 2:
-        score_blocks(starts)
+        score_blocks(starts, np.empty((min(step, count), n_items)))
     else:
-        run_pair(pool, lambda: score_blocks(starts[0::2]), lambda: score_blocks(starts[1::2]))
+        first, second = np.empty((2, step, n_items))
+        run_pair(
+            pool,
+            lambda: score_blocks(starts[0::2], first),
+            lambda: score_blocks(starts[1::2], second),
+        )
     # Sequential sums, in user order: np.sum would add pairwise.
     recall_mean = {k: float(np.cumsum(recall[j])[-1] / count) for j, k in enumerate(ks)}
     ndcg_mean = {k: float(np.cumsum(ndcg[j])[-1] / count) for j, k in enumerate(ks)}

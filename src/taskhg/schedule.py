@@ -19,17 +19,16 @@ half first:
   backward with its L2 term;
 - the Adam update: the first half of its row slices, beside the second;
 - evaluation: the user encoder beside the item encoder, then the
-  even-numbered score blocks beside the odd-numbered ones, each block
-  scored, ranked and freed before its thread takes the next. The blocks
-  keep the rows of the serial schedule, since BLAS picks its kernel by
-  the product's shape.
+  even-numbered score blocks beside the odd-numbered ones, each thread
+  scoring and ranking one block at a time. The blocks keep the rows of
+  the serial schedule, since BLAS picks its kernel by the product's shape.
 
 On data whose auxiliary tasks are all item-side, as the synthetic
 generator makes them, only the user-side TA stack attends; stage 1 gives
 the calling thread the rest of the reverse work while the worker runs
 that stack. The calling thread
-allocates the arrays that outlive a pair, such as the L2 terms and the
-`au` Gram buffers: the allocator keeps what a thread frees for that
+allocates the arrays that outlive a pair, such as the L2 terms, the
+`au` Gram buffers and evaluation's score-block buffers: the allocator keeps what a thread frees for that
 thread's later use, so the worker's arena stays small. Each half makes
 its arrays with the same operations, in the same order, as the serial
 schedule, and the caller combines the results in a fixed order, so no
