@@ -33,7 +33,6 @@ from .io import (
 from .model import EmbeddingTable, init_embeddings
 from .protocols import cold_start_eval, run_ablation
 from .tasks import (
-    AttributeTable,
     NodeSide,
     TaskHypergraph,
     TaskKind,

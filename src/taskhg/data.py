@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from .errors import DataError
 from .hypergraph import csr_from_sorted
 from .tasks import (
-    AttributeTable,
     NodeSide,
     TaskHypergraph,
     build_attribute_hypergraph,
@@ -125,6 +124,14 @@ class InteractionDataset:
                 self.test_array[:, 0], self.test_array[:, 1], (self.num_users, self.num_items)
             )
         return self._test_incidence
+
+    def check_test_edges(self):
+        """Raise DataError unless there is a test edge to evaluate."""
+        if not len(self.test_array):
+            raise DataError(
+                "the dataset has no test edges to evaluate; a split never holds out "
+                "a user's only interaction"
+            )
 
     def check_table(self, table):
         """Raise DataError unless `table` has one row per user and per item."""
@@ -330,7 +337,7 @@ def generate_synthetic_dataset(
     )
     train, test = split_interactions(edges, train_fraction, seed)
     attr_task = build_attribute_hypergraph(
-        "item_block", NodeSide.ITEMS, AttributeTable(attr_records), bins=2, num_nodes=num_items
+        "item_block", NodeSide.ITEMS, *zip(*attr_records), bins=2, num_nodes=num_items
     )
     rel_task, _ = build_relation_hypergraph(
         "item_partners", NodeSide.ITEMS, relations, num_items

@@ -239,8 +239,6 @@ def evaluate(
     extra_inference_edges=None,
     label: str = "overall",
     seed: int = 0,
-    epochs_pretrain: int = 0,
-    epochs_finetune: int = 0,
 ) -> EvalReport:
     """Rank all items per user and report mean Recall@K / NDCG@K.
 
@@ -249,8 +247,7 @@ def evaluate(
     that pair are evaluated, with their edges masked from the ranking.
     """
     ks = check_eval_ks(ks)
-    if not len(dataset.test_array):
-        raise ValueError("evaluate requires a non-empty test set")
+    dataset.check_test_edges()
     dataset.check_table(table)
     if extra_inference_edges is None or not len(extra_inference_edges):
         rec_user_task, rec_item_task = dataset.rec_pair()
@@ -265,10 +262,4 @@ def evaluate(
         user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task, pool)
         recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known, pool)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
-    return EvalReport(
-        ks=ks,
-        rows=[row],
-        seed=seed,
-        epochs_pretrain=epochs_pretrain,
-        epochs_finetune=epochs_finetune,
-    )
+    return EvalReport(ks=ks, rows=[row], seed=seed)

@@ -6,17 +6,20 @@ File formats are line-oriented UTF-8 TSV:
   relations     anchor_id<TAB>comma-joined related ids
 
 A JSON manifest enumerates the auxiliary tasks; the recommendation task is
-implicit in the interactions file. Node ids may be arbitrary strings: any
-non-dense id space is densified deterministically and the mapping is
-persisted next to the data.
+implicit in the interactions file. Every file goes through one reader,
+which returns its two columns, and every id column is mapped with one call.
+Node ids may be arbitrary strings: any non-dense id space is densified
+deterministically and the mapping is persisted next to the data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,6 @@ from .evaluate import EvalReport
 from .hypergraph import sorted_unique
 from .model import EmbeddingTable
 from .tasks import (
-    AttributeTable,
     NodeSide,
     TaskKind,
     build_attribute_hypergraph,
@@ -153,57 +155,65 @@ class DatasetStats:
         ]
 
 
-def _read_tsv(path: Path, num_fields: int):
+def _read_pairs(root: Path, name: str, continuous: bool = False):
+    """The two tab-separated fields of every line of `root / name`, as two lists.
+
+    Lines are those of `str.splitlines` after `read_text` has turned CRLF
+    and CR into LF; blank ones are skipped. A check over the joined lines'
+    tabs and LFs finds every line well formed, and one `split` takes all the
+    fields; only when it fails does a line scan name the first bad line.
+    With `continuous`, the second fields are returned as floats; one that is
+    not a finite float raises DataError naming `name` and its line.
+    """
+    path = root / name
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != num_fields:
-            raise DataError(
-                f"{path}:{lineno}: expected {num_fields} tab-separated fields, got {line!r}"
-            )
-        rows.append((lineno, fields))
-    return rows
+    lines = text.splitlines()
+    records = "\n".join(filter(None, lines))
+    if not records:
+        return [], []
+    seps = np.frombuffer(records.encode("utf-8"), dtype=np.uint8)
+    seps = seps[(seps == 9) | (seps == 10)]
+    # Tab, LF, tab, ..., LF, tab: exactly one tab on every line.
+    if not (len(seps) % 2 and (seps[0::2] == 9).all() and (seps[1::2] == 10).all()):
+        for lineno, line in enumerate(lines, start=1):
+            if line and line.count("\t") != 1:
+                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {line!r}")
+    fields = records.replace("\n", "\t").split("\t")
+    keys, values = fields[0::2], fields[1::2]
+    if continuous:
+        linenos = (n for n, line in enumerate(lines, start=1) if line)
+        for record, (lineno, raw) in enumerate(zip(linenos, values)):
+            try:
+                values[record] = float(raw)
+            except ValueError:
+                values[record] = math.nan
+            if not math.isfinite(values[record]):
+                raise DataError(f"{name}:{lineno}: bad continuous value {raw!r}")
+    return keys, values
 
 
-# The line breaks of `str.splitlines` other than LF.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _read_pairs(path: Path):
-    """The two fields of every line of a two-field TSV, as two lists of strings.
-
-    Reads what `_read_tsv` reads. A UTF-8 text whose every line ends in LF
-    and holds exactly one tab is split in one pass; any other text, or a
-    file that cannot be read, goes through `_read_tsv`, which skips blank
-    lines, takes every `str.splitlines` break and names a malformed line.
-    """
-    try:
-        raw = path.read_bytes()
-        text = raw.decode("utf-8")
-    except (OSError, UnicodeDecodeError):
-        text = None
-    if text is not None and raw.endswith(b"\n") and not any(c in text for c in _OTHER_BREAKS):
-        codes = np.frombuffer(raw, dtype=np.uint8)
-        seps = codes[(codes == 9) | (codes == 10)]
-        # Tab, LF, tab, LF, ...: one tab in every line and no blank line.
-        if (seps[0::2] == 9).all() and (seps[1::2] == 10).all():
-            fields = text[:-1].replace("\n", "\t").split("\t")
-            return fields[0::2], fields[1::2]
-    rows = _read_tsv(path, 2)
-    return [u for _, (u, _) in rows], [i for _, (_, i) in rows]
+def _read_task(root: Path, decl: TaskDeclaration):
+    """A task file as (raw ids, values): an attribute task's nodes and their
+    values, or a relation task's anchors followed by every record's related
+    ids, and each record's count of related ids."""
+    if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
+        nodes, values = _read_pairs(root, decl.path, decl.value_kind == "continuous")
+        if not nodes:
+            raise DataError(f"attribute file {decl.path} for task {decl.task_id!r} is empty")
+        return nodes, values
+    anchors, related = _read_pairs(root, decl.path)
+    members = [[r for r in text.split(",") if r] for text in related]
+    return anchors + [r for m in members for r in m], [len(m) for m in members]
 
 
 class _IdMapper:
     """Deterministic raw-id -> dense-index assignment for one entity side."""
 
-    def __init__(self, raw_ids):
-        raw_ids = set(raw_ids)
+    def __init__(self, *columns):
+        raw_ids = set().union(*columns)
         as_int = None
         try:
             as_int = {r: int(r) for r in raw_ids}
@@ -212,29 +222,17 @@ class _IdMapper:
         # Ids such as "00" or "+1" are distinct strings, so only canonical
         # ones ("0", "1", ...) may stand for their own index.
         canonical = as_int is not None and all(str(v) == r for r, v in as_int.items())
-        if canonical and set(as_int.values()) == set(range(len(as_int))):
-            self.identity = True
-            self.count = len(as_int)
-            self.mapping = None
-        else:
-            self.identity = False
-            if as_int is not None:
-                ordered = sorted(raw_ids, key=lambda r: (as_int[r], r))
-            else:
-                ordered = sorted(raw_ids)
-            self.mapping = {raw: idx for idx, raw in enumerate(ordered)}
-            self.count = len(ordered)
-
-    def index(self, raw: str) -> int:
+        self.identity = canonical and set(as_int.values()) == set(range(len(as_int)))
         if self.identity:
-            return int(raw)
-        return self.mapping[raw]
+            self.mapping = as_int
+        else:
+            key = None if as_int is None else lambda r: (as_int[r], r)
+            self.mapping = {raw: idx for idx, raw in enumerate(sorted(raw_ids, key=key))}
+        self.count = len(self.mapping)
 
     def indices(self, column) -> np.ndarray:
-        """`index` of every id in `column` as an int64 array; each distinct id
-        is mapped once."""
-        index = {raw: self.index(raw) for raw in dict.fromkeys(column)}
-        return np.fromiter(map(index.__getitem__, column), dtype=np.int64, count=len(column))
+        """The dense index of every raw id in `column`, as an int64 array."""
+        return np.fromiter(map(self.mapping.__getitem__, column), dtype=np.int64, count=len(column))
 
     def persist(self, path: Path):
         # Concurrent readers must never see a partial map: write only on a
@@ -268,33 +266,12 @@ def load_dataset(
     root = Path(root)
     if not isinstance(manifest, TaskManifest):
         manifest = parse_manifest(root / manifest if not Path(manifest).is_absolute() else manifest)
-    user_column, item_column = _read_pairs(root / manifest.interactions_path)
+    user_column, item_column = _read_pairs(root, manifest.interactions_path)
     if not user_column:
         raise DataError(f"interactions file {manifest.interactions_path} is empty")
-
-    raw_users = list(user_column)
-    raw_items = list(item_column)
-    task_rows = {}
-    for decl in manifest.tasks:
-        if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
-            rows = _read_tsv(root / decl.path, 2)
-            if not rows:
-                raise DataError(f"attribute file {decl.path} for task {decl.task_id!r} is empty")
-            ids = [n for _, (n, _) in rows]
-        else:
-            rows = _read_tsv(root / decl.path, 2)
-            ids = []
-            for _, (anchor, related) in rows:
-                ids.append(anchor)
-                ids.extend(r for r in related.split(",") if r)
-        task_rows[decl.task_id] = rows
-        if decl.side == NodeSide.USERS:
-            raw_users.extend(ids)
-        else:
-            raw_items.extend(ids)
-
-    users = _IdMapper(raw_users)
-    items = _IdMapper(raw_items)
+    tables = [(decl, *_read_task(root, decl)) for decl in manifest.tasks]
+    users = _IdMapper(user_column, *(ids for d, ids, _ in tables if d.side == NodeSide.USERS))
+    items = _IdMapper(item_column, *(ids for d, ids, _ in tables if d.side == NodeSide.ITEMS))
     users.persist(root / "idmap.users.tsv")
     items.persist(root / "idmap.items.tsv")
 
@@ -305,41 +282,26 @@ def load_dataset(
     total_attributes = 0
     total_relations = 0
     total_skipped = 0
-    for decl in manifest.tasks:
+    for decl, ids, values in tables:
         mapper = users if decl.side == NodeSide.USERS else items
-        rows = task_rows[decl.task_id]
+        index = mapper.indices(ids).tolist()
         if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
-            records = []
-            if decl.value_kind == "continuous":
-                for lineno, (node, value) in rows:
-                    try:
-                        records.append((mapper.index(node), float(value)))
-                    except ValueError as exc:
-                        raise DataError(
-                            f"{decl.path}:{lineno}: bad continuous value {value!r}"
-                        ) from exc
-            else:
-                records = [(mapper.index(node), value) for _, (node, value) in rows]
-            total_attributes += len(records)
+            total_attributes += len(index)
             task = build_attribute_hypergraph(
-                decl.task_id,
-                decl.side,
-                AttributeTable(records, decl.value_kind),
-                decl.bins or quantization_bins,
-                mapper.count,
+                decl.task_id, decl.side, index, values, decl.bins or quantization_bins,
+                mapper.count, decl.value_kind,
             )
-            aux_tasks.append(task)
         else:
-            relations = []
-            for _, (anchor, related) in rows:
-                related_set = {mapper.index(r) for r in related.split(",") if r}
-                relations.append((mapper.index(anchor), related_set))
+            # `values` holds each record's count of related ids, whose
+            # indices follow the anchors' in `index`.
+            related = iter(index[len(values):])
+            relations = [(a, set(islice(related, n))) for a, n in zip(index, values)]
             task, skipped = build_relation_hypergraph(
                 decl.task_id, decl.side, relations, mapper.count
             )
             total_relations += task.graph.num_hyperedges
             total_skipped += skipped
-            aux_tasks.append(task)
+        aux_tasks.append(task)
 
     if train_fraction is not None:
         train, test = split_interactions(edges, train_fraction, split_seed)

@@ -70,9 +70,6 @@ class AdamState:
                 v = self.second_moment[name][rs]
                 self._update_rows(g, m, v, params[name][rs], bc1, bc2, scratch)
 
-        if pool is None or len(slices) < 2:
-            update(slices, self.scratch[0])
-            return
         half = len(slices) // 2
         run_pair(
             pool,

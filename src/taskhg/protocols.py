@@ -43,6 +43,7 @@ def run_ablation(dataset: InteractionDataset, config: TrainConfig) -> EvalReport
     `loss/<pretrain>+<finetune>` in LOSS_GRID order.
     """
     config.validate()
+    dataset.check_test_edges()
     rows = [
         _run_cell(dataset, replace(config, ta_variant=variant), f"ta/ta={variant.value}")
         for variant in TA_VARIANT_GRID
@@ -78,6 +79,7 @@ def cold_start_eval(
     config.validate()
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+    dataset.check_test_edges()
     rng = rng_for(config.seed, STREAM_COLD)
     n_cold = int(round(ratio * dataset.num_users))
     if n_cold < 1 or n_cold >= dataset.num_users:
@@ -90,6 +92,11 @@ def cold_start_eval(
     reduced_train = dataset.train_array[~withheld_rows]
     if not len(reduced_train):
         raise DataError("cold-start removal left no training interactions")
+    if not np.isin(withheld[:, 0], dataset.test_array[:, 0]).any():
+        raise DataError(
+            f"ratio {ratio} leaves no cold user with both a train edge to withhold and "
+            f"a test edge to evaluate ({n_cold} cold users)"
+        )
     rows = []
     for label, aux_tasks in (("full", dataset.auxiliary_tasks), ("no_auxiliary", [])):
         train_ds = InteractionDataset(

@@ -46,22 +46,6 @@ class TaskHypergraph:
     hyperedge_labels: tuple[str, ...] | None = None
 
 
-@dataclass
-class AttributeTable:
-    """Raw (node_index, value) records for one attribute task.
-
-    value_kind is "categorical" (values used verbatim as labels) or
-    "continuous" (values quantized into uniform-width bins).
-    """
-
-    records: list
-    value_kind: str = "categorical"
-
-    def __post_init__(self):
-        if self.value_kind not in ("categorical", "continuous"):
-            raise ValueError(f"unknown value_kind: {self.value_kind!r}")
-
-
 def build_recommendation_hypergraphs(interactions, num_users: int, num_items: int):
     """Build the transposed pair of recommendation hypergraphs.
 
@@ -105,25 +89,28 @@ def build_relation_hypergraph(task_id: str, side: NodeSide, relations, num_nodes
 
 
 def build_attribute_hypergraph(
-    task_id: str, side: NodeSide, attrs: AttributeTable, bins: int, num_nodes: int
+    task_id: str, side: NodeSide, nodes, values, bins: int, num_nodes: int,
+    value_kind: str = "categorical",
 ) -> TaskHypergraph:
     """Build an attribute-prediction hypergraph; one hyperedge per value.
 
-    Continuous values are first quantized into `bins` uniform-width bins
-    over the observed range; hyperedges are created for the values (or
-    bins) that actually occur, in canonical label order.
+    `nodes[k]` holds `values[k]`. A "categorical" value is its own label; a
+    "continuous" one is quantized into `bins` uniform-width bins over the
+    observed range, labelled `bin_<b>`. Hyperedges are created for the
+    labels that actually occur, in canonical order: sorted strings, or
+    ascending bin numbers. Any other value_kind raises ValueError.
     """
-    if attrs.value_kind == "continuous":
-        values = [v for _, v in attrs.records]
+    if value_kind == "continuous":
         bin_idx = quantize_continuous(values, bins)
-        labeled = [(int(n), f"bin_{b}") for (n, _), b in zip(attrs.records, bin_idx)]
-        occurring = sorted({b for b in bin_idx})
-        labels = [f"bin_{b}" for b in occurring]
+        names = [f"bin_{b}" for b in bin_idx]
+        labels = [f"bin_{b}" for b in sorted(set(bin_idx))]
+    elif value_kind == "categorical":
+        names = [str(v) for v in values]
+        labels = sorted(set(names))
     else:
-        labeled = [(int(n), str(v)) for n, v in attrs.records]
-        labels = sorted({label for _, label in labeled})
+        raise ValueError(f"unknown value_kind: {value_kind!r}")
     edge_index = {label: k for k, label in enumerate(labels)}
-    memberships = [(n, edge_index[label]) for n, label in labeled]
+    memberships = [(int(n), edge_index[name]) for n, name in zip(nodes, names)]
     graph = build_hypergraph(memberships, num_nodes, len(labels))
     return TaskHypergraph(
         task_id, TaskKind.ATTRIBUTE_PREDICTION, side, graph, tuple(labels)

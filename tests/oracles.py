@@ -339,22 +339,27 @@ def _id_map(raw_ids):
     return {raw: idx for idx, raw in enumerate(ordered)}
 
 
-def load_interactions(root, train_fraction=None, seed=0):
-    """Line-by-line reading of `interactions.tsv` in a dataset without
-    auxiliary tasks: `str.splitlines`, blank lines skipped, two tab-separated
-    fields per line, one id-map lookup per line.
-
-    Returns (num_users, num_items, train set, test set, id-map texts keyed
-    by file name, None where no map is written).
-    """
-    path = Path(root) / "interactions.tsv"
+def read_pairs(path):
+    """Line-by-line reading of a dataset TSV: `str.splitlines`, blank lines
+    skipped, two tab-separated fields per line. Returns the rows as lists."""
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if line:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {line!r}")
             rows.append(fields)
+    return rows
+
+
+def load_interactions(root, train_fraction=None, seed=0):
+    """Line-by-line reading of `interactions.tsv` in a dataset without
+    auxiliary tasks: `read_pairs`, then one id-map lookup per line.
+
+    Returns (num_users, num_items, train set, test set, id-map texts keyed
+    by file name, None where no map is written).
+    """
+    rows = read_pairs(Path(root) / "interactions.tsv")
     maps = [_id_map(column) for column in zip(*rows)]
     edges = {
         tuple(int(raw) if m is None else m[raw] for raw, m in zip(row, maps)) for row in rows

@@ -10,10 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import taskhg.protocols
 import taskhg.train
 from taskhg.cli import _config_from, build_parser, main
 from taskhg.config import LossKind, TAVariant, TrainConfig
-from taskhg.io import _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from taskhg.io import (
+    _HEADER,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)
+from taskhg.model import EmbeddingTable
 
 TRAIN_FLAGS = [
     "--dim", "8", "--epochs-pretrain", "3", "--epochs-finetune", "3",
@@ -33,6 +41,21 @@ def run_cli_process(args):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
     )
+
+
+def write_interactions(tmp_path, edges):
+    """A dataset directory holding only `edges` as its interactions file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "interactions.tsv").write_text("".join(f"{u}\t{i}\n" for u, i in edges))
+    (data / "manifest.json").write_text(
+        json.dumps({"version": 1, "interactions": "interactions.tsv"})
+    )
+    return data
+
+
+def refuse_to_train(*args, **kwargs):
+    raise AssertionError("pretrain ran")
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +444,44 @@ class TestExitCodes:
             f"error: {ckpt}: item row 19 holds a non-finite value"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "coldstart"])
+    def test_split_without_test_edges_is_two_before_training(self, tmp_path, command,
+                                                             monkeypatch, capsys):
+        # Every user has one interaction, and a split never holds that out.
+        data = write_interactions(tmp_path, [(0, 0), (1, 1), (2, 0), (3, 1)])
+        ckpt = tmp_path / "pre.ckpt"
+        save_checkpoint(EmbeddingTable(np.ones((4, 2)), np.ones((2, 2))), TrainConfig(dim=2), ckpt)
+        monkeypatch.setattr(taskhg.protocols, "pretrain", refuse_to_train)
+        report = tmp_path / "report.tsv"
+        flags = {"evaluate": ["--checkpoint", str(ckpt)],
+                 "ablate": ["--seed", "1"],
+                 "coldstart": ["--seed", "1", "--ratio", "0.5"]}[command]
+        code = run_cli([command, "--data", str(data), "--report", str(report), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: the dataset has no test edges to evaluate; "
+            "a split never holds out a user's only interaction"
+        )
+        assert not report.exists()
+
+    def test_coldstart_without_an_evaluable_cold_user_is_two_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Only user 0 has more than one interaction, so only user 0 can hold a
+        # test edge; under seed 1 the one cold user is user 8.
+        data = write_interactions(tmp_path, [(0, 0), (0, 1), (0, 2)]
+                                  + [(u, u % 3) for u in range(1, 10)])
+        monkeypatch.setattr(taskhg.protocols, "pretrain", refuse_to_train)
+        report = tmp_path / "cold.tsv"
+        code = run_cli(["coldstart", "--data", str(data), "--seed", "1", "--ratio", "0.1",
+                        "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: ratio 0.1 leaves no cold user with both a train edge to withhold "
+            "and a test edge to evaluate (1 cold users)"
+        )
+        assert not report.exists()
 
     def test_help_is_zero(self):
         proc = run_cli_process(["--help"])

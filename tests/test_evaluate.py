@@ -386,7 +386,7 @@ class TestEvaluate:
     def test_requires_test_edges(self):
         ds = InteractionDataset(2, 2, {(0, 0), (1, 1)}, set(), [])
         table = EmbeddingTable(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="no test edges"):
             evaluate(table, ds, ks=(1,))
 
     def test_perfect_model_perfect_metrics(self):

@@ -216,7 +216,19 @@ class TestLoadDataset:
         assert task.graph.num_hyperedges == 2
         assert task.hyperedge_labels == ("bin_0", "bin_1")
 
-    def test_bad_continuous_value_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("0\tnot-a-number\n", "r.tsv:1: bad continuous value 'not-a-number'"),
+            ("0\tinf\n", "r.tsv:1: bad continuous value 'inf'"),
+            ("0\t1\n1\t-inf\n", "r.tsv:2: bad continuous value '-inf'"),
+            ("0\tnan\n", "r.tsv:1: bad continuous value 'nan'"),
+            ("0\t1e400\n", "r.tsv:1: bad continuous value '1e400'"),
+            ("\n0\t1\n\n\n1\tinf\n", "r.tsv:5: bad continuous value 'inf'"),
+        ],
+        ids=["not-a-number", "inf", "minus-inf", "nan", "overflow", "after-blank-lines"],
+    )
+    def test_bad_continuous_value_reports_line(self, tmp_path, text, named):
         root = write_dataset(
             tmp_path,
             "0\t0\n",
@@ -224,10 +236,11 @@ class TestLoadDataset:
                 "id": "rating", "kind": "attribute", "side": "items",
                 "path": "r.tsv", "value_kind": "continuous",
             }],
-            files=[("r.tsv", "0\tnot-a-number\n")],
+            files=[("r.tsv", text)],
         )
-        with pytest.raises(DataError, match="r.tsv:1"):
+        with pytest.raises(DataError) as got:
             load_dataset(root, "manifest.json")
+        assert str(got.value) == named
 
     def test_split_applied_when_requested(self, tmp_path):
         lines = "".join(f"{u}\t{i}\n" for u in range(5) for i in range(4))
@@ -269,6 +282,67 @@ def id_map_texts(root):
     }
 
 
+KIND_FILES = {"interactions": "interactions.tsv", "attribute": "cat.tsv", "relation": "rel.tsv"}
+KIND_TASKS = {
+    "interactions": [],
+    "attribute": [{"id": "cat", "kind": "attribute", "side": "items", "path": "cat.tsv"}],
+    "relation": [{"id": "rel", "kind": "relation", "side": "users", "path": "rel.tsv"}],
+}
+
+
+def dataset_with(root, kind, text):
+    """A dataset whose `kind` file holds `text`: the interactions file alone,
+    or two LF interactions plus one attribute or relation task."""
+    write_dataset(root, "0\t0\n1\t1\n", tasks=KIND_TASKS[kind])
+    (root / KIND_FILES[kind]).write_text(text, encoding="utf-8")
+    return root
+
+
+def loaded(root):
+    """Everything `load_dataset` gives for `root`: splits, tasks, labels,
+    statistics and id maps."""
+    dataset, stats = load_dataset(root, "manifest.json")
+    tasks = [
+        (t.task_id, t.graph.incidence.toarray().tolist(), t.hyperedge_labels)
+        for t in dataset.auxiliary_tasks
+    ]
+    return (dataset.train_array.tolist(), dataset.test_array.tolist(), tasks, stats.lines(),
+            stats.relation_records_skipped, id_map_texts(root))
+
+
+def each_kind(texts):
+    """(kind, text) cases for every file kind; the interactions file keeps the bare id."""
+    return [
+        pytest.param(kind, text, id=name if kind == "interactions" else f"{kind}-{name}")
+        for kind in KIND_FILES
+        for name, text in texts.items()
+    ]
+
+
+UNUSUAL_TEXTS = each_kind({
+    "crlf": "0\t0\r\n1\t1\r\n0\t1\r\n",
+    "blank-lines": "0\t0\n\n1\t1\n\n\n0\t1\n",
+    "leading-blank-line": "\n0\t0\n1\t1\n",
+    "cr-only": "0\t0\r1\t1\r0\t1\r",
+    "form-feed": "0\t0\x0c1\t1\n0\t1\n",
+    "next-line": "0\t0\x851\t1\n0\t1\n",
+    "line-separator": "0\t0\u20281\t1\n0\t1\n",
+    "record-separator": "0\t0\x1e1\t1\n0\t1\n",
+    "no-final-newline": "0\t0\n1\t1\n0\t1",
+    "nul": "0\t0\n1\x00\t1\n0\x00\x00\t\x001\n",
+    "empty-fields": "\t\n0\t\n",
+})
+MALFORMED_TEXTS = each_kind({
+    "one-field": "0\t0\n1\n1\t1\n",
+    "three-fields": "0\t0\n1\t1\t1\n0\t1\n",
+    "last-line-one-field": "0\t0\n1\t1\n2\n",
+    "form-feed-in-id": "0\tab\x0ccd\n",
+    "paragraph-separator-in-id": "0\tab\u2029cd\n",
+    "crlf-three-fields": "0\t0\r\n1\t1\t2\r\n",
+    "after-blank-lines": "0\t0\n\n\n1\n",
+})
+
+
 class TestInteractionParsing:
     @pytest.mark.parametrize("kind", list(ID_KINDS))
     @pytest.mark.parametrize("train_fraction", [None, 0.7])
@@ -303,54 +377,28 @@ class TestInteractionParsing:
         assert loaded["lf"][0] == [[0, 1], [1, 0]]
         assert loaded["lf"][2]["idmap.items.tsv"] == "a\t0\nb\t1\nq\t2\n"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "0\t0\r\n1\t1\r\n0\t1\r\n",
-            "0\t0\n\n1\t1\n\n\n0\t1\n",
-            "\n0\t0\n1\t1\n",
-            "0\t0\r1\t1\r0\t1\r",
-            "0\t0\x0c1\t1\n0\t1\n",
-            "0\t0\x851\t1\n0\t1\n",
-            "0\t0\u20281\t1\n0\t1\n",
-            "0\t0\x1e1\t1\n0\t1\n",
-            "0\t0\n1\t1\n0\t1",
-            "0\t0\n1\x00\t1\n0\x00\x00\t\x001\n",
-            "\t\n0\t\n",
-        ],
-        ids=["crlf", "blank-lines", "leading-blank-line", "cr-only", "form-feed", "next-line",
-             "line-separator", "record-separator", "no-final-newline", "nul", "empty-fields"],
-    )
-    def test_unusual_text_reads_as_the_reference(self, tmp_path, text):
-        root = write_dataset(tmp_path, text)
-        dataset, stats = load_dataset(root, "manifest.json")
-        want = oracles.load_interactions(root)
-        assert_same_dataset(dataset, want)
-        assert stats.num_interactions == len(want[2])
-        assert id_map_texts(root) == want[4]
+    @pytest.mark.parametrize("kind, text", UNUSUAL_TEXTS)
+    def test_unusual_text_reads_as_the_reference(self, tmp_path, kind, text):
+        root = dataset_with(tmp_path / "text", kind, text)
+        lf = dataset_with(tmp_path / "lf", kind, "".join(f"{line}\n" for line in text.splitlines() if line))
+        assert loaded(root) == loaded(lf)
+        if kind == "interactions":
+            dataset, stats = load_dataset(root, "manifest.json")
+            want = oracles.load_interactions(root)
+            assert_same_dataset(dataset, want)
+            assert stats.num_interactions == len(want[2])
+            assert id_map_texts(root) == want[4]
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "0\t0\n1\n1\t1\n",
-            "0\t0\n1\t1\t1\n0\t1\n",
-            "0\t0\n1\t1\n2\n",
-            "0\tab\x0ccd\n",
-            "0\tab\u2029cd\n",
-            "0\t0\r\n1\t1\t2\r\n",
-            "0\t0\n\n\n1\n",
-        ],
-        ids=["one-field", "three-fields", "last-line-one-field", "form-feed-in-id",
-             "paragraph-separator-in-id", "crlf-three-fields", "after-blank-lines"],
-    )
-    def test_malformed_line_named_as_the_reference(self, tmp_path, text):
-        root = write_dataset(tmp_path, text)
+    @pytest.mark.parametrize("kind, text", MALFORMED_TEXTS)
+    def test_malformed_line_named_as_the_reference(self, tmp_path, kind, text):
+        root = dataset_with(tmp_path, kind, text)
+        path = root / KIND_FILES[kind]
         with pytest.raises(DataError) as want:
-            oracles.load_interactions(root)
+            oracles.read_pairs(path)
         with pytest.raises(DataError) as got:
             load_dataset(root, "manifest.json")
         assert str(got.value) == str(want.value)
-        assert "interactions.tsv:" in str(got.value)
+        assert str(got.value).startswith(f"{path}:")
 
     def test_file_that_is_not_utf8_is_named(self, tmp_path):
         root = write_dataset(tmp_path, "")

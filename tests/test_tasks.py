@@ -3,7 +3,6 @@ import pytest
 
 from taskhg.errors import ConstructionError, DataError
 from taskhg.tasks import (
-    AttributeTable,
     NodeSide,
     TaskKind,
     build_attribute_hypergraph,
@@ -75,49 +74,57 @@ class TestRelation:
         with pytest.raises(ConstructionError):
             build_relation_hypergraph("rel", NodeSide.ITEMS, [(0, {9})], 3)
 
+    def test_labels_sort_as_strings(self):
+        # The label order fixes the hyperedge indices, and with them every
+        # negative hyperedge drawn in training: "10,11" sorts before "2,3".
+        task, _ = build_relation_hypergraph(
+            "rel", NodeSide.ITEMS, [(2, {3}), (10, {11}), (20, {1})], 21
+        )
+        assert task.hyperedge_labels == ("1,20", "10,11", "2,3")
+        members = [np.flatnonzero(col).tolist() for col in task.graph.incidence.toarray().T]
+        assert members == [[1, 20], [10, 11], [2, 3]]
+
 
 class TestAttribute:
     def test_categorical_grouping(self):
-        attrs = AttributeTable([(0, "toys"), (1, "toys"), (2, "books")])
-        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, attrs, 5, 3)
+        task = build_attribute_hypergraph(
+            "cat", NodeSide.ITEMS, [0, 1, 2], ["toys", "toys", "books"], 5, 3
+        )
         assert task.hyperedge_labels == ("books", "toys")
         assert sorted(task.graph.hyperedge_degrees.tolist()) == [1, 2]
 
     def test_single_shared_value(self):
-        attrs = AttributeTable([(n, "x") for n in range(4)])
-        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, attrs, 5, 4)
+        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, range(4), ["x"] * 4, 5, 4)
         assert task.graph.num_hyperedges == 1
         assert task.graph.hyperedge_degrees.tolist() == [4]
 
     def test_multi_valued_node(self):
-        attrs = AttributeTable([(0, "a"), (0, "b")])
-        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, attrs, 5, 1)
+        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, [0, 0], ["a", "b"], 5, 1)
         assert task.graph.node_degrees.tolist() == [2]
 
     def test_degree_sum_equals_distinct_records(self):
-        attrs = AttributeTable([(0, "a"), (0, "a"), (1, "a"), (2, "b")])
-        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, attrs, 5, 3)
+        task = build_attribute_hypergraph(
+            "cat", NodeSide.ITEMS, [0, 0, 1, 2], ["a", "a", "a", "b"], 5, 3
+        )
         assert task.graph.hyperedge_degrees.sum() == 3
 
     def test_continuous_binning(self):
-        attrs = AttributeTable([(n, v) for n, v in enumerate([1.0, 2.0, 3.0, 4.0, 5.0])],
-                               value_kind="continuous")
-        task = build_attribute_hypergraph("rating", NodeSide.ITEMS, attrs, 5, 5)
+        task = build_attribute_hypergraph(
+            "rating", NodeSide.ITEMS, range(5), [1.0, 2.0, 3.0, 4.0, 5.0], 5, 5, "continuous"
+        )
         assert task.graph.num_hyperedges == 5
         assert task.hyperedge_labels == ("bin_0", "bin_1", "bin_2", "bin_3", "bin_4")
 
     def test_order_invariant(self):
-        records = [(0, "b"), (1, "a"), (2, "b"), (3, "c")]
-        a = build_attribute_hypergraph("cat", NodeSide.ITEMS, AttributeTable(records), 5, 4)
-        b = build_attribute_hypergraph(
-            "cat", NodeSide.ITEMS, AttributeTable(records[::-1]), 5, 4
-        )
+        nodes, values = [0, 1, 2, 3], ["b", "a", "b", "c"]
+        a = build_attribute_hypergraph("cat", NodeSide.ITEMS, nodes, values, 5, 4)
+        b = build_attribute_hypergraph("cat", NodeSide.ITEMS, nodes[::-1], values[::-1], 5, 4)
         assert np.array_equal(a.graph.incidence.toarray(), b.graph.incidence.toarray())
         assert a.hyperedge_labels == b.hyperedge_labels
 
     def test_bad_value_kind(self):
-        with pytest.raises(ValueError):
-            AttributeTable([(0, "a")], value_kind="ordinal")
+        with pytest.raises(ValueError, match="unknown value_kind: 'ordinal'"):
+            build_attribute_hypergraph("cat", NodeSide.ITEMS, [0], ["a"], 5, 1, "ordinal")
 
 
 class TestQuantize:
