@@ -149,10 +149,11 @@ def alignment_grad(user_out, item_out, users, items):
 def bpr_grad(user_out, item_out, users, pos, neg):
     n = len(users)
     u = user_out[users]
-    margins = (u * (item_out[pos] - item_out[neg])).sum(axis=1)
+    gap = item_out[pos] - item_out[neg]
+    margins = (u * gap).sum(axis=1)
     loss = float(-log_sigmoid(margins).sum()) / n
     coef = (-sigmoid(-margins) / n)[:, None]
-    g_user = _scatter_rows(len(user_out), users, coef * (item_out[pos] - item_out[neg]))
+    g_user = _scatter_rows(len(user_out), users, coef * gap)
     # Each item row adds its positive terms, then its negative ones.
     g_item = _scatter_rows(
         len(item_out), np.concatenate([pos, neg]), np.concatenate([coef * u, -coef * u])
@@ -214,36 +215,58 @@ def _uniformity_grad(hat_rows, gram=None):
     return value, g_hat
 
 
+class _SphereRows:
+    """One side of the `au` loss: the batch's sorted unique rows of one table.
+
+    `inv` maps each pair to its row among them. The Gram buffer and the
+    table-sized zero gradient are made here, on the thread that builds
+    the side; `au_grad` builds both on the calling thread.
+    """
+
+    def __init__(self, out, batch):
+        self.rows, self.inv = np.unique(batch, return_inverse=True)
+        self.hat, self.norms = _normalize_with_cache(out[self.rows])
+        self.gram = np.empty((len(self.rows), len(self.rows)))
+        self.grad = np.zeros_like(out)
+
+    def uniformity(self):
+        self.value, self.g_unif = _uniformity_grad(self.hat, self.gram)
+
+    def reverse(self, uniformity_weight):
+        self.g_hat += (0.5 * uniformity_weight) * self.g_unif
+        self.grad[self.rows] = _norm_backward(self.g_hat, self.hat, self.norms)
+
+
 def au_grad(user_out, item_out, users, items, uniformity_weight, pool=None):
     """Alignment plus uniformity on the unit sphere.
 
-    The two uniformity terms run as a pair on `pool`, the user side on its
-    worker. This thread allocates both Gram buffers, so the worker never
-    frees an (n, n) array into its own allocator arena.
+    Only the batch's unique rows are normalized and go through the
+    normalization's reverse. Every step works row by row, so the bits are
+    those of the same arithmetic over both whole tables, in which the rows
+    outside the batch get exact zeros.
+
+    With a `pool`, the side with more unique rows computes its uniformity
+    term on the worker. This thread computes the other side's term, the
+    alignment term and that side's reverse, then the worker side's reverse
+    once the pair is done.
     """
     n = len(users)
-    user_hat, user_norms = _normalize_with_cache(user_out)
-    item_hat, item_norms = _normalize_with_cache(item_out)
-    diff = user_hat[users] - item_hat[items]
-    align = float((diff**2).sum()) / n
-    g_user_hat = _scatter_rows(len(user_out), users, (2.0 / n) * diff)
-    g_item_hat = _scatter_rows(len(item_out), items, -(2.0 / n) * diff)
-    uu = np.unique(users)
-    ii = np.unique(items)
-    u_rows, i_rows = user_hat[uu], item_hat[ii]
-    u_gram = np.empty((len(uu), len(uu)))
-    i_gram = np.empty((len(ii), len(ii)))
-    (u_val, u_g), (i_val, i_g) = run_pair(
-        pool,
-        lambda: _uniformity_grad(u_rows, u_gram),
-        lambda: _uniformity_grad(i_rows, i_gram),
-    )
-    g_user_hat[uu] += (0.5 * uniformity_weight) * u_g
-    g_item_hat[ii] += (0.5 * uniformity_weight) * i_g
-    loss = align + uniformity_weight * 0.5 * (u_val + i_val)
-    g_user = _norm_backward(g_user_hat, user_hat, user_norms)
-    g_item = _norm_backward(g_item_hat, item_hat, item_norms)
-    return loss, g_user, g_item
+    user = _SphereRows(user_out, users)
+    item = _SphereRows(item_out, items)
+    larger, smaller = (user, item) if len(user.rows) >= len(item.rows) else (item, user)
+
+    def smaller_half():
+        smaller.uniformity()
+        diff = user.hat[user.inv] - item.hat[item.inv]
+        user.g_hat = _scatter_rows(len(user.rows), user.inv, (2.0 / n) * diff)
+        item.g_hat = _scatter_rows(len(item.rows), item.inv, -(2.0 / n) * diff)
+        smaller.reverse(uniformity_weight)
+        return float((diff**2).sum()) / n
+
+    _, align = run_pair(pool, larger.uniformity, smaller_half)
+    larger.reverse(uniformity_weight)
+    loss = align + uniformity_weight * 0.5 * (user.value + item.value)
+    return loss, user.grad, item.grad
 
 
 def rec_loss_grad(
@@ -377,7 +400,7 @@ def pretrain_loss_and_grad(
     gradient; a head with no batch this step gets a zero gradient.
 
     With a `pool` (see `taskhg.schedule`) the step runs as four pairs:
-    the forward halves, the `au` loss's two uniformity terms, then two
+    the forward halves, the `au` loss's pair (see `au_grad`), then two
     reverse stages. Stage 1 runs the user-side TA backward on the worker;
     this thread runs the item-side TA backward, every auxiliary loss and
     both L2 terms, so their table-sized buffers come from this thread's
@@ -455,7 +478,7 @@ def finetune_loss_and_grad(
     """One-layer downstream encoder plus the configured finetuning loss.
 
     The user and item encoders, forward and backward, run on `pool`, and
-    so do the `au` loss's two uniformity terms.
+    so does the `au` loss's pair.
     """
     trace_u, trace_i = run_pair(
         pool,

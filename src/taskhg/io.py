@@ -109,6 +109,12 @@ def parse_manifest(path) -> TaskManifest:
         if task_id in seen_ids or task_id == "rec":
             raise DataError(f"duplicate or reserved task id {task_id!r}")
         seen_ids.add(task_id)
+        if kind == TaskKind.RELATION_PREDICTION:
+            extra = [key for key in ("value_kind", "bins") if key in entry]
+            if extra:
+                raise DataError(
+                    f"task {task_id!r}: a relation task takes no {' or '.join(extra)}"
+                )
         value_kind = entry.get("value_kind", "categorical")
         if value_kind not in ("categorical", "continuous"):
             raise DataError(

@@ -9,7 +9,9 @@ half first:
 
 - pretraining forward: item-side encoders -> user-side TA stack, beside
   user-side encoders -> item-side TA stack;
-- the `au` loss: the user-side uniformity term, beside the item-side one;
+- the `au` loss: the uniformity term of the side with more unique batch
+  rows, beside the other side's term, the alignment term and that side's
+  reverse;
 - pretraining reverse, stage 1: the user-side TA backward, beside the
   item-side TA backward, every auxiliary loss and both L2 terms;
 - pretraining reverse, stage 2: the backward of every encoder that reads
@@ -28,7 +30,8 @@ generator makes them, only the user-side TA stack attends; stage 1 gives
 the calling thread the rest of the reverse work while the worker runs
 that stack. The calling thread
 allocates the arrays that outlive a pair, such as the L2 terms, the
-`au` Gram buffers and evaluation's score-block buffers: the allocator keeps what a thread frees for that
+`au` Gram buffers and gradients and evaluation's score-block buffers:
+the allocator keeps what a thread frees for that
 thread's later use, so the worker's arena stays small. Each half makes
 its arrays with the same operations, in the same order, as the serial
 schedule, and the caller combines the results in a fixed order, so no

@@ -2,9 +2,10 @@
 
 Everything here is written against dense arrays and plain Python loops, on
 purpose: these oracles must not share code with the sparse/matrix-form
-paths they check. The one exception is `hypergraph_convolve`, which
-composes the package's two aggregations; it is itself checked against
-`dense_convolve`.
+paths they check. Two exceptions: `hypergraph_convolve`, which composes
+the package's two aggregations and is itself checked against
+`dense_convolve`; and `full_table_au_grad`, a byte-for-byte reference
+built from the package's row primitives.
 """
 
 import math
@@ -16,6 +17,12 @@ import scipy.sparse as sp
 from taskhg.data import STREAM_SPLIT, rng_for
 from taskhg.errors import DataError
 from taskhg.evaluate import ndcg_at_k, rank_items, recall_at_k
+from taskhg.gradients import (
+    _norm_backward,
+    _normalize_with_cache,
+    _scatter_rows,
+    _uniformity_grad,
+)
 from taskhg.hypergraph import (
     Hypergraph,
     aggregate_hyperedges_to_nodes,
@@ -212,6 +219,33 @@ def pairwise_uniformity_grad(hat_rows):
     value = math.log(total / (n * (n - 1) / 2.0))
     grad = (-4.0 / total) * (kmat[:, :, None] * diff).sum(axis=1)
     return value, grad
+
+
+def full_table_au_grad(user_out, item_out, users, items, uniformity_weight):
+    """The `au` loss computed over both whole tables, serially.
+
+    Every row is normalized and every row goes through the normalization's
+    reverse, although only the batch's rows get a gradient. It reuses the
+    package's row primitives on purpose: the batch-rows `au_grad` must give
+    the same bytes, so it is checked with `.tobytes()` against this.
+    """
+    n = len(users)
+    user_hat, user_norms = _normalize_with_cache(user_out)
+    item_hat, item_norms = _normalize_with_cache(item_out)
+    diff = user_hat[users] - item_hat[items]
+    align = float((diff**2).sum()) / n
+    g_user_hat = _scatter_rows(len(user_out), users, (2.0 / n) * diff)
+    g_item_hat = _scatter_rows(len(item_out), items, -(2.0 / n) * diff)
+    uu = np.unique(users)
+    ii = np.unique(items)
+    u_val, u_g = _uniformity_grad(user_hat[uu])
+    i_val, i_g = _uniformity_grad(item_hat[ii])
+    g_user_hat[uu] += (0.5 * uniformity_weight) * u_g
+    g_item_hat[ii] += (0.5 * uniformity_weight) * i_g
+    loss = align + uniformity_weight * 0.5 * (u_val + i_val)
+    g_user = _norm_backward(g_user_hat, user_hat, user_norms)
+    g_item = _norm_backward(g_item_hat, item_hat, item_norms)
+    return loss, g_user, g_item
 
 
 def sample_negative_items(rng, users, seen_by_user, num_items):

@@ -15,7 +15,7 @@ import numpy as np
 import oracles
 import pytest
 
-from taskhg.config import TrainConfig
+from taskhg.config import LossKind, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset, sample_negative_hyperedges
 from taskhg.evaluate import evaluate
 from taskhg.hypergraph import build_hypergraph
@@ -77,6 +77,25 @@ def test_adam_counter_hook_fits_the_calls():
     assert calls["optim.adam"] > 0
     rows = traced.counts["adam_rows"]
     assert traced.counts["adam_rows_with_grad"] == rows > 0
+
+
+@pytest.mark.parametrize("loss", [LossKind.ALIGNMENT, LossKind.AU], ids=lambda k: k.value)
+def test_rec_loss_counter_hook_fits_the_calls(loss):
+    # Train pairs touch users 0-5 of 8 and items 0-3 of 10, and one batch
+    # holds them all: each of the 2 steps reads 6 + 4 rows and propagates
+    # both whole tables, 8 + 10 rows.
+    train = {(u, u % 4) for u in range(6)} | {(u, (u + 2) % 4) for u in range(6)}
+    ds = InteractionDataset(8, 10, train, {(6, 7), (7, 8)}, [])
+    cfg = TrainConfig(dim=4, epochs_pretrain=2, batch_size=len(train), pretrain_loss=loss, seed=2)
+    traced = tracer.Tracer()
+    with tracer.installed(traced) as absent:
+        pretrain(ds, cfg)
+    assert absent == []
+    assert traced.broken == set()
+    calls, _ = traced.layer_totals()
+    assert calls["gradients.rec_loss"] == 2
+    assert traced.counts["rows_read"] == 2 * (6 + 4)
+    assert traced.counts["rows_propagated"] == 2 * (8 + 10)
 
 
 CONVOLUTION_LAYERS = (

@@ -337,6 +337,26 @@ class TestExitCodes:
                         "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"value_kind": "continuous", "bins": 3}, {"bins": 3}, {"value_kind": "categorical"}],
+        ids=json.dumps,
+    )
+    def test_value_kind_or_bins_on_a_relation_task_is_two(self, synth_dir, tmp_path, fields,
+                                                          capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        next(t for t in manifest["tasks"] if t["id"] == "item_partners").update(fields)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli(["pretrain", "--data", str(data), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: task 'item_partners': a relation task takes no {' or '.join(fields)}"
+        ]
+        assert not (tmp_path / "c.bin").exists()
+
     def test_finetune_dim_differing_from_checkpoint_is_one(self, synth_dir, tmp_path, capsys):
         ckpt = tmp_path / "pre.ckpt"
         assert run_cli(["pretrain", "--data", str(synth_dir), "--seed", "3",

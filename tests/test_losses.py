@@ -2,6 +2,7 @@
 objective's combination of its terms, and the overflow-safe helpers."""
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -13,9 +14,11 @@ from oracles import (
     au_loss,
     bpr_loss,
     bpr_pos_loss,
+    full_table_au_grad,
     pairwise_uniformity_grad,
 )
 
+import taskhg.gradients
 from taskhg.config import LossKind, TrainConfig
 from taskhg.gradients import (
     _uniformity_grad,
@@ -253,6 +256,82 @@ class TestUniformityGram:
         assert np.float64(paired[0]).tobytes() == np.float64(serial[0]).tobytes()
         assert paired[1].tobytes() == serial[1].tobytes()
         assert paired[2].tobytes() == serial[2].tobytes()
+
+
+def au_batch_cases():
+    """(user_out, item_out, users, items) batches for the batch-rows `au`."""
+    rng = np.random.default_rng(12)
+    user_out = rng.normal(size=(9, 6))
+    item_out = rng.normal(size=(7, 6))
+    zero_rows_user = user_out.copy()
+    zero_rows_user[[1, 4]] = 0.0
+    zero_rows_item = item_out.copy()
+    zero_rows_item[2] = 0.0
+    return {
+        "duplicates": (user_out, item_out, [3, 3, 1, 3, 0, 1], [2, 2, 2, 0, 5, 5]),
+        "every_row": (user_out, item_out, [*range(9), 4, 0], [*range(7), 6, 6, 3, 1]),
+        "single_unique_user": (user_out, item_out, [4, 4, 4, 4], [0, 3, 5, 3]),
+        "single_pair": (user_out, item_out, [2], [6]),
+        "more_unique_items": (user_out, item_out, [1, 5, 1, 5, 1], [0, 1, 2, 3, 4]),
+        "zero_norm_rows": (zero_rows_user, zero_rows_item, [1, 4, 4, 7, 0], [2, 2, 3, 6, 2]),
+    }
+
+
+class TestAuBatchRows:
+    """`au_grad` on the batch's rows against the full-table arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(au_batch_cases()))
+    @pytest.mark.parametrize("paired", [False, True], ids=["serial", "paired"])
+    def test_same_bytes_as_the_full_table_form(self, request, name, paired):
+        user_out, item_out, users, items = au_batch_cases()[name]
+        users, items = np.array(users), np.array(items)
+        pool = request.getfixturevalue("pool") if paired else None
+        loss, g_user, g_item = au_grad(user_out, item_out, users, items, 0.7, pool)
+        ref_loss, ref_user, ref_item = full_table_au_grad(user_out, item_out, users, items, 0.7)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert g_user.tobytes() == ref_user.tobytes()
+        assert g_item.tobytes() == ref_item.tobytes()
+        # Rows outside the batch are exact +0.0, sign bit included.
+        for grad, batch in ((g_user, users), (g_item, items)):
+            outside = np.setdiff1d(np.arange(len(grad)), batch)
+            assert grad[outside].tobytes() == bytes(grad[outside].nbytes)
+        if paired:
+            assert pool.submitted == 1
+
+    def test_the_side_with_more_unique_rows_runs_on_the_worker(self, pool, monkeypatch):
+        seen = []
+        real = taskhg.gradients._uniformity_grad
+
+        def spy(hat_rows, gram=None):
+            seen.append((len(hat_rows), threading.current_thread().name))
+            return real(hat_rows, gram)
+
+        monkeypatch.setattr(taskhg.gradients, "_uniformity_grad", spy)
+        for name in ("every_row", "more_unique_items"):
+            user_out, item_out, users, items = au_batch_cases()[name]
+            seen.clear()
+            au_grad(user_out, item_out, np.array(users), np.array(items), 1.0, pool)
+            (worker_rows,) = [n for n, thread in seen if thread.startswith("taskhg-step")]
+            (caller_rows,) = [n for n, thread in seen if thread == "MainThread"]
+            assert worker_rows > caller_rows
+
+    def test_memory_stays_near_the_two_gradients(self):
+        # Only the two table-sized gradients scale with the tables; the
+        # full-table form also made normalized copies and reverse temporaries
+        # of both tables, about 3.4x their size.
+        rng = np.random.default_rng(13)
+        user_out = rng.normal(size=(20000, 64))
+        item_out = rng.normal(size=(10000, 64))
+        users = rng.integers(20000, size=64)
+        items = rng.integers(10000, size=64)
+        tracemalloc.start()
+        try:
+            au_grad(user_out, item_out, users, items, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = user_out.nbytes + item_out.nbytes
+        assert peak <= 1.25 * tables, f"au_grad peaked at {peak / tables:.2f}x the tables"
 
 
 def joint_instance(beta, lambda_reg=0.05):

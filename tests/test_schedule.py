@@ -111,8 +111,8 @@ def test_finetune_step_is_the_same_on_both_schedules(pool, loss):
 )
 def test_one_step_hands_every_pair_to_the_worker(pool, loss, pretrain_halves, finetune_halves):
     # Pretraining pairs its forward halves and its two reverse stages;
-    # finetuning its encodes and its backwards; `au` adds its uniformity
-    # terms to both. A pair that falls back to serial lowers the count.
+    # finetuning its encodes and its backwards; `au` adds one pair to both
+    # (see `au_grad`). A pair that falls back to serial lowers the count.
     rng = np.random.default_rng(9)
     table, rec_u, rec_i, aux, cfg, batch, extra = item_side_instance(rng, loss=loss)
     pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
