@@ -307,12 +307,13 @@ class TestAuBatchRows:
             return real(hat_rows, gram)
 
         monkeypatch.setattr(taskhg.gradients, "_uniformity_grad", spy)
+        here = threading.current_thread().name
         for name in ("every_row", "more_unique_items"):
             user_out, item_out, users, items = au_batch_cases()[name]
             seen.clear()
             au_grad(user_out, item_out, np.array(users), np.array(items), 1.0, pool)
-            (worker_rows,) = [n for n, thread in seen if thread.startswith("taskhg-step")]
-            (caller_rows,) = [n for n, thread in seen if thread == "MainThread"]
+            (worker_rows,) = [n for n, thread in seen if thread != here]
+            (caller_rows,) = [n for n, thread in seen if thread == here]
             assert worker_rows > caller_rows
 
     def test_memory_stays_near_the_two_gradients(self):
