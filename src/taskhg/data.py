@@ -339,8 +339,10 @@ def generate_synthetic_dataset(
     attr_task = build_attribute_hypergraph(
         "item_block", NodeSide.ITEMS, *zip(*attr_records), bins=2, num_nodes=num_items
     )
+    anchors, partners = zip(*relations)
     rel_task, _ = build_relation_hypergraph(
-        "item_partners", NodeSide.ITEMS, relations, num_items
+        "item_partners", NodeSide.ITEMS, anchors, [p for s in partners for p in s],
+        list(map(len, partners)), num_items,
     )
     return InteractionDataset(
         num_users=num_users,

@@ -1,6 +1,7 @@
 """Dataset ingestion, checkpoint serialization, and report emission.
 
-File formats are line-oriented UTF-8 TSV:
+File formats are line-oriented UTF-8 TSV (a leading byte-order mark is
+dropped, from the manifest too):
   interactions  user_id<TAB>item_id
   attributes    node_id<TAB>value
   relations     anchor_id<TAB>comma-joined related ids
@@ -19,7 +20,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,7 @@ def _check_string(path, key, value):
 def parse_manifest(path) -> TaskManifest:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -164,16 +164,17 @@ class DatasetStats:
 def _read_pairs(root: Path, name: str, continuous: bool = False):
     """The two tab-separated fields of every line of `root / name`, as two lists.
 
-    Lines are those of `str.splitlines` after `read_text` has turned CRLF
-    and CR into LF; blank ones are skipped. A check over the joined lines'
-    tabs and LFs finds every line well formed, and one `split` takes all the
-    fields; only when it fails does a line scan name the first bad line.
+    Lines are those of `str.splitlines` after `read_text` has dropped a
+    leading byte-order mark and turned CRLF and CR into LF; blank ones are
+    skipped. A check over the joined lines' tabs and LFs finds every line
+    well formed, and one `split` takes all the fields; only when it fails
+    does a line scan name the first bad line.
     With `continuous`, the second fields are returned as floats; one that is
     not a finite float raises DataError naming `name` and its line.
     """
     path = root / name
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -202,17 +203,27 @@ def _read_pairs(root: Path, name: str, continuous: bool = False):
 
 
 def _read_task(root: Path, decl: TaskDeclaration):
-    """A task file as (raw ids, values): an attribute task's nodes and their
-    values, or a relation task's anchors followed by every record's related
-    ids, and each record's count of related ids."""
+    """A task file as columns: an attribute task's nodes and their values, or
+    a relation task's anchors, every record's related ids in one flat
+    column, and each record's count of related ids."""
     if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
         nodes, values = _read_pairs(root, decl.path, decl.value_kind == "continuous")
         if not nodes:
             raise DataError(f"attribute file {decl.path} for task {decl.task_id!r} is empty")
         return nodes, values
-    anchors, related = _read_pairs(root, decl.path)
-    members = [[r for r in text.split(",") if r] for text in related]
-    return anchors + [r for m in members for r in m], [len(m) for m in members]
+    anchors, fields = _read_pairs(root, decl.path)
+    # The fields joined by tabs, which no field holds: an id starts at every
+    # byte that is neither a comma nor a tab and follows one (or the start);
+    # the tabs before it number its record.
+    text = "\t".join(fields)
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    tab = data == 9
+    inside = ~(tab | (data == 44))
+    starts = inside.copy()
+    starts[1:] &= ~inside[:-1]
+    counts = np.bincount(np.cumsum(tab)[starts], minlength=len(fields))
+    related = list(filter(None, text.replace("\t", ",").split(",")))
+    return anchors, related, counts
 
 
 class _IdMapper:
@@ -275,9 +286,14 @@ def load_dataset(
     user_column, item_column = _read_pairs(root, manifest.interactions_path)
     if not user_column:
         raise DataError(f"interactions file {manifest.interactions_path} is empty")
-    tables = [(decl, *_read_task(root, decl)) for decl in manifest.tasks]
-    users = _IdMapper(user_column, *(ids for d, ids, _ in tables if d.side == NodeSide.USERS))
-    items = _IdMapper(item_column, *(ids for d, ids, _ in tables if d.side == NodeSide.ITEMS))
+    tables = [(decl, _read_task(root, decl)) for decl in manifest.tasks]
+    # Every column of a task file but the last holds ids.
+    users = _IdMapper(
+        user_column, *(c for d, cols in tables if d.side == NodeSide.USERS for c in cols[:-1])
+    )
+    items = _IdMapper(
+        item_column, *(c for d, cols in tables if d.side == NodeSide.ITEMS for c in cols[:-1])
+    )
     users.persist(root / "idmap.users.tsv")
     items.persist(root / "idmap.items.tsv")
 
@@ -288,22 +304,18 @@ def load_dataset(
     total_attributes = 0
     total_relations = 0
     total_skipped = 0
-    for decl, ids, values in tables:
+    for decl, (*ids, values) in tables:
         mapper = users if decl.side == NodeSide.USERS else items
-        index = mapper.indices(ids).tolist()
+        ids = [mapper.indices(column) for column in ids]
         if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
-            total_attributes += len(index)
+            total_attributes += len(values)
             task = build_attribute_hypergraph(
-                decl.task_id, decl.side, index, values, decl.bins or quantization_bins,
+                decl.task_id, decl.side, *ids, values, decl.bins or quantization_bins,
                 mapper.count, decl.value_kind,
             )
         else:
-            # `values` holds each record's count of related ids, whose
-            # indices follow the anchors' in `index`.
-            related = iter(index[len(values):])
-            relations = [(a, set(islice(related, n))) for a, n in zip(index, values)]
             task, skipped = build_relation_hypergraph(
-                decl.task_id, decl.side, relations, mapper.count
+                decl.task_id, decl.side, *ids, values, mapper.count
             )
             total_relations += task.graph.num_hyperedges
             total_skipped += skipped

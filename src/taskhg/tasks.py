@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DataError
-from .hypergraph import Hypergraph, build_hypergraph
+from .hypergraph import Hypergraph, build_hypergraph, sorted_unique
 
 REC_TASK_ID = "rec"
 
@@ -62,30 +64,57 @@ def build_recommendation_hypergraphs(interactions, num_users: int, num_items: in
     return user_task, item_task
 
 
-def build_relation_hypergraph(task_id: str, side: NodeSide, relations, num_nodes: int):
+def build_relation_hypergraph(
+    task_id: str, side: NodeSide, anchors, related, counts, num_nodes: int
+):
     """Build a relation-prediction hypergraph; one hyperedge per record.
 
-    Each record is (anchor_node, related_node_set); the hyperedge connects
-    the anchor together with its related set. Records with an empty
-    related set are skipped and counted. Returns (task, skipped_count).
+    Record r is anchor `anchors[r]` with the next `counts[r]` ids of
+    `related`; its hyperedge connects the anchor together with its related
+    set. Records with no related id are skipped and counted. Each hyperedge
+    is labelled by its member indices in ascending order, joined by commas,
+    and the hyperedges are ordered by their labels compared as text
+    ("10,11" before "2,3"), records with equal labels in input order.
+    Returns (task, skipped_count).
     """
-    kept = []
-    skipped = 0
-    for anchor, related in relations:
-        related = set(related)
-        if not related:
-            skipped += 1
-            continue
-        members = sorted(related | {int(anchor)})
-        kept.append((",".join(str(m) for m in members), members))
-    kept.sort(key=lambda item: item[0])
-    memberships = []
-    for edge_idx, (_, members) in enumerate(kept):
-        memberships.extend((m, edge_idx) for m in members)
-    graph = build_hypergraph(memberships, num_nodes, len(kept))
-    labels = tuple(label for label, _ in kept)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    related = np.asarray(related, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(counts) != len(anchors) or counts.min(initial=0) < 0 or counts.sum() != len(related):
+        raise ValueError(
+            f"{len(anchors)} anchors and {len(related)} related ids do not fit "
+            f"the per-record counts (summing to {counts.sum()} over {len(counts)} records)"
+        )
+    kept = counts > 0
+    num_kept = int(kept.sum())
+    records = np.arange(num_kept, dtype=np.int64)
+    ids = np.concatenate([anchors[kept], related])
+    owners = np.concatenate([records, np.repeat(records, counts[kept])])
+    # Ranks among the ids present keep the keys in range whatever the ids.
+    present = sorted_unique(ids)
+    width = max(len(present), 1)
+    keys = sorted_unique(owners * width + np.searchsorted(present, ids))
+    owners, ranks = np.divmod(keys, width)
+    # Every record's members, ascending, then a comma or (after its last
+    # member) a newline: one join and one split give every label.
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = owners[1:] != owners[:-1]
+    tokens = np.empty(2 * len(keys), dtype=object)
+    tokens[0::2] = np.array(list(map(str, present.tolist())), dtype=object)[ranks]
+    tokens[1::2] = ","
+    tokens[2 * np.flatnonzero(last) + 1] = "\n"
+    labels = "".join(tokens.tolist()).split("\n")[:-1]
+    order = sorted(range(num_kept), key=labels.__getitem__)
+    edge_of = np.empty(num_kept, dtype=np.int64)
+    edge_of[order] = records
+    edges = edge_of[owners]
+    # Pairs in hyperedge order, so a range error names the first bad pair.
+    by_edge = np.argsort(edges, kind="stable")
+    memberships = np.column_stack((present[ranks][by_edge], edges[by_edge]))
+    graph = build_hypergraph(memberships, num_nodes, num_kept)
+    labels = tuple(map(labels.__getitem__, order))
     task = TaskHypergraph(task_id, TaskKind.RELATION_PREDICTION, side, graph, labels)
-    return task, skipped
+    return task, len(counts) - num_kept
 
 
 def build_attribute_hypergraph(
@@ -101,17 +130,18 @@ def build_attribute_hypergraph(
     ascending bin numbers. Any other value_kind raises ValueError.
     """
     if value_kind == "continuous":
-        bin_idx = quantize_continuous(values, bins)
-        names = [f"bin_{b}" for b in bin_idx]
-        labels = [f"bin_{b}" for b in sorted(set(bin_idx))]
+        keys = quantize_continuous(values, bins)
+        distinct = sorted(set(keys))
+        labels = [f"bin_{b}" for b in distinct]
     elif value_kind == "categorical":
-        names = [str(v) for v in values]
-        labels = sorted(set(names))
+        keys = list(map(str, values))
+        distinct = labels = sorted(set(keys))
     else:
         raise ValueError(f"unknown value_kind: {value_kind!r}")
-    edge_index = {label: k for k, label in enumerate(labels)}
-    memberships = [(int(n), edge_index[name]) for n, name in zip(nodes, names)]
-    graph = build_hypergraph(memberships, num_nodes, len(labels))
+    edge_index = dict(zip(distinct, range(len(distinct))))
+    edges = np.fromiter(map(edge_index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    nodes = np.asarray(nodes, dtype=np.int64)
+    graph = build_hypergraph(np.column_stack((nodes, edges)), num_nodes, len(labels))
     return TaskHypergraph(
         task_id, TaskKind.ATTRIBUTE_PREDICTION, side, graph, tuple(labels)
     )

@@ -2,10 +2,12 @@
 
 Everything here is written against dense arrays and plain Python loops, on
 purpose: these oracles must not share code with the sparse/matrix-form
-paths they check. Two exceptions: `hypergraph_convolve`, which composes
+paths they check. Three exceptions: `hypergraph_convolve`, which composes
 the package's two aggregations and is itself checked against
-`dense_convolve`; and `full_table_au_grad`, a byte-for-byte reference
-built from the package's row primitives.
+`dense_convolve`; `full_table_au_grad`, a byte-for-byte reference
+built from the package's row primitives; and `build_relation_hypergraph`,
+the record-at-a-time builder, which hands its pairs to the package's
+`build_hypergraph` so that its range errors read as the package's.
 """
 
 import math
@@ -27,7 +29,9 @@ from taskhg.hypergraph import (
     Hypergraph,
     aggregate_hyperedges_to_nodes,
     aggregate_nodes_to_hyperedges,
+    build_hypergraph,
 )
+from taskhg.tasks import TaskHypergraph, TaskKind
 
 
 def hypergraph_convolve(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
@@ -408,3 +412,38 @@ def load_interactions(root, train_fraction=None, seed=0):
         for side, m in zip(("users", "items"), maps)
     }
     return counts[0], counts[1], train, test, texts
+
+
+# ---------------------------------------------------------------------------
+# Task hypergraphs from (anchor, related set) records, one record at a time.
+
+
+def build_relation_hypergraph(task_id, side, relations, num_nodes):
+    """The record-form relation builder: each (anchor, related) record with a
+    non-empty related set becomes one hyperedge over its anchor and related
+    nodes, labelled by the sorted members joined by commas; the kept records
+    are sorted by label as strings. Returns (task, skipped_count)."""
+    kept = []
+    skipped = 0
+    for anchor, related in relations:
+        related = set(related)
+        if not related:
+            skipped += 1
+            continue
+        members = sorted(related | {int(anchor)})
+        kept.append((",".join(str(m) for m in members), members))
+    kept.sort(key=lambda item: item[0])
+    memberships = []
+    for edge_idx, (_, members) in enumerate(kept):
+        memberships.extend((m, edge_idx) for m in members)
+    graph = build_hypergraph(memberships, num_nodes, len(kept))
+    labels = tuple(label for label, _ in kept)
+    task = TaskHypergraph(task_id, TaskKind.RELATION_PREDICTION, side, graph, labels)
+    return task, skipped
+
+
+def relation_columns(relations):
+    """(anchors, flat related ids, per-record counts) of (anchor, related) records."""
+    anchors = [anchor for anchor, _ in relations]
+    related = [r for _, members in relations for r in members]
+    return anchors, related, [len(members) for _, members in relations]

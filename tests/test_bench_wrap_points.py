@@ -19,6 +19,7 @@ from taskhg.config import LossKind, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset, sample_negative_hyperedges
 from taskhg.evaluate import evaluate
 from taskhg.hypergraph import build_hypergraph
+from taskhg.io import load_dataset, write_synthetic_dataset
 from taskhg.model import init_embeddings
 from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind
 from taskhg.train import finetune, pretrain
@@ -43,6 +44,20 @@ tracer = load_tracer()
 )
 def test_wrap_point_resolves(module_name, attr):
     assert tracer._resolve(module_name, attr) is not None
+
+
+def test_set_up_builds_each_task_through_a_wrapped_name(tmp_path):
+    # Two auxiliary tasks from the files and the recommendation pair.
+    root = write_synthetic_dataset(tmp_path, 30, 12, 3, 0.1, seed=2, interactions_per_user=3)
+    traced = tracer.Tracer()
+    with tracer.installed(traced) as absent:
+        dataset, _ = load_dataset(root, "manifest.json", train_fraction=0.8, split_seed=2)
+        dataset.rec_pair()
+    assert absent == []
+    assert traced.broken == set()
+    calls, _ = traced.layer_totals()
+    assert len(dataset.auxiliary_tasks) == 2
+    assert calls["tasks.build"] == len(dataset.auxiliary_tasks) + 1
 
 
 def test_evaluate_counter_hooks_fit_the_calls():

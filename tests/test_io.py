@@ -30,6 +30,7 @@ from taskhg.io import (
     write_synthetic_dataset,
 )
 from taskhg.model import EmbeddingTable
+from taskhg.tasks import NodeSide
 
 
 def write_dataset(tmp_path, interactions, tasks=(), files=()):
@@ -399,6 +400,42 @@ class TestInteractionParsing:
             load_dataset(root, "manifest.json")
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize(
+        "name", ["interactions.tsv", "manifest.json", "item_blocks.tsv", "item_partners.tsv"]
+    )
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, name):
+        # Read as part of the first id, a mark in interactions.tsv made a
+        # 201st user, a string-ordered user map and another split.
+        plain = write_synthetic_dataset(tmp_path / "plain", 200, 100, 4, 0.05, seed=7)
+        marked = write_synthetic_dataset(tmp_path / "marked", 200, 100, 4, 0.05, seed=7)
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (marked / name).read_bytes())
+        assert loaded(marked) == loaded(plain)
+        split = [load_dataset(root, "manifest.json", 0.8, split_seed=7)[0]
+                 for root in (plain, marked)]
+        assert split[1].train_array.tolist() == split[0].train_array.tolist()
+        assert split[1].test_array.tolist() == split[0].test_array.tolist()
+        assert id_map_texts(marked) == {"idmap.users.tsv": None, "idmap.items.tsv": None}
+
+    def test_relation_fields_split_as_the_reference(self, tmp_path):
+        # Empty pieces are dropped, so a field of commas alone is a skipped
+        # record; repeated ids and the anchor itself count once.
+        lines = [("a", "b,c"), ("b", ""), ("c", ","), ("d", ",,a,,\u00e9,"), ("\u00e9", "\u00e9"),
+                 (" x", "a, x"), ("a", "b,c"), ("b", "a,a,b"), ("c", "d")]
+        root = write_dataset(
+            tmp_path, "u\ta\nu\t x\n",
+            tasks=[{"id": "rel", "kind": "relation", "side": "items", "path": "rel.tsv"}],
+            files=[("rel.tsv", "".join(f"{a}\t{f}\n" for a, f in lines))],
+        )
+        dataset, stats = load_dataset(root, "manifest.json")
+        members = [[r for r in f.split(",") if r] for _, f in lines]
+        ids = oracles._id_map([" x", *(a for a, _ in lines), *(r for m in members for r in m)])
+        records = [(ids[a], [ids[r] for r in m]) for (a, _), m in zip(lines, members)]
+        want, skipped = oracles.build_relation_hypergraph("rel", NodeSide.ITEMS, records, len(ids))
+        task = dataset.auxiliary_tasks[0]
+        assert stats.relation_records_skipped == skipped == 2
+        assert task.hyperedge_labels == want.hyperedge_labels
+        assert task.graph.incidence.toarray().tolist() == want.graph.incidence.toarray().tolist()
 
     def test_file_that_is_not_utf8_is_named(self, tmp_path):
         root = write_dataset(tmp_path, "")

@@ -51,8 +51,9 @@ def item_side_instance(rng, **kwargs):
 
 def two_sided_dataset():
     base = generate_synthetic_dataset(40, 20, 4, noise=0.1, seed=11, interactions_per_user=6)
+    anchors = range(0, 39, 2)
     relation, _ = build_relation_hypergraph(
-        "user_pairs", NodeSide.USERS, [(u, {u + 1}) for u in range(0, 39, 2)], 40
+        "user_pairs", NodeSide.USERS, anchors, [u + 1 for u in anchors], [1] * 20, 40
     )
     groups = build_hypergraph([(u, u % 3) for u in range(40)], 40, 3)
     attribute = TaskHypergraph("user_group", TaskKind.ATTRIBUTE_PREDICTION, NodeSide.USERS, groups)

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from taskhg.errors import ConstructionError, DataError
@@ -10,6 +11,31 @@ from taskhg.tasks import (
     build_relation_hypergraph,
     quantize_continuous,
 )
+
+
+def random_relation_records(rng):
+    """(anchor, related ids) records over ids of 1 to 4 digits, so that text
+    order and numeric order differ: duplicate records, anchors among their
+    own related ids, empty and one-member records, and negative ids."""
+    def node():
+        digits = int(rng.integers(1, 5))
+        if rng.random() < 0.005:
+            return -int(rng.integers(1, 10 ** digits))
+        return int(rng.integers(0 if digits == 1 else 10 ** (digits - 1), 10 ** digits))
+
+    records = []
+    for _ in range(int(rng.integers(0, 12))):
+        if records and rng.random() < 0.15:
+            records.append(records[int(rng.integers(len(records)))])
+            continue
+        anchor = node()
+        related = [node() for _ in range(int(rng.integers(0, 5)))]
+        if related and rng.random() < 0.2:
+            related.append(anchor)
+        if related and rng.random() < 0.2:
+            related.append(related[0])
+        records.append((anchor, related))
+    return records
 
 
 class TestRecommendation:
@@ -45,44 +71,84 @@ class TestRecommendation:
 
 class TestRelation:
     def test_single_record(self):
-        task, skipped = build_relation_hypergraph("rel", NodeSide.ITEMS, [(0, {1, 2})], 3)
+        task, skipped = build_relation_hypergraph("rel", NodeSide.ITEMS, [0], [1, 2], [2], 3)
         assert skipped == 0
         assert task.graph.num_hyperedges == 1
         assert task.graph.hyperedge_degrees.tolist() == [3]
 
     def test_empty_related_set_skipped(self):
-        task, skipped = build_relation_hypergraph("rel", NodeSide.ITEMS, [(0, set())], 3)
+        task, skipped = build_relation_hypergraph("rel", NodeSide.ITEMS, [0], [], [0], 3)
         assert skipped == 1
         assert task.graph.num_hyperedges == 0
 
     def test_disjoint_records(self):
-        task, _ = build_relation_hypergraph(
-            "rel", NodeSide.ITEMS, [(0, {1}), (2, {3})], 4
-        )
+        task, _ = build_relation_hypergraph("rel", NodeSide.ITEMS, [0, 2], [1, 3], [1, 1], 4)
         assert task.graph.num_hyperedges == 2
         inc = task.graph.incidence.toarray()
         assert (inc.sum(axis=1) <= 1).all()
 
     def test_order_invariant(self):
-        records = [(0, {1, 2}), (3, {4}), (2, {0, 4})]
-        a, _ = build_relation_hypergraph("rel", NodeSide.ITEMS, records, 5)
-        b, _ = build_relation_hypergraph("rel", NodeSide.ITEMS, records[::-1], 5)
+        records = [(0, [1, 2]), (3, [4]), (2, [0, 4])]
+        a, _ = build_relation_hypergraph(
+            "rel", NodeSide.ITEMS, *oracles.relation_columns(records), 5
+        )
+        b, _ = build_relation_hypergraph(
+            "rel", NodeSide.ITEMS, *oracles.relation_columns(records[::-1]), 5
+        )
         assert np.array_equal(a.graph.incidence.toarray(), b.graph.incidence.toarray())
         assert a.hyperedge_labels == b.hyperedge_labels
 
     def test_node_out_of_side_range(self):
         with pytest.raises(ConstructionError):
-            build_relation_hypergraph("rel", NodeSide.ITEMS, [(0, {9})], 3)
+            build_relation_hypergraph("rel", NodeSide.ITEMS, [0], [9], [1], 3)
 
     def test_labels_sort_as_strings(self):
         # The label order fixes the hyperedge indices, and with them every
         # negative hyperedge drawn in training: "10,11" sorts before "2,3".
         task, _ = build_relation_hypergraph(
-            "rel", NodeSide.ITEMS, [(2, {3}), (10, {11}), (20, {1})], 21
+            "rel", NodeSide.ITEMS, [2, 10, 20], [3, 11, 1], [1, 1, 1], 21
         )
         assert task.hyperedge_labels == ("1,20", "10,11", "2,3")
         members = [np.flatnonzero(col).tolist() for col in task.graph.incidence.toarray().T]
         assert members == [[1, 20], [10, 11], [2, 3]]
+
+    def test_label_prefixes_sort_first(self):
+        # "," sorts below every digit, so "1,2" < "1,2,3" < "1,23".
+        records = [(1, [23]), (3, [1, 2]), (2, [1]), (1, [2])]
+        task, _ = build_relation_hypergraph(
+            "rel", NodeSide.ITEMS, *oracles.relation_columns(records), 24
+        )
+        assert task.hyperedge_labels == ("1,2", "1,2", "1,2,3", "1,23")
+
+    def test_counts_must_fit_the_columns(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            build_relation_hypergraph("rel", NodeSide.ITEMS, [0, 1], [1], [2], 3)
+
+    def test_matches_the_record_form(self):
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            records = random_relation_records(rng)
+            top = max([0, *(r for a, rel in records for r in (a, *rel))])
+            # Two cases in three hold every id; the third may cut the top ids off.
+            num_nodes = top + 1 if case % 3 else int(rng.integers(1, top + 2))
+            try:
+                want = oracles.build_relation_hypergraph("rel", NodeSide.ITEMS, records, num_nodes)
+            except ConstructionError as exc:
+                with pytest.raises(ConstructionError) as err:
+                    build_relation_hypergraph(
+                        "rel", NodeSide.ITEMS, *oracles.relation_columns(records), num_nodes
+                    )
+                assert str(err.value) == str(exc), records
+                continue
+            got = build_relation_hypergraph(
+                "rel", NodeSide.ITEMS, *oracles.relation_columns(records), num_nodes
+            )
+            assert got[1] == want[1], records
+            assert got[0].hyperedge_labels == want[0].hyperedge_labels, records
+            for name in ("indptr", "indices", "data"):
+                a = getattr(got[0].graph.incidence, name)
+                b = getattr(want[0].graph.incidence, name)
+                assert a.tobytes() == b.tobytes(), (name, records)
 
 
 class TestAttribute:
@@ -121,6 +187,15 @@ class TestAttribute:
         b = build_attribute_hypergraph("cat", NodeSide.ITEMS, nodes[::-1], values[::-1], 5, 4)
         assert np.array_equal(a.graph.incidence.toarray(), b.graph.incidence.toarray())
         assert a.hyperedge_labels == b.hyperedge_labels
+
+    def test_labels_are_the_sorted_distinct_values(self):
+        # A fixed-width NumPy string would drop the trailing NULs and merge
+        # "a\0" into "a".
+        values = ["a b", "a", "\u00e9t\u00e9", "a\0", "a b", "\0", "z\0\0", "a", " a"]
+        task = build_attribute_hypergraph("cat", NodeSide.ITEMS, range(9), values, 5, 9)
+        assert task.hyperedge_labels == tuple(sorted(set(values)))
+        edges = task.graph.incidence.indices.tolist()
+        assert [task.hyperedge_labels[e] for e in edges] == values
 
     def test_bad_value_kind(self):
         with pytest.raises(ValueError, match="unknown value_kind: 'ordinal'"):

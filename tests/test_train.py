@@ -136,9 +136,10 @@ class TestPretrain:
         from taskhg.data import InteractionDataset
         from taskhg.tasks import NodeSide, build_relation_hypergraph
 
-        groups = [(u, {u + 1}) for u in range(0, 39, 2)]
-        user_task, _ = build_relation_hypergraph("user_groups", NodeSide.USERS,
-                                                 groups, 40)
+        anchors = range(0, 39, 2)
+        user_task, _ = build_relation_hypergraph(
+            "user_groups", NodeSide.USERS, anchors, [u + 1 for u in anchors], [1] * 20, 40
+        )
         ds = InteractionDataset(
             40, 20, set(small_dataset.train_edges), set(small_dataset.test_edges),
             small_dataset.auxiliary_tasks + [user_task],
