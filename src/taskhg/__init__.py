@@ -16,7 +16,7 @@ from .errors import (
     DivergenceError,
     TaskHGError,
 )
-from .evaluate import EvalReport, MetricRow, evaluate, ndcg_at_k, recall_at_k
+from .evaluate import EvalReport, MetricRow, evaluate
 from .hypergraph import Hypergraph, build_hypergraph
 from .io import (
     Checkpoint,

@@ -93,8 +93,11 @@ def _training_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
 
 
 def _parse_ks(text: str) -> tuple:
-    """The comma-separated --ks cutoffs; ValueError names a bad one."""
-    return check_eval_ks(int(k) for k in text.split(",") if k)
+    """The comma-separated --ks cutoffs; ValueError names a bad one, or the whole value."""
+    pieces = text.split(",")
+    if "" in pieces:
+        raise ValueError(f"--ks has an empty cutoff: {text!r}")
+    return check_eval_ks(int(k) for k in pieces)
 
 
 def _config_from(args) -> TrainConfig:

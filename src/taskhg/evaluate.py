@@ -17,29 +17,7 @@ import numpy as np
 from .config import check_eval_ks
 from .data import InteractionDataset
 from .model import EmbeddingTable, encode_auxiliary_task_traced
-from .schedule import run_pair, step_pool
-
-
-def recall_at_k(ranked_items, test_items, k: int) -> float:
-    """Fraction of a user's test items that appear in their top-k."""
-    test_items = set(test_items)
-    if not test_items:
-        raise ValueError("recall_at_k needs at least one test item")
-    hits = sum(1 for i in ranked_items[:k] if i in test_items)
-    return hits / len(test_items)
-
-
-def ndcg_at_k(ranked_items, test_items, k: int) -> float:
-    """Binary-relevance NDCG; ideal gain uses min(k, #test) positions."""
-    test_items = set(test_items)
-    if not test_items:
-        raise ValueError("ndcg_at_k needs at least one test item")
-    dcg = 0.0
-    for pos, item in enumerate(ranked_items[:k], start=1):
-        if item in test_items:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(test_items)) + 1))
-    return dcg / ideal
+from .schedule import pairs_overlap, run_pair, step_pool
 
 
 @dataclass
@@ -140,7 +118,7 @@ def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
     return cols[rank < k].reshape(n_rows, k)
 
 
-def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
+def evaluate_scores(user_out, item_out, seen, ks, tests, users):
     """Mean Recall@K / NDCG@K over `users` from the encoded user and item tables.
 
     Scores are `user_out @ item_out.T`, made for a block of users at a time;
@@ -151,19 +129,19 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     of `tests`, the users x items CSR incidence of the test edges, holds
     their test items; users without one are skipped.
 
-    With a pool (see `schedule.step_pool`) and at least two blocks, the
-    worker scores the even-numbered blocks and the calling thread the odd
-    ones; without one, the calling thread scores them all in order. Each
+    Under `schedule.step_pool`, with at least two blocks, the worker
+    scores the even-numbered blocks and the calling thread the odd ones;
+    otherwise the calling thread scores them all in order. Each
     thread scores its blocks into one block buffer made by the calling
     thread, and each block writes only its own users' columns of the
     per-user metrics, so at most two blocks, about 11 MB each with their
     ranking scratch, are held at once.
 
     Each metric is computed for a whole block from one hit matrix, with the
-    arithmetic of `recall_at_k` and `ndcg_at_k`: gains are summed in rank
-    order and the means over users in user order, so the results are
-    bit-identical to averaging those functions user by user, on either
-    schedule.
+    arithmetic of the one-user oracles `recall_at_k` and `ndcg_at_k` in
+    `tests/oracles.py`: gains are summed in rank order and the means over
+    users in user order, so the results are bit-identical to averaging
+    those oracles user by user, on either schedule.
     """
     users = np.asarray(users, dtype=np.intp)
     test_counts = np.diff(tests.indptr)
@@ -203,12 +181,11 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     starts = range(0, count, step)
     # The calling thread allocates the block buffers, so the worker's
     # allocator arena never holds a block (see `schedule`).
-    if pool is None or len(starts) < 2:
+    if not pairs_overlap() or len(starts) < 2:
         score_blocks(starts, np.empty((min(step, count), n_items)))
     else:
         first, second = np.empty((2, step, n_items))
         run_pair(
-            pool,
             lambda: score_blocks(starts[0::2], first),
             lambda: score_blocks(starts[1::2], second),
         )
@@ -218,14 +195,13 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users, pool=None):
     return recall_mean, ndcg_mean, count
 
 
-def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task, pool=None):
+def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):
     """Downstream encoder, as in finetuning: one layer over the recommendation pair.
 
-    As in finetuning, the user encoder runs on `pool`'s worker beside the
-    item encoder on the calling thread; the outputs are the same either way.
+    As in finetuning, the user encoder runs on the step pool's worker beside
+    the item encoder on the calling thread; the outputs are the same either way.
     """
     return run_pair(
-        pool,
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1).node_emb,
         lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1).node_emb,
     )
@@ -258,8 +234,8 @@ def evaluate(
     if users is not None:
         known = known[np.isin(known, np.fromiter(users, dtype=np.int64))]
     tests = dataset.test_incidence()
-    with step_pool() as pool:
-        user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task, pool)
-        recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known, pool)
+    with step_pool():
+        user_out, item_out = encode_for_inference(table, rec_user_task, rec_item_task)
+        recall, ndcg, count = evaluate_scores(user_out, item_out, seen, ks, tests, known)
     row = MetricRow(label=label, recall=recall, ndcg=ndcg, num_users=count)
     return EvalReport(ks=ks, rows=[row], seed=seed)

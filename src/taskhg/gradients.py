@@ -237,7 +237,7 @@ class _SphereRows:
         self.grad[self.rows] = _norm_backward(self.g_hat, self.hat, self.norms)
 
 
-def au_grad(user_out, item_out, users, items, uniformity_weight, pool=None):
+def au_grad(user_out, item_out, users, items, uniformity_weight):
     """Alignment plus uniformity on the unit sphere.
 
     Only the batch's unique rows are normalized and go through the
@@ -245,10 +245,10 @@ def au_grad(user_out, item_out, users, items, uniformity_weight, pool=None):
     those of the same arithmetic over both whole tables, in which the rows
     outside the batch get exact zeros.
 
-    With a `pool`, the side with more unique rows computes its uniformity
-    term on the worker. This thread computes the other side's term, the
-    alignment term and that side's reverse, then the worker side's reverse
-    once the pair is done.
+    Under a step pool, the side with more unique rows computes its
+    uniformity term on the worker. This thread computes the other side's
+    term, the alignment term and that side's reverse, then the worker
+    side's reverse once the pair is done.
     """
     n = len(users)
     user = _SphereRows(user_out, users)
@@ -263,19 +263,14 @@ def au_grad(user_out, item_out, users, items, uniformity_weight, pool=None):
         smaller.reverse(uniformity_weight)
         return float((diff**2).sum()) / n
 
-    _, align = run_pair(pool, larger.uniformity, smaller_half)
+    _, align = run_pair(larger.uniformity, smaller_half)
     larger.reverse(uniformity_weight)
     loss = align + uniformity_weight * 0.5 * (user.value + item.value)
     return loss, user.grad, item.grad
 
 
-def rec_loss_grad(
-    kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0, pool=None
-):
-    """Dispatch to the configured recommendation-term loss.
-
-    `pool` is the stage's step pool; only the `au` loss splits its work.
-    """
+def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0):
+    """Dispatch to the configured recommendation-term loss; only `au` splits its work."""
     if len(users) == 0:
         raise ValueError("empty recommendation batch")
     if kind == LossKind.ALIGNMENT:
@@ -287,7 +282,7 @@ def rec_loss_grad(
     if kind == LossKind.BPR_POS:
         return bpr_pos_grad(user_out, item_out, users, pos)
     if kind == LossKind.AU:
-        return au_grad(user_out, item_out, users, pos, uniformity_weight, pool)
+        return au_grad(user_out, item_out, users, pos, uniformity_weight)
     raise ValueError(f"unknown loss kind: {kind}")
 
 
@@ -389,7 +384,6 @@ def pretrain_loss_and_grad(
     cfg: TrainConfig,
     batch: PretrainBatch,
     extra_params: dict | None = None,
-    pool=None,
 ):
     """Forward the full model on one batch and return (loss, grads, activations).
 
@@ -399,7 +393,7 @@ def pretrain_loss_and_grad(
     "user", "item" and then each extra_params block, in that order, to its
     gradient; a head with no batch this step gets a zero gradient.
 
-    With a `pool` (see `taskhg.schedule`) the step runs as four pairs:
+    Under a step pool (see `taskhg.schedule`) the step runs as four pairs:
     the forward halves, the `au` loss's pair (see `au_grad`), then two
     reverse stages. Stage 1 runs the user-side TA backward on the worker;
     this thread runs the item-side TA backward, every auxiliary loss and
@@ -410,9 +404,7 @@ def pretrain_loss_and_grad(
     and the L2 term.
     """
     extra_params = extra_params or {}
-    acts = forward_pretrain(
-        table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params, pool
-    )
+    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
     rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
         cfg.pretrain_loss,
         acts.ta_user_trace.node_emb,
@@ -421,13 +413,11 @@ def pretrain_loss_and_grad(
         batch.rec_pos_items,
         batch.rec_neg_items,
         cfg.uniformity_weight,
-        pool,
     )
     extra_grads = {name: np.zeros_like(p) for name, p in extra_params.items()}
     one_minus_beta = 1.0 - cfg.beta
 
     (g_user_in, g_zs_items, g_w_user), (item_ta, aux, l2) = run_pair(
-        pool,
         lambda: ta_backward(acts.ta_user_trace, cfg.beta * g_ta_user),
         lambda: (
             ta_backward(acts.ta_item_trace, cfg.beta * g_ta_item),
@@ -456,7 +446,6 @@ def pretrain_loss_and_grad(
         return g
 
     g_item, g_user = run_pair(
-        pool,
         lambda: table_grad(g_item_in, g_zs_items, l2_item),
         lambda: table_grad(g_user_in, g_zs_users, l2_user),
     )
@@ -473,15 +462,13 @@ def finetune_loss_and_grad(
     users,
     pos,
     neg=None,
-    pool=None,
 ):
     """One-layer downstream encoder plus the configured finetuning loss.
 
-    The user and item encoders, forward and backward, run on `pool`, and
-    so does the `au` loss's pair.
+    The user and item encoders, forward and backward, run as pairs, and so
+    does the `au` loss.
     """
     trace_u, trace_i = run_pair(
-        pool,
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1),
         lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1),
     )
@@ -493,7 +480,6 @@ def finetune_loss_and_grad(
         pos,
         neg,
         cfg.uniformity_weight,
-        pool,
     )
 
     def backward(trace, g_out, emb):
@@ -503,7 +489,6 @@ def finetune_loss_and_grad(
         return g, sq
 
     (g_user, reg_user), (g_item, reg_item) = run_pair(
-        pool,
         lambda: backward(trace_u, g_u_out, table.user_emb),
         lambda: backward(trace_i, g_i_out, table.item_emb),
     )

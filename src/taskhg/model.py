@@ -207,15 +207,13 @@ def forward_pretrain(
     aux_tasks,
     cfg: TrainConfig,
     extra_params: dict | None = None,
-    pool=None,
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides.
 
     The CONCAT variant reads its heads `ta_concat_user` / `ta_concat_item`
     from extra_params. Each TA side reads only the encoders of the opposite
     side's tasks, so [item-side encoders -> user TA] and [user-side
-    encoders -> item TA] are two independent halves, run by `run_pair` on
-    `pool`.
+    encoders -> item TA] are two independent halves, run by `run_pair`.
     """
     extra_params = extra_params or {}
 
@@ -232,7 +230,6 @@ def forward_pretrain(
         return traces, ta
 
     (item_traces, ta_user), (user_traces, ta_item) = run_pair(
-        pool,
         lambda: side(rec_user_task.graph, table.user_emb, NodeSide.ITEMS, "ta_concat_user"),
         lambda: side(rec_item_task.graph, table.item_emb, NodeSide.USERS, "ta_concat_item"),
     )

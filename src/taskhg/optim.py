@@ -41,15 +41,16 @@ class AdamState:
         state.scratch = tuple((np.empty(cells), np.empty(cells)) for _ in range(2))
         return state
 
-    def apply(self, grads: dict, params: dict, pool=None):
+    def apply(self, grads: dict, params: dict):
         """Bias-corrected Adam update, in place, one step for all blocks.
 
         Each block is updated in row slices of about BLOCK_CELLS cells; every
         intermediate goes to a pair of scratch buffers, and `grads` is only
         read. The operations and their order are those of the textbook
         expression, so the result does not depend on the slice size. The
-        slices touch disjoint rows: the first half of them runs on `pool`,
-        the second on the calling thread, each with its own scratch pair.
+        slices touch disjoint rows: the first half of them runs on the step
+        pool's worker, the second on the calling thread, each with its own
+        scratch pair.
         """
         for name, g in grads.items():
             if not np.isfinite(g).all():
@@ -72,7 +73,6 @@ class AdamState:
 
         half = len(slices) // 2
         run_pair(
-            pool,
             lambda: update(slices[:half], self.scratch[1]),
             lambda: update(slices[half:], self.scratch[0]),
         )

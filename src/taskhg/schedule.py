@@ -1,8 +1,9 @@
 """Two-thread schedule for the independent halves of a training step or an evaluation.
 
 Several parts of a step come in two halves that share no array until they
-meet in the loss or in the update. `run_pair` runs one half on the single
-worker of a stage's pool and the other on the calling thread. The sparse
+meet in the loss or in the update. Inside a stage's `step_pool` block,
+`run_pair` runs one half on the pool's single worker and the other on
+the calling thread; no function between the two takes the pool. The sparse
 products, BLAS products and ufuncs that do the work release the
 interpreter lock, so the halves overlap on two CPUs. The pairs, worker
 half first:
@@ -56,34 +57,52 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The pool of the stage running in this context, set by `step_pool`.
+_pool = contextvars.ContextVar("taskhg_step_pool", default=None)
+
+
 @contextmanager
 def step_pool():
-    """A one-worker pool for one training stage or evaluation, or None below two CPUs.
+    """Give `run_pair` a one-worker pool for one training stage or evaluation.
 
-    The worker thread starts at the first submitted half and is joined
-    when the block exits.
+    Below two CPUs there is no pool and every pair runs on the calling
+    thread. The worker thread starts at the first submitted half and is
+    joined when the block exits; the pool is uninstalled whether the
+    block returns or raises.
     """
     if usable_cpus() < 2:
-        yield None
+        yield
         return
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=THREAD_NAME_PREFIX) as pool:
-        yield pool
+        token = _pool.set(pool)
+        try:
+            yield
+        finally:
+            _pool.reset(token)
 
 
-def run_pair(pool, first, second):
-    """Return (first(), second()); with a pool, `first` runs on its worker.
+def pairs_overlap() -> bool:
+    """Whether `run_pair` here hands its first half to a worker."""
+    return _pool.get() is not None
+
+
+def run_pair(first, second):
+    """Return (first(), second()); under `step_pool`, `first` runs on its worker.
 
     The worker runs `first` in a copy of the caller's context, so settings
     held in context variables, such as NumPy's errstate, apply on both
-    threads. The worker's half is always finished before this returns or
-    raises. An exception from `second` is raised in preference to one
-    from `first`; without a pool, `first` raising means `second` never runs.
-    Neither half may call run_pair on the same pool: its one worker would
-    wait for itself.
+    threads. That copy has no pool, so a pair inside `first` runs both its
+    halves on the worker. The worker's half is always finished before this
+    returns or raises. An exception from `second` is raised in preference
+    to one from `first`; without a pool, `first` raising means `second`
+    never runs.
     """
+    pool = _pool.get()
     if pool is None:
         return first(), second()
-    future = pool.submit(contextvars.copy_context().run, first)
+    context = contextvars.copy_context()
+    context.run(_pool.set, None)
+    future = pool.submit(context.run, first)
     try:
         second_result = second()
     finally:

@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -6,7 +7,11 @@ from taskhg import schedule
 
 
 class CountingPool:
-    """A step pool that counts the halves handed to its worker."""
+    """A step pool that counts the halves handed to its worker.
+
+    `with pool:` installs it for `run_pair`, as `step_pool` installs a
+    stage's pool; outside the block, pairs run on the calling thread.
+    """
 
     def __init__(self, pool):
         self._pool = pool
@@ -16,13 +21,18 @@ class CountingPool:
         self.submitted += 1
         return self._pool.submit(fn, *args)
 
+    def __enter__(self):
+        self._token = schedule._pool.set(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        schedule._pool.reset(self._token)
+
 
 @pytest.fixture
-def pool(monkeypatch):
-    # Two CPUs as far as the schedule knows, so the pool exists on any host.
-    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
-    with schedule.step_pool() as real:
-        assert real is not None
+def pool():
+    prefix = schedule.THREAD_NAME_PREFIX
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix) as real:
         yield CountingPool(real)
 
 

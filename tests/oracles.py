@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from taskhg.data import STREAM_SPLIT, rng_for
 from taskhg.errors import DataError
-from taskhg.evaluate import ndcg_at_k, rank_items, recall_at_k
+from taskhg.evaluate import rank_items
 from taskhg.gradients import (
     _norm_backward,
     _normalize_with_cache,
@@ -294,6 +294,28 @@ def adam_step(params, grads, first_moment, second_moment, t, lr, beta1, beta2, e
         v *= beta2
         v += (1.0 - beta2) * g * g
         params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+
+
+def recall_at_k(ranked_items, test_items, k: int) -> float:
+    """Fraction of a user's test items that appear in their top-k."""
+    test_items = set(test_items)
+    if not test_items:
+        raise ValueError("recall_at_k needs at least one test item")
+    hits = sum(1 for i in ranked_items[:k] if i in test_items)
+    return hits / len(test_items)
+
+
+def ndcg_at_k(ranked_items, test_items, k: int) -> float:
+    """Binary-relevance NDCG; ideal gain uses min(k, #test) positions."""
+    test_items = set(test_items)
+    if not test_items:
+        raise ValueError("ndcg_at_k needs at least one test item")
+    dcg = 0.0
+    for pos, item in enumerate(ranked_items[:k], start=1):
+        if item in test_items:
+            dcg += 1.0 / math.log2(pos + 1)
+    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(test_items)) + 1))
+    return dcg / ideal
 
 
 def mean_ranking_metrics(user_out, item_out, seen, ks, tests, users):

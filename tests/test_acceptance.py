@@ -19,13 +19,15 @@ from oracles import (
     hypergraph_convolve,
     loop_ta_forward,
     max_rel_error,
+    ndcg_at_k,
     random_hypergraph_dense,
+    recall_at_k,
 )
 
 from taskhg.cli import main as cli_main
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import generate_synthetic_dataset
-from taskhg.evaluate import evaluate, ndcg_at_k, recall_at_k
+from taskhg.evaluate import evaluate
 from taskhg.gradients import pretrain_loss_and_grad
 from taskhg.hypergraph import build_hypergraph
 from taskhg.io import load_checkpoint, save_checkpoint

@@ -382,7 +382,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "ks, named",
         [("0", "(0,)"), ("-5", "(-5,)"), ("20,10", "(20, 10)"), ("a", "'a'"),
-         ("10,10,20", "(10, 10, 20)")],
+         ("10,10,20", "(10, 10, 20)"), ("10,", "'10,'"), (",10", "',10'"),
+         ("10,,20", "'10,,20'")],
     )
     def test_bad_ks_is_one(self, synth_dir, tmp_path, ks, named, capsys):
         ckpt = tmp_path / "pre.ckpt"

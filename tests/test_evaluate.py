@@ -7,6 +7,7 @@ import numpy as np
 import oracles
 import pytest
 import scipy.sparse as sp
+from oracles import ndcg_at_k, recall_at_k
 
 from taskhg import schedule
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
@@ -17,9 +18,7 @@ from taskhg.evaluate import (
     _top_k_survivors,
     evaluate,
     evaluate_scores,
-    ndcg_at_k,
     rank_items,
-    recall_at_k,
     top_k_items,
 )
 from taskhg.model import EmbeddingTable, init_embeddings
@@ -255,7 +254,8 @@ class TestSchedules:
             set_block_rows(monkeypatch, rows, user_out.shape[0], item_out.shape[0])
             serial = evaluate_scores(*args)
             pool.submitted = 0
-            paired = evaluate_scores(*args, pool)
+            with pool:
+                paired = evaluate_scores(*args)
             assert pool.submitted == (1 if count > rows else 0)
             paired_calls += pool.submitted
             assert paired[2] == serial[2]

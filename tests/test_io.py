@@ -10,6 +10,7 @@ import pytest
 
 import taskhg
 from taskhg.config import TrainConfig
+from taskhg.data import generate_synthetic_dataset
 from taskhg.errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
@@ -249,6 +250,28 @@ class TestLoadDataset:
         dataset, _ = load_dataset(root, "manifest.json", train_fraction=0.8, split_seed=3)
         assert len(dataset.train_edges) == 16
         assert len(dataset.test_edges) == 4
+
+    @pytest.mark.parametrize(
+        "shape", [(200, 100, 4, 0.05, 7, 2), (400, 200, 8, 0.1, 3, 5)], ids=str
+    )
+    def test_written_synthetic_set_loads_as_the_generated_one(self, tmp_path, shape):
+        # The tests build their data with the generator; the benchmark loads
+        # what the writer wrote. Both must be the same dataset.
+        want = generate_synthetic_dataset(*shape)
+        root = write_synthetic_dataset(tmp_path / "synth", *shape)
+        got, _ = load_dataset(root, "manifest.json", train_fraction=0.8, split_seed=shape[4])
+        assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+        assert got.train_array.tobytes() == want.train_array.tobytes()
+        assert got.test_array.tobytes() == want.test_array.tobytes()
+        assert len(got.auxiliary_tasks) == len(want.auxiliary_tasks)
+        for a, b in zip(got.auxiliary_tasks, want.auxiliary_tasks):
+            assert (a.task_id, a.kind, a.side, a.hyperedge_labels) == (
+                b.task_id, b.kind, b.side, b.hyperedge_labels
+            )
+            for part in ("indptr", "indices", "data"):
+                left, right = getattr(a.graph.incidence, part), getattr(b.graph.incidence, part)
+                assert left.dtype == right.dtype, (a.task_id, part)
+                assert left.tobytes() == right.tobytes(), (a.task_id, part)
 
 
 def interaction_lines(users, items, seed):

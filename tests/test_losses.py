@@ -1,6 +1,7 @@
 """Loss values: the scalar oracles on hand values, the trained joint
 objective's combination of its terms, and the overflow-safe helpers."""
 
+import contextlib
 import math
 import threading
 import tracemalloc
@@ -251,7 +252,8 @@ class TestUniformityGram:
         users = rng.integers(40, size=64)
         items = rng.integers(30, size=64)
         serial = au_grad(user_out, item_out, users, items, 0.7)
-        paired = au_grad(user_out, item_out, users, items, 0.7, pool)
+        with pool:
+            paired = au_grad(user_out, item_out, users, items, 0.7)
         assert pool.submitted == 1
         assert np.float64(paired[0]).tobytes() == np.float64(serial[0]).tobytes()
         assert paired[1].tobytes() == serial[1].tobytes()
@@ -285,8 +287,9 @@ class TestAuBatchRows:
     def test_same_bytes_as_the_full_table_form(self, request, name, paired):
         user_out, item_out, users, items = au_batch_cases()[name]
         users, items = np.array(users), np.array(items)
-        pool = request.getfixturevalue("pool") if paired else None
-        loss, g_user, g_item = au_grad(user_out, item_out, users, items, 0.7, pool)
+        pool = request.getfixturevalue("pool") if paired else contextlib.nullcontext()
+        with pool:
+            loss, g_user, g_item = au_grad(user_out, item_out, users, items, 0.7)
         ref_loss, ref_user, ref_item = full_table_au_grad(user_out, item_out, users, items, 0.7)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert g_user.tobytes() == ref_user.tobytes()
@@ -311,7 +314,8 @@ class TestAuBatchRows:
         for name in ("every_row", "more_unique_items"):
             user_out, item_out, users, items = au_batch_cases()[name]
             seen.clear()
-            au_grad(user_out, item_out, np.array(users), np.array(items), 1.0, pool)
+            with pool:
+                au_grad(user_out, item_out, np.array(users), np.array(items), 1.0)
             (worker_rows,) = [n for n, thread in seen if thread != here]
             (caller_rows,) = [n for n, thread in seen if thread == here]
             assert worker_rows > caller_rows

@@ -84,7 +84,8 @@ def test_pretrain_step_is_the_same_on_both_schedules(pool, variant, loss):
             ta_layers=layers, aux_layers=layers,
         )
         serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
-        paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
+        with pool:
+            paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
         assert_same_step(serial, paired)
         attention = serial[2].attention_arrays()
         assert [a.tobytes() for a in paired[2].attention_arrays()] == [
@@ -101,7 +102,9 @@ def test_finetune_step_is_the_same_on_both_schedules(pool, loss):
         table, rec_u, rec_i, _, cfg, batch, _ = make_joint_instance(rng, loss=loss)
         args = (table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
                 batch.rec_neg_items)
-        assert_same_step(finetune_loss_and_grad(*args), finetune_loss_and_grad(*args, pool))
+        serial = finetune_loss_and_grad(*args)
+        with pool:
+            assert_same_step(serial, finetune_loss_and_grad(*args))
     assert pool.submitted > 0
 
 
@@ -116,11 +119,12 @@ def test_one_step_hands_every_pair_to_the_worker(pool, loss, pretrain_halves, fi
     # (see `au_grad`). A pair that falls back to serial lowers the count.
     rng = np.random.default_rng(9)
     table, rec_u, rec_i, aux, cfg, batch, extra = item_side_instance(rng, loss=loss)
-    pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra, pool)
-    assert pool.submitted == pretrain_halves
-    pool.submitted = 0
-    finetune_loss_and_grad(table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
-                           batch.rec_neg_items, pool)
+    with pool:
+        pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+        assert pool.submitted == pretrain_halves
+        pool.submitted = 0
+        finetune_loss_and_grad(table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
+                               batch.rec_neg_items)
     assert pool.submitted == finetune_halves
 
 
@@ -224,8 +228,8 @@ def test_run_pair_raises_only_after_both_halves_finished(pool, raising):
         finished.append(threading.current_thread().name)
 
     halves = (fail, slow) if raising == "first" else (slow, fail)
-    with pytest.raises(Boom) as info:
-        schedule.run_pair(pool, *halves)
+    with pool, pytest.raises(Boom) as info:
+        schedule.run_pair(*halves)
     assert info.value is error
     assert len(finished) == 1
     assert finished[0].startswith(schedule.THREAD_NAME_PREFIX) == (raising == "second")
@@ -271,18 +275,18 @@ class TestCpuCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(schedule, "ThreadPoolExecutor", no_pool)
         assert schedule.usable_cpus() == 1
-        with schedule.step_pool() as pool:
-            assert pool is None
+        with schedule.step_pool():
+            assert not schedule.pairs_overlap()
         pre, fine = run_stages(two_sided_dataset(),
                                TrainConfig(dim=4, epochs_pretrain=1, epochs_finetune=1, seed=1))
         assert pre.table.allfinite() and fine.table.allfinite()
 
     def test_two_cpus_take_the_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        with schedule.step_pool() as pool:
-            assert pool is not None
+        with schedule.step_pool():
+            assert schedule.pairs_overlap()
             here = threading.current_thread
-            worker, caller = schedule.run_pair(pool, here, here)
+            worker, caller = schedule.run_pair(here, here)
             assert worker.name.startswith(schedule.THREAD_NAME_PREFIX)
             assert caller is here()
         assert not [t for t in threading.enumerate()
@@ -299,11 +303,54 @@ def test_worker_inherits_the_callers_errstate(pool):
     def overflow():
         return np.float64(1e300) * np.float64(1e300)
 
-    with np.errstate(over="ignore"):
-        left, right = schedule.run_pair(pool, overflow, overflow)
+    with pool, np.errstate(over="ignore"):
+        left, right = schedule.run_pair(overflow, overflow)
     assert left == right == np.inf
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        schedule.run_pair(pool, overflow, lambda: None)
+    with pool, np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        schedule.run_pair(overflow, lambda: None)
+    assert pool.submitted == 2
+
+
+def test_a_pair_inside_the_workers_half_runs_on_the_worker(monkeypatch):
+    # The worker's half sees no pool, so a pair inside it runs both halves
+    # there instead of queueing behind itself on the one worker.
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    here = threading.current_thread
+    results = []
+
+    def stage():
+        with schedule.step_pool():
+            results.append(schedule.run_pair(lambda: schedule.run_pair(here, here), here))
+
+    runner = threading.Thread(target=stage, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "a pair inside the worker's half deadlocked"
+    [((inner_first, inner_second), caller)] = results
+    assert inner_first is inner_second
+    assert inner_first.name.startswith(schedule.THREAD_NAME_PREFIX)
+    assert caller is runner
+
+
+def test_outside_a_stage_pairs_start_no_thread(monkeypatch):
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    here = threading.current_thread
+    assert not schedule.pairs_overlap()
+    assert schedule.run_pair(here, here) == (here(), here())
+    assert threading.active_count() == before
+
+
+def test_a_stage_that_raises_leaves_pairs_serial(monkeypatch):
+    monkeypatch.setattr(schedule, "usable_cpus", lambda: 2)
+    with pytest.raises(Boom), schedule.step_pool():
+        assert schedule.pairs_overlap()
+        raise Boom("stage failed")
+    here = threading.current_thread
+    assert not schedule.pairs_overlap()
+    assert schedule.run_pair(here, here) == (here(), here())
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith(schedule.THREAD_NAME_PREFIX)]
 
 
 def test_importing_the_package_starts_no_thread():
