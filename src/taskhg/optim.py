@@ -48,9 +48,10 @@ class AdamState:
         intermediate goes to a pair of scratch buffers, and `grads` is only
         read. The operations and their order are those of the textbook
         expression, so the result does not depend on the slice size. The
-        slices touch disjoint rows: the first half of them runs on the step
-        pool's worker, the second on the calling thread, each with its own
-        scratch pair.
+        first half of every block's rows runs on the step pool's worker and
+        the second half on the calling thread, each in its own slices and
+        with its own scratch pair, so the two threads update the same
+        number of rows to within one per block.
         """
         for name, g in grads.items():
             if not np.isfinite(g).all():
@@ -59,10 +60,12 @@ class AdamState:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        slices = []
+        halves = ([], [])  # (worker's, this thread's) row slices
         for name, g in grads.items():
             rows = max(1, BLOCK_CELLS // max(1, _row_cells(g)))
-            slices += [(name, slice(lo, lo + rows)) for lo in range(0, len(g), rows)]
+            mid = len(g) // 2
+            for half, lo, hi in ((halves[0], 0, mid), (halves[1], mid, len(g))):
+                half += [(name, slice(r, min(r + rows, hi))) for r in range(lo, hi, rows)]
 
         def update(part, scratch):
             for name, rs in part:
@@ -71,10 +74,9 @@ class AdamState:
                 v = self.second_moment[name][rs]
                 self._update_rows(g, m, v, params[name][rs], bc1, bc2, scratch)
 
-        half = len(slices) // 2
         run_pair(
-            lambda: update(slices[:half], self.scratch[1]),
-            lambda: update(slices[half:], self.scratch[0]),
+            lambda: update(halves[0], self.scratch[1]),
+            lambda: update(halves[1], self.scratch[0]),
         )
 
     def _update_rows(self, g, m, v, p, bc1, bc2, scratch):

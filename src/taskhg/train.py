@@ -229,10 +229,9 @@ def finetune(
     rec_user_task, rec_item_task = dataset.rec_pair()
 
     def step(index, users, items, negs):
-        loss, grads, _ = finetune_loss_and_grad(
+        return finetune_loss_and_grad(
             table, rec_user_task, rec_item_task, config, users, items, negs
         )
-        return loss, grads, ()
 
     params = {"user": table.user_emb, "item": table.item_emb}
     log = _train_loop(

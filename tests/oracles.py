@@ -2,10 +2,13 @@
 
 Everything here is written against dense arrays and plain Python loops, on
 purpose: these oracles must not share code with the sparse/matrix-form
-paths they check. Three exceptions: `hypergraph_convolve`, which composes
+paths they check. Four exceptions: `hypergraph_convolve`, which composes
 the package's two aggregations and is itself checked against
 `dense_convolve`; `full_table_au_grad`, a byte-for-byte reference
-built from the package's row primitives; and `build_relation_hypergraph`,
+built from the package's row primitives; `out_of_place_convolve` and
+`out_of_place_reverse`, byte-for-byte references for the TA stack's
+in-place forward and reverse, built from the package's aggregations with
+a fresh array for every intermediate; and `build_relation_hypergraph`,
 the record-at-a-time builder, which hands its pairs to the package's
 `build_hypergraph` so that its range errors read as the package's.
 """
@@ -16,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from taskhg.config import TAVariant
 from taskhg.data import STREAM_SPLIT, rng_for
 from taskhg.errors import DataError
 from taskhg.evaluate import rank_items
@@ -28,9 +32,12 @@ from taskhg.gradients import (
 from taskhg.hypergraph import (
     Hypergraph,
     aggregate_hyperedges_to_nodes,
+    aggregate_hyperedges_to_nodes_adjoint,
     aggregate_nodes_to_hyperedges,
+    aggregate_nodes_to_hyperedges_adjoint,
     build_hypergraph,
 )
+from taskhg.model import TALayerTrace, TATrace
 from taskhg.tasks import TaskHypergraph, TaskKind
 
 
@@ -82,6 +89,82 @@ def loop_ta_forward(H, X, zs, gamma, num_layers=1):
                 out[v] = sum(q[j] for j in incident) / len(incident)
         x = out
     return x
+
+
+def out_of_place_convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
+    """The TA stack's forward with a fresh array per intermediate; every
+    layer keeps its eps. Same operands, same order as `model._convolve`."""
+    zs = trace.task_embs
+    for _ in range(num_layers):
+        eps = aggregate_nodes_to_hyperedges(trace.graph, x)
+        alpha = None
+        a = None
+        if trace.attends:
+            if trace.variant == TAVariant.FULL:
+                sqrt_d = math.sqrt(eps.shape[1])
+                logits = np.stack([(eps * z).sum(axis=1) for z in zs], axis=1) / sqrt_d
+                logits -= logits.max(axis=1, keepdims=True)
+                expw = np.exp(logits)
+                alpha = expw / expw.sum(axis=1, keepdims=True)
+                s = np.zeros_like(eps)
+                for t, z in enumerate(zs):
+                    s += alpha[:, t : t + 1] * z
+                a = np.tanh(s)
+            elif trace.variant == TAVariant.SUM:
+                a = np.tanh(sum(zs) / len(zs))
+            else:  # CONCAT
+                stacked = np.concatenate(zs, axis=1)
+                a = np.tanh(stacked @ trace.concat_weight)
+            q = eps + trace.gamma * a
+        else:
+            q = eps
+        x = aggregate_hyperedges_to_nodes(trace.graph, q)
+        trace.layers.append(TALayerTrace(eps=eps, alpha=alpha, a=a))
+    trace.node_emb = x
+    return trace
+
+
+def out_of_place_reverse(trace: TATrace, g_out, g_edge=None):
+    """(g_input, g_task_embs, g_concat_weight) of a trace recorded by
+    `out_of_place_convolve`, with a fresh array per intermediate."""
+    graph = trace.graph
+    gamma = trace.gamma
+    zs = trace.task_embs
+    g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, zs)}
+    g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
+    g = np.asarray(g_out, dtype=np.float64)
+    for layer in reversed(trace.layers):
+        g_q = aggregate_hyperedges_to_nodes_adjoint(graph, g)
+        g_eps = g_q
+        if trace.attends:
+            g_s = (gamma * g_q) * (1.0 - layer.a**2)
+            if trace.variant == TAVariant.FULL:
+                sqrt_d = math.sqrt(g_q.shape[1])
+                alpha = layer.alpha
+                g_alpha = np.stack([(g_s * z).sum(axis=1) for z in zs], axis=1)
+                row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
+                g_logit = alpha * (g_alpha - row_dot)
+                g_eps = g_q.copy()
+                for t, (tid, z) in enumerate(zip(trace.task_ids, zs)):
+                    g_zs[tid] += alpha[:, t : t + 1] * g_s
+                    g_zs[tid] += g_logit[:, t : t + 1] * layer.eps / sqrt_d
+                    g_eps += g_logit[:, t : t + 1] * z / sqrt_d
+            elif trace.variant == TAVariant.SUM:
+                share = g_s / len(zs)
+                for tid in trace.task_ids:
+                    g_zs[tid] += share
+            else:  # CONCAT
+                stacked = np.concatenate(zs, axis=1)
+                g_w += stacked.T @ g_s
+                g_stacked = g_s @ trace.concat_weight.T
+                dim = g_out.shape[1]
+                for t, tid in enumerate(trace.task_ids):
+                    g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
+        if g_edge is not None:  # the final layer, which comes first
+            g_eps = g_eps + g_edge
+            g_edge = None
+        g = aggregate_nodes_to_hyperedges_adjoint(graph, g_eps)
+    return g, g_zs, g_w
 
 
 def central_difference_grad(loss_fn, param: np.ndarray, h: float = 1e-5) -> np.ndarray:

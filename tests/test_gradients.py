@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,17 +12,32 @@ from oracles import (
     bpr_pos_loss,
     central_difference_grad,
     l2_terms,
+    out_of_place_convolve,
+    out_of_place_reverse,
 )
 
 import taskhg.gradients
 from taskhg.config import LossKind, TAVariant, TrainConfig
+from taskhg.data import (
+    generate_synthetic_dataset,
+    sample_negative_hyperedges,
+    sample_negative_items,
+    task_positive_pairs,
+)
 from taskhg.gradients import (
     PretrainBatch,
+    _reverse,
     _scatter_rows,
     finetune_loss_and_grad,
     pretrain_loss_and_grad,
 )
-from taskhg.model import EmbeddingTable
+from taskhg.model import (
+    EmbeddingTable,
+    TATrace,
+    forward_pretrain,
+    init_embeddings,
+    ta_forward_traced,
+)
 from taskhg.tasks import NodeSide, build_recommendation_hypergraphs
 
 
@@ -211,9 +227,10 @@ def test_loss_values_match_spec_loss_functions():
     }
     assert set(oracles) == set(LossKind)
     for kind, oracle in oracles.items():
-        loss, _, acts = pretrain_loss_and_grad(
-            table, rec_u, rec_i, [], replace(cfg, pretrain_loss=kind), batch, {}
-        )
+        step_cfg = replace(cfg, pretrain_loss=kind)
+        loss = pretrain_loss_and_grad(table, rec_u, rec_i, [], step_cfg, batch, {})[0]
+        # The step drops the TA outputs once the loss has read them.
+        acts = forward_pretrain(table, rec_u, rec_i, [], step_cfg)
         expected = oracle(acts.ta_user_trace.node_emb, acts.ta_item_trace.node_emb)
         assert loss == pytest.approx(expected, rel=1e-12), kind
 
@@ -278,3 +295,103 @@ def test_l2_term_is_bit_identical_to_out_of_place_expressions(stage):
         assert np.float64(loss).tobytes() == np.float64(base_loss + cfg.lambda_reg * reg).tobytes()
         assert grads["user"].tobytes() == (base["user"] + g_user).tobytes()
         assert grads["item"].tobytes() == (base["item"] + g_item).tobytes()
+
+
+def optional_bytes(a):
+    return None if a is None else a.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
+def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
+    # The in-place forward and reverse against the fresh-array one, on both
+    # recommendation sides, 0-3 attended tasks (0 is the encoder), a gamma
+    # other than 1, and with and without a gradient on the final edges.
+    rng = np.random.default_rng([17, list(TAVariant).index(variant), layers])
+    for _ in range(4):
+        table, rec_u, rec_i, _, cfg, _, _ = make_joint_instance(rng, max_tasks=0)
+        cfg = replace(cfg, gamma=float(rng.uniform(0.3, 0.9)), ta_variant=variant,
+                      ta_layers=layers)
+        for graph, x in ((rec_u.graph, table.user_emb), (rec_i.graph, table.item_emb)):
+            d = x.shape[1]
+            for n_tasks in range(4):
+                opposite = [(f"t{k}", rng.normal(size=(graph.num_hyperedges, d)))
+                            for k in range(n_tasks)]
+                weight = rng.normal(size=(n_tasks * d, d)) if n_tasks else None
+                trace = ta_forward_traced(x, graph, opposite, cfg, weight)
+                ref = TATrace(graph, cfg.gamma, variant, [t for t, _ in opposite],
+                              [z for _, z in opposite], concat_weight=trace.concat_weight)
+                out_of_place_convolve(ref, x, layers)
+                assert trace.node_emb.tobytes() == ref.node_emb.tobytes()
+                for k, (layer, ref_layer) in enumerate(zip(trace.layers, ref.layers)):
+                    kept = trace.attends or k == layers - 1
+                    assert optional_bytes(layer.eps) == (ref_layer.eps.tobytes() if kept else None)
+                    assert optional_bytes(layer.alpha) == optional_bytes(ref_layer.alpha)
+                    assert optional_bytes(layer.a) == optional_bytes(ref_layer.a)
+                g_out = rng.normal(size=x.shape)
+                for g_edge in (None, rng.normal(size=(graph.num_hyperedges, d))):
+                    got = _reverse(trace, g_out.copy(), None if g_edge is None else g_edge.copy())
+                    want = out_of_place_reverse(ref, g_out, g_edge)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert list(got[1]) == list(want[1])
+                    for tid, g_z in want[1].items():
+                        assert got[1][tid].tobytes() == g_z.tobytes(), tid
+                    assert optional_bytes(got[2]) == optional_bytes(want[2])
+
+
+@pytest.fixture(scope="module")
+def synthetic_step():
+    """A 2000 x 1000 synthetic set (dim 64) and one 256-pair batch of each kind."""
+    ds = generate_synthetic_dataset(2000, 1000, 20, 0.05, 3, interactions_per_user=5)
+    rec_u, rec_i = ds.rec_pair()
+    table = init_embeddings(ds.num_users, ds.num_items, 64, 3)
+    rng = np.random.default_rng(3)
+    pairs = rec_u.graph.memberships()
+    take = pairs[rng.permutation(len(pairs))[:256]]
+    users, items = take[:, 0], take[:, 1]
+    negs = sample_negative_items(rng, rec_u, users)
+    batch = PretrainBatch(users, items)
+    for task in ds.auxiliary_tasks:
+        task_pairs = task_positive_pairs(task)
+        chunk = task_pairs[rng.permutation(len(task_pairs))[:256]]
+        negatives = sample_negative_hyperedges(rng, task, chunk[:, 0])
+        batch.aux_bpr[task.task_id] = (chunk[:, 0], chunk[:, 1], negatives)
+    return table, rec_u, rec_i, ds.auxiliary_tasks, batch, negs
+
+
+def peak_in_tables(table, step):
+    """tracemalloc peak of `step()` above its start, in units of the two
+    tables' bytes; the step runs once before, so caches are warm."""
+    step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / (table.user_emb.nbytes + table.item_emb.nbytes)
+
+
+# Measured peaks on the serial schedule: pretrain 5.7 table sizes for both
+# losses (9.0 when every step array lived until the step returned) and
+# finetune 2.4 (4.7). The bounds leave about 0.7 table sizes for library
+# changes; holding both sides' outputs of a stage past their last reader
+# (one table size) fails them.
+@pytest.mark.parametrize("stage, loss, bound", [
+    ("pretrain", LossKind.ALIGNMENT, 6.5),
+    ("pretrain", LossKind.AU, 6.5),
+    ("finetune", LossKind.BPR, 3.0),
+], ids=["pretrain-align", "pretrain-au", "finetune-bpr"])
+def test_step_peak_memory_is_bounded_in_table_sizes(synthetic_step, stage, loss, bound):
+    table, rec_u, rec_i, aux, batch, negs = synthetic_step
+    cfg = TrainConfig(dim=64, seed=3, pretrain_loss=loss, finetune_loss=loss)
+    if stage == "pretrain":
+        peak = peak_in_tables(
+            table, lambda: pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch)
+        )
+    else:
+        peak = peak_in_tables(table, lambda: finetune_loss_and_grad(
+            table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items, negs
+        ))
+    assert peak <= bound, f"{stage} step peaked at {peak:.2f} table sizes"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from oracles import adam_step
 
 import taskhg.optim
+import taskhg.schedule
 from taskhg.errors import DivergenceError
 from taskhg.optim import AdamState
 
@@ -147,3 +149,40 @@ def test_apply_allocates_no_full_table_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"AdamState.apply peaked at {peak / 2**20:.1f} MB"
+
+
+def test_paired_apply_halves_every_block_by_rows(pool, monkeypatch):
+    # Slices of 8 rows (12 for the 5-column head) cut the blocks into
+    # 5 + 3 + 2 + 1 = 11 slices; halving that count would give the worker
+    # the user block's 5 (37 rows) and this thread the other 47 rows. Each
+    # thread must update half of every block's rows, and the bytes must be
+    # those of the serial update.
+    monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", 64)
+    rng = np.random.default_rng(14)
+    params = training_blocks(rng)
+    grads = sparse_grads(rng, params)
+    serial = {name: p.copy() for name, p in params.items()}
+    serial_state = AdamState.for_params(serial, lr=0.03)
+    paired_state = AdamState.for_params(params, lr=0.03)
+    rows = {}
+    real = AdamState._update_rows
+
+    def counting(self, g, *args):
+        key = threading.current_thread().name.startswith(taskhg.schedule.THREAD_NAME_PREFIX)
+        rows[key] = rows.get(key, 0) + len(g)
+        return real(self, g, *args)
+
+    for _ in range(3):
+        serial_state.apply(grads, serial)
+        monkeypatch.setattr(AdamState, "_update_rows", counting)
+        with pool:
+            paired_state.apply(grads, params)
+        monkeypatch.setattr(AdamState, "_update_rows", real)
+    assert pool.submitted == 3
+    # 37, 23, 16 and 8 rows: the worker takes 18 + 11 + 8 + 4 of each step's 84.
+    assert rows == {True: 3 * 41, False: 3 * 43}
+    for name in params:
+        assert params[name].tobytes() == serial[name].tobytes(), name
+        for moments in ("first_moment", "second_moment"):
+            got = getattr(paired_state, moments)[name].tobytes()
+            assert got == getattr(serial_state, moments)[name].tobytes(), (name, moments)
