@@ -201,9 +201,8 @@ def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
     nothing is drawn that the loop would not draw. Windows of up to
     `_WINDOW` (node, draw) pairs, the i-th node against the i-th unused
     draw, are tested with one binary search on `incidence_keys`. All pairs
-    before the first rejection are accepted; the rejecting node then tries
-    the following draws one by one against its own row, and the windows
-    resume after it.
+    before the first rejection are accepted; the rejected draw is used up,
+    and the next window starts at the rejecting node with the next draw.
     """
     graph = task.graph
     m = graph.num_hyperedges
@@ -218,27 +217,12 @@ def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
         )
     keys = graph.incidence_keys
     node_keys = nodes * m
-    indptr, indices = graph.incidence.indptr, graph.incidence.indices
     draws = np.empty(0, dtype=np.int64)
-    draws_list = None  # draws as Python ints, made for one-by-one tries
-    incident = None  # row of the node that is trying draws one by one
     k = p = 0  # next node to resolve, next unused draw
     while k < n:
         if p == len(draws):
             draws = rng.integers(m, size=n - k)
-            draws_list = None
             p = 0
-        if incident is not None:
-            if draws_list is None:
-                draws_list = draws.tolist()
-            while p < len(draws_list) and draws_list[p] in incident:
-                p += 1
-            if p < len(draws_list):
-                out[k] = draws_list[p]
-                k += 1
-                p += 1
-                incident = None
-            continue
         w = min(_WINDOW, n - k, len(draws) - p)
         query = node_keys[k : k + w] + draws[p : p + w]
         rejected = keys[keys.searchsorted(query)] == query
@@ -247,11 +231,7 @@ def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
             t = w
         out[k : k + t] = draws[p : p + t]
         k += t
-        p += t
-        if t < w:
-            v = nodes[k]
-            incident = indices[indptr[v] : indptr[v + 1]].tolist()
-            p += 1
+        p += t + (t < w)  # a rejected draw is used up
     return out
 
 

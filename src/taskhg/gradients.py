@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import LossKind, TAVariant, TrainConfig
 from .hypergraph import (
     aggregate_hyperedges_to_nodes_adjoint,
     aggregate_nodes_to_hyperedges_adjoint,
+    csr_from_sorted,
 )
 from .model import (
     EmbeddingTable,
@@ -140,12 +140,8 @@ def _scatter_rows(num_rows, index, rows):
     batch order: each output row adds its terms in the order of `index`,
     exactly as np.add.at into zeros would, in one pass over the output.
     """
-    n = len(index)
     order = np.argsort(index, kind="stable")
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
-    select = sp.csr_matrix((np.ones(n), order, indptr), shape=(num_rows, n))
-    return select @ rows
+    return csr_from_sorted(index[order], order, (num_rows, len(index))) @ rows
 
 
 def alignment_grad(user_out, item_out, users, items):

@@ -151,7 +151,8 @@ class DatasetStats:
     relation_records_skipped: int = 0
 
     def lines(self):
-        return [
+        """The table's lines; the skipped-record count only when above 0."""
+        lines = [
             f"# users              {self.num_users}",
             f"# items              {self.num_items}",
             f"# user-item edges    {self.num_interactions}",
@@ -159,6 +160,9 @@ class DatasetStats:
             f"# node attributes    {self.num_node_attributes}",
             f"# homogeneous edges  {self.num_homogeneous_edges}",
         ]
+        if self.relation_records_skipped:
+            lines.append(f"# skipped relations  {self.relation_records_skipped}")
+        return lines
 
 
 def _read_pairs(root: Path, name: str, continuous: bool = False):

@@ -165,6 +165,22 @@ class TestPipeline:
         assert "no_auxiliary/recall@10\t" in text
         assert "meta/cold_start_ratio\t0.2" in text
 
+    @pytest.mark.parametrize("extra, skipped", [("", 0), ("0\t\n", 1), ("0\t\n1\t,\n", 2)])
+    def test_skipped_relation_records_are_printed_when_any(self, synth_dir, tmp_path, extra,
+                                                          skipped, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        with open(data / "item_partners.tsv", "a") as f:
+            f.write(extra)
+        code = run_cli(["pretrain", "--data", str(data), "--seed", "1",
+                        "--out", str(tmp_path / "c.bin"), "--epochs-pretrain", "0"])
+        assert code == 0
+        stats = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# ")]
+        assert len(stats) == 6 + bool(skipped)
+        if skipped:
+            assert stats[-1] == f"# skipped relations  {skipped}"
+        assert len({line.rindex(" ") for line in stats}) == 1  # one value column
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):

@@ -148,6 +148,17 @@ def by_node(pairs) -> dict:
     return out
 
 
+class DrawLog:
+    """A generator that logs the size of every `integers` call it serves."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(high, size=size)
+
+
 class TestSamplers:
     def test_negative_items_avoid_train(self):
         rng = np.random.default_rng(0)
@@ -204,7 +215,9 @@ class TestSamplers:
         assert rng.integers(1 << 62) == np.random.default_rng(6).integers(1 << 62)
 
     @pytest.mark.parametrize("window", [None, 1, 10**6])
-    @pytest.mark.parametrize("case", ["m=2", "m=5", "degree m-1", "empty batch", "sweep"])
+    @pytest.mark.parametrize(
+        "case", ["m=2", "m=5", "degree m-1", "heavy node", "refill", "empty batch", "sweep"]
+    )
     def test_draws_match_loop_oracle(self, monkeypatch, window, case):
         # The batched sampler must return the loop's negatives and leave the
         # generator where the loop leaves it, whatever the window size.
@@ -215,11 +228,18 @@ class TestSamplers:
             if case == "sweep":
                 n, m = int(meta.integers(1, 40)), int(meta.integers(1, 30))
                 inc = meta.random((n, m)) < meta.random()
-            elif case == "degree m-1":
-                # Node 0 has a single non-incident hyperedge; the others one incidence.
+            elif case in ("degree m-1", "refill"):
+                # Node 0 has a single non-incident hyperedge, nodes 1 to m - 1
+                # one incidence each, and the last two nodes none.
                 n, m = 12, 10
                 inc = np.eye(n, m, dtype=bool)
                 inc[0, :-1] = True
+            elif case == "heavy node":
+                # Node 0 holds 190 of 200 hyperedges, the others 5 each.
+                n, m = 6, 200
+                inc = np.zeros((n, m), dtype=bool)
+                inc[0, meta.permutation(m)[:190]] = True
+                inc[np.arange(1, n)[:, None], meta.integers(m, size=(n - 1, 5))] = True
             else:
                 # An attribute task: every node has exactly one of m values.
                 n, m = 30, int(case[2:]) if case.startswith("m=") else 3
@@ -231,11 +251,21 @@ class TestSamplers:
                 continue
             size = 0 if case == "empty batch" else int(meta.integers(1, 700))
             nodes = meta.choice(eligible, size=size)
+            if case == "heavy node":
+                nodes[meta.random(size) < 0.9] = 0
+            elif case == "refill":
+                # Only the batch's last node can reject, and it rejects the
+                # first buffer's last draw.
+                nodes[:-1] = n - 1
+                nodes[-1] = 0
             got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            got = sample_negative_hyperedges(got_rng, task, nodes)
+            log = DrawLog(got_rng)
+            got = sample_negative_hyperedges(log, task, nodes)
             want = oracles.sample_negative_items(want_rng, nodes, by_node(zip(*np.nonzero(inc))), m)
             assert got.dtype == np.int64 and np.array_equal(got, want)
             assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+            if case == "refill":
+                assert log.sizes[:2] == [size, 1]
 
     def test_positive_pairs_drop_saturated_nodes(self):
         from taskhg.hypergraph import build_hypergraph
