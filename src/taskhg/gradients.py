@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +121,8 @@ def ta_backward(trace: TATrace, g_out):
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """log(sigmoid(x)) computed without overflow for any magnitude."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+    soft = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -soft, x - soft)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -144,14 +146,33 @@ def _scatter_rows(num_rows, index, rows):
     return csr_from_sorted(index[order], order, (num_rows, len(index))) @ rows
 
 
+class BatchRows(NamedTuple):
+    """A table's loss gradient held as the batch's rows.
+
+    `dense()` makes the (num_rows, d) array: `rows` summed into zeros in
+    the order of `index`, or, when `unique`, written at their distinct
+    `index` rows by assignment.
+    """
+
+    num_rows: int
+    index: np.ndarray
+    rows: np.ndarray
+    unique: bool = False
+
+    def dense(self) -> np.ndarray:
+        if not self.unique:
+            return _scatter_rows(self.num_rows, self.index, self.rows)
+        out = np.zeros((self.num_rows, self.rows.shape[1]))
+        out[self.index] = self.rows
+        return out
+
+
 def alignment_grad(user_out, item_out, users, items):
     n = len(users)
     diff = user_out[users] - item_out[items]
     loss = float((diff**2).sum()) / n
     g = (2.0 / n) * diff
-    g_user = _scatter_rows(len(user_out), users, g)
-    g_item = _scatter_rows(len(item_out), items, -g)
-    return loss, g_user, g_item
+    return loss, BatchRows(len(user_out), users, g), BatchRows(len(item_out), items, -g)
 
 
 def bpr_grad(user_out, item_out, users, pos, neg):
@@ -161,9 +182,9 @@ def bpr_grad(user_out, item_out, users, pos, neg):
     margins = (u * gap).sum(axis=1)
     loss = float(-log_sigmoid(margins).sum()) / n
     coef = (-sigmoid(-margins) / n)[:, None]
-    g_user = _scatter_rows(len(user_out), users, coef * gap)
+    g_user = BatchRows(len(user_out), users, coef * gap)
     # Each item row adds its positive terms, then its negative ones.
-    g_item = _scatter_rows(
+    g_item = BatchRows(
         len(item_out), np.concatenate([pos, neg]), np.concatenate([coef * u, -coef * u])
     )
     return loss, g_user, g_item
@@ -172,12 +193,11 @@ def bpr_grad(user_out, item_out, users, pos, neg):
 def bpr_pos_grad(user_out, item_out, users, pos):
     n = len(users)
     u = user_out[users]
-    scores = (u * item_out[pos]).sum(axis=1)
+    p = item_out[pos]
+    scores = (u * p).sum(axis=1)
     loss = float(-log_sigmoid(scores).sum()) / n
     coef = (-sigmoid(-scores) / n)[:, None]
-    g_user = _scatter_rows(len(user_out), users, coef * item_out[pos])
-    g_item = _scatter_rows(len(item_out), pos, coef * u)
-    return loss, g_user, g_item
+    return loss, BatchRows(len(user_out), users, coef * p), BatchRows(len(item_out), pos, coef * u)
 
 
 def _normalize_with_cache(rows):
@@ -226,23 +246,24 @@ def _uniformity_grad(hat_rows, gram=None):
 class _SphereRows:
     """One side of the `au` loss: the batch's sorted unique rows of one table.
 
-    `inv` maps each pair to its row among them. The Gram buffer and the
-    table-sized zero gradient are made here, on the thread that builds
-    the side; `au_grad` builds both on the calling thread.
+    `inv` maps each pair to its row among them. The Gram buffer is made
+    here, on the thread that builds the side; `au_grad` builds both on
+    the calling thread.
     """
 
     def __init__(self, out, batch):
+        self.num_rows = len(out)
         self.rows, self.inv = np.unique(batch, return_inverse=True)
         self.hat, self.norms = _normalize_with_cache(out[self.rows])
         self.gram = np.empty((len(self.rows), len(self.rows)))
-        self.grad = np.zeros_like(out)
 
     def uniformity(self):
         self.value, self.g_unif = _uniformity_grad(self.hat, self.gram)
 
     def reverse(self, uniformity_weight):
         self.g_hat += (0.5 * uniformity_weight) * self.g_unif
-        self.grad[self.rows] = _norm_backward(self.g_hat, self.hat, self.norms)
+        g = _norm_backward(self.g_hat, self.hat, self.norms)
+        self.grad = BatchRows(self.num_rows, self.rows, g, unique=True)
 
 
 def au_grad(user_out, item_out, users, items, uniformity_weight):
@@ -251,7 +272,7 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
     Only the batch's unique rows are normalized and go through the
     normalization's reverse. Every step works row by row, so the bits are
     those of the same arithmetic over both whole tables, in which the rows
-    outside the batch get exact zeros.
+    outside the batch get exact zeros (see `BatchRows`).
 
     Under a step pool, the side with more unique rows computes its
     uniformity term on the worker. This thread computes the other side's
@@ -278,7 +299,12 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
 
 
 def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0):
-    """Dispatch to the configured recommendation-term loss; only `au` splits its work."""
+    """Dispatch to the configured recommendation-term loss; only `au` splits its work.
+
+    Returns (loss, user gradient, item gradient), each gradient as the
+    `BatchRows` of its table, so the table-sized arrays are made by the
+    reverse halves that read them.
+    """
     if len(users) == 0:
         raise ValueError("empty recommendation batch")
     if kind == LossKind.ALIGNMENT:
@@ -370,6 +396,7 @@ def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_bet
             t_loss, g_n, g_e = aux_bpr_grad(
                 trace.node_emb, trace.edge_emb, nodes, pos_edges, neg_edges
             )
+            g_n, g_e = g_n.dense(), g_e.dense()
             g_e *= one_minus_beta
             edge_grads[tid] = g_e
         elif tid in batch.attr_ce:
@@ -411,29 +438,14 @@ def pretrain_loss_and_grad(
     the forward halves, the `au` loss's pair (see `au_grad`), then two
     reverse stages. Stage 1 runs the user-side TA backward on the worker;
     this thread runs the item-side TA backward and every auxiliary loss.
-    Stage 2 runs one half per table, items on the worker: the backward of
-    every encoder whose input is that table, then the table's gradient
-    summed as the TA stack's, each task's in `aux_tasks` order, and the
-    L2 term.
+    Each TA backward first makes its table's loss gradient from the batch
+    rows and scales it by beta in place. Stage 2 runs one half per table,
+    items on the worker: the backward of every encoder whose input is that
+    table, then the table's gradient summed as the TA stack's, each task's
+    in `aux_tasks` order, and the L2 term.
 
-    Each table-sized array lives only until its last reader is done:
-    - across the forward pair: each encoder's node and edge outputs, each
-      attending TA layer's eps and task mix, and each TA stack's node
-      output (a non-attending stack's edge output is dropped at once);
-    - across the loss: the two TA node outputs, dropped once it returns
-      its two gradients, which are scaled by beta in place;
-    - across stage 1: those two gradients, the encoder outputs (read by
-      the attending TA reverse and the auxiliary losses) and the TA
-      layers' eps and task mix, all dropped after it; an encoder's edge
-      output goes when its loss is done;
-    - across stage 2: each table's gradient from its TA stack, the TA
-      gradient on each encoder output and each task's loss gradients,
-      scaled by (1 - beta) in place; a task's are dropped after its
-      encoder's backward, and each L2 buffer as it is added.
-    Measured with `tracemalloc` on the eval-wide benchmark shape (8000 x
-    4000, dim 64; 5.9 MB of tables), one pretraining epoch on two threads
-    peaks 63.0 MB above the stage's start: 19.6 MB of table copy, Adam
-    moments and scratch, and about 7.4 table sizes of step arrays.
+    Each table-sized array lives only until its last reader is done
+    (`test_step_peak_memory_is_bounded_in_table_sizes` bounds the peak).
     """
     extra_params = extra_params or {}
     acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
@@ -450,19 +462,21 @@ def pretrain_loss_and_grad(
         cfg.uniformity_weight,
     )
     ta_user.node_emb = ta_item.node_emb = None
-    g_ta_user *= cfg.beta
-    g_ta_item *= cfg.beta
     extra_grads = {name: np.zeros_like(p) for name, p in extra_params.items()}
     one_minus_beta = 1.0 - cfg.beta
 
+    def ta_reverse(trace, loss_rows):
+        g = loss_rows.dense()
+        g *= cfg.beta
+        return ta_backward(trace, g)
+
     (g_user_in, g_zs_items, g_w_user), (item_ta, aux) = run_pair(
-        lambda: ta_backward(ta_user, g_ta_user),
+        lambda: ta_reverse(ta_user, g_ta_user),
         lambda: (
-            ta_backward(ta_item, g_ta_item),
+            ta_reverse(ta_item, g_ta_item),
             _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_beta),
         ),
     )
-    del g_ta_user, g_ta_item
     for trace in (ta_user, ta_item, *acts.encoder_traces.values()):
         trace.release()
     g_item_in, g_zs_users, g_w_item = item_ta
@@ -508,8 +522,9 @@ def finetune_loss_and_grad(
     Returns (loss, grads, ()): the empty tuple stands where pretraining
     returns its activations, as finetuning has no attention to audit. The
     user and item encoders, forward and backward, run as pairs, and so
-    does the `au` loss. The encoders' outputs go after the loss, and each
-    side's loss gradient after its encoder backward.
+    does the `au` loss. The encoders' outputs go after the loss; each
+    backward half makes its side's loss gradient from the batch rows and
+    drops it after its encoder backward.
     """
     trace_u, trace_i = run_pair(
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1),
@@ -517,7 +532,7 @@ def finetune_loss_and_grad(
     )
     trace_u.drop_edge_output()
     trace_i.drop_edge_output()
-    loss, *g_outs = rec_loss_grad(
+    loss, g_out_user, g_out_item = rec_loss_grad(
         cfg.finetune_loss,
         trace_u.node_emb,
         trace_i.node_emb,
@@ -528,14 +543,13 @@ def finetune_loss_and_grad(
     )
     trace_u.node_emb = trace_i.node_emb = None
 
-    def backward(side, trace, emb):
-        g = encoder_backward(trace, g_outs[side])
-        g_outs[side] = None
+    def backward(loss_rows, trace, emb):
+        g = encoder_backward(trace, loss_rows.dense())
         return g, _add_l2(g, emb, cfg.lambda_reg)
 
     (g_user, reg_user), (g_item, reg_item) = run_pair(
-        lambda: backward(0, trace_u, table.user_emb),
-        lambda: backward(1, trace_i, table.item_emb),
+        lambda: backward(g_out_user, trace_u, table.user_emb),
+        lambda: backward(g_out_item, trace_i, table.item_emb),
     )
     reg = reg_user + reg_item
     total = loss + cfg.lambda_reg * reg

@@ -256,20 +256,28 @@ class _IdMapper:
         return np.fromiter(map(self.mapping.__getitem__, column), dtype=np.int64, count=len(column))
 
     def persist(self, path: Path):
-        # Concurrent readers must never see a partial map: write only on a
-        # change, through a temp file in the same directory.
         if self.identity:
             return
         ordered = sorted(self.mapping, key=self.mapping.get)
         blob = "".join(f"{raw}\t{self.mapping[raw]}\n" for raw in ordered).encode("utf-8")
         if path.is_file() and path.read_bytes() == blob:
             return
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _replace_file(path, blob)
+
+
+def _replace_file(path, blob: bytes):
+    """Write `blob` to `path` through a temp file in the same directory.
+
+    A concurrent reader sees the old file or the new one, never a partial
+    one, and a failed write leaves the old file as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_dataset(
@@ -433,9 +441,7 @@ def save_checkpoint(table: EmbeddingTable, config: TrainConfig, path):
     )
     body_u = np.ascontiguousarray(table.user_emb, dtype="<f8").tobytes()
     body_i = np.ascontiguousarray(table.item_emb, dtype="<f8").tobytes()
-    Path(path).write_bytes(
-        CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header + body_u + body_i
-    )
+    _replace_file(path, CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header + body_u + body_i)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -52,20 +52,35 @@ class AdamState:
         the second half on the calling thread, each in its own slices and
         with its own scratch pair, so the two threads update the same
         number of rows to within one per block.
+
+        The same halves are first checked for non-finite values as a pair
+        of their own; DivergenceError names the first non-finite block in
+        `grads` order, and then no parameter, moment or count has changed.
         """
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"non-finite gradient in parameter block '{name}'")
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
         halves = ([], [])  # (worker's, this thread's) row slices
         for name, g in grads.items():
             rows = max(1, BLOCK_CELLS // max(1, _row_cells(g)))
             mid = len(g) // 2
             for half, lo, hi in ((halves[0], 0, mid), (halves[1], mid, len(g))):
                 half += [(name, slice(r, min(r + rows, hi))) for r in range(lo, hi, rows)]
+
+        def first_nonfinite(part):
+            for name, rs in part:
+                if not np.isfinite(grads[name][rs]).all():
+                    return name
+            return None
+
+        found = run_pair(
+            lambda: first_nonfinite(halves[0]),
+            lambda: first_nonfinite(halves[1]),
+        )
+        for name in grads:
+            if name in found:
+                raise DivergenceError(f"non-finite gradient in parameter block '{name}'")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
 
         def update(part, scratch):
             for name, rs in part:

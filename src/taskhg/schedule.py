@@ -13,51 +13,39 @@ half first:
 - the `au` loss: the uniformity term of the side with more unique batch
   rows, beside the other side's term, the alignment term and that side's
   reverse;
-- pretraining reverse, stage 1: the user-side TA backward, beside the
-  item-side TA backward and every auxiliary loss;
+- pretraining reverse, stage 1: the user table's loss gradient, made
+  from the loss's batch rows and scaled by beta, and the user-side TA
+  backward, beside the same for the item table and every auxiliary loss;
 - pretraining reverse, stage 2: the backward of every encoder that reads
   the item table and the sum of that table's gradient with its L2 term,
   beside the same for the user table;
 - finetuning: the user encoder beside the item encoder, forward, then
+  each table's loss gradient, made from the batch rows, and its encoder
   backward with its L2 term;
-- the Adam update: the first half of every block's rows, beside the
-  second half;
+- the Adam step: a finiteness check of the first half of every block's
+  rows beside one of the second half, then the update of the same halves;
 - evaluation: the user encoder beside the item encoder, then the
   even-numbered score blocks beside the odd-numbered ones, each thread
   scoring and ranking one block at a time. The blocks keep the rows of
   the serial schedule, since BLAS picks its kernel by the product's shape.
 
+Between the pairs the calling thread does only batch-sized work: every
+recommendation loss returns each side's gradient as the batch's rows.
 On data whose auxiliary tasks are all item-side, as the synthetic
 generator makes them, only the user-side TA stack attends; stage 1 gives
 the calling thread the rest of the reverse work while the worker runs
 that stack.
 
-Only these table-sized arrays live across a pair; every other one is
-made and freed inside one half (see `gradients.pretrain_loss_and_grad`):
-- after the pretraining forward: each encoder's outputs, each attending
-  TA layer's eps and task mix, and each TA stack's node output, until
-  the loss and stage 1 have read them;
-- after the loss (a pair for `au`): its two gradients, until stage 1 or
-  finetuning's backward has read them;
-- after stage 1: each table's gradient from its TA stack, the TA
-  gradient on each encoder output and each task's loss gradients, until
-  stage 2 sums them;
-- after stage 2 and after finetuning's backward: the two table
-  gradients, until the update; after finetuning's forward, the two
-  encoder outputs, until the loss;
-- after evaluation's encoder pair: the two encoder outputs, until every
-  score block is done.
-Measured with `tracemalloc` on the eval-wide benchmark shape (8000 x
-4000, dim 64; 5.9 MB of tables), one epoch on two threads peaks 63.0 MB
-above the stage's start when pretraining and 43.3 MB when finetuning,
-19.6 MB of each being the table copy, Adam moments and scratch.
-
-The calling thread allocates the `au` Gram buffers and gradients and
-evaluation's score-block buffers: the allocator keeps what a thread
-frees for that thread's later use, so the worker's arena stays small.
-Each half makes its arrays with the same operations, in the same order,
-as the serial schedule, and the caller combines the results in a fixed
-order, so no result depends on the schedule.
+Each table-sized array lives only until its last reader is done
+(`test_step_peak_memory_is_bounded_in_table_sizes` bounds a step's peak).
+The calling thread allocates the `au` Gram buffers and evaluation's
+score-block buffers: the allocator keeps what a thread frees for that
+thread's later use, so the worker's arena stays small. The worker makes
+and frees only its halves' arrays, such as the user table's loss
+gradient, and reuses them the next step. Each half makes its arrays with
+the same operations, in the same order, as the serial schedule, and the
+caller combines the results in a fixed order, so no result depends on
+the schedule.
 """
 
 from __future__ import annotations

@@ -527,6 +527,21 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: {block} row {row} holds a non-finite value"
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(EmbeddingTable(np.ones((2, 3)), np.ones((1, 3))), TrainConfig(dim=3), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        newer = EmbeddingTable(np.zeros((4, 3)), np.zeros((5, 3)))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(newer, TrainConfig(dim=3), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
     def test_trailing_garbage_rejected(self, tmp_path):
         table = EmbeddingTable(np.ones((1, 2)), np.ones((1, 2)))
         path = tmp_path / "ckpt.bin"

@@ -26,6 +26,7 @@ from taskhg.gradients import (
     au_grad,
     log_sigmoid,
     pretrain_loss_and_grad,
+    rec_loss_grad,
     sigmoid,
 )
 from taskhg.model import EmbeddingTable, forward_pretrain, ta_forward_traced
@@ -256,8 +257,8 @@ class TestUniformityGram:
             paired = au_grad(user_out, item_out, users, items, 0.7)
         assert pool.submitted == 1
         assert np.float64(paired[0]).tobytes() == np.float64(serial[0]).tobytes()
-        assert paired[1].tobytes() == serial[1].tobytes()
-        assert paired[2].tobytes() == serial[2].tobytes()
+        assert paired[1].dense().tobytes() == serial[1].dense().tobytes()
+        assert paired[2].dense().tobytes() == serial[2].dense().tobytes()
 
 
 def au_batch_cases():
@@ -290,6 +291,7 @@ class TestAuBatchRows:
         pool = request.getfixturevalue("pool") if paired else contextlib.nullcontext()
         with pool:
             loss, g_user, g_item = au_grad(user_out, item_out, users, items, 0.7)
+        g_user, g_item = g_user.dense(), g_item.dense()
         ref_loss, ref_user, ref_item = full_table_au_grad(user_out, item_out, users, items, 0.7)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert g_user.tobytes() == ref_user.tobytes()
@@ -321,9 +323,9 @@ class TestAuBatchRows:
             assert worker_rows > caller_rows
 
     def test_memory_stays_near_the_two_gradients(self):
-        # Only the two table-sized gradients scale with the tables; the
-        # full-table form also made normalized copies and reverse temporaries
-        # of both tables, about 3.4x their size.
+        # The full-table form made normalized copies and reverse temporaries
+        # of both tables, about 3.4x their size; the batch-rows form makes
+        # no table-sized array (see test_loss_gradients_stay_batch_sized).
         rng = np.random.default_rng(13)
         user_out = rng.normal(size=(20000, 64))
         item_out = rng.normal(size=(10000, 64))
@@ -337,6 +339,25 @@ class TestAuBatchRows:
             tracemalloc.stop()
         tables = user_out.nbytes + item_out.nbytes
         assert peak <= 1.25 * tables, f"au_grad peaked at {peak / tables:.2f}x the tables"
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+def test_loss_gradients_stay_batch_sized(kind):
+    # Each loss returns its gradients as the batch's rows; the reverse
+    # halves make the table-sized arrays. Two dense gradients would peak at
+    # three times the 10000-row table's bytes.
+    rng = np.random.default_rng(16)
+    user_out = rng.normal(size=(20000, 64))
+    item_out = rng.normal(size=(10000, 64))
+    users = rng.integers(20000, size=64)
+    pos, neg = rng.integers(10000, size=(2, 64))
+    tracemalloc.start()
+    try:
+        rec_loss_grad(kind, user_out, item_out, users, pos, neg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < item_out.nbytes, f"{kind.value} peaked at {peak / 2**20:.1f} MB"
 
 
 def joint_instance(beta, lambda_reg=0.05):
@@ -428,6 +449,7 @@ class TestStableHelpers:
         items = 1e150 * rng.normal(size=(4, 3))
         idx = np.array([0, 1, 3])
         value, g_user, g_item = au_grad(users, items, idx, idx, 1.0)
+        g_user, g_item = g_user.dense(), g_item.dense()
         assert math.isfinite(value)
         assert np.isfinite(g_user).all() and np.isfinite(g_item).all()
         assert value == pytest.approx(au_loss(users, items, idx, idx, 1.0), rel=1e-12)

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import threading
 import tracemalloc
 
@@ -49,11 +51,42 @@ def test_identical_runs_identical_trajectories():
     assert np.array_equal(run(), run())
 
 
-def test_nonfinite_gradient_names_block():
+def state_bytes(state, params):
+    blocks = (params, state.first_moment, state.second_moment)
+    return state.step_count, [{name: b.tobytes() for name, b in d.items()} for d in blocks]
+
+
+def test_nonfinite_gradient_names_block(pool):
     params = scalar_params()
     state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="user"):
         state.apply({"user": np.array([[np.nan]]), "item": np.zeros((1, 1))}, params)
+    # The worker checks rows 0-17 of the 37-row user block and rows 0-10 of
+    # the 23-row item block; the calling thread checks the rest. Each case
+    # is (bad cells, the block named), the first non-finite in grads order.
+    cases = [
+        ([("user", 3)], "user"),
+        ([("user", 30)], "user"),
+        ([("item", 20), ("attr_head:item_block", 1)], "item"),
+        ([("user", 30), ("item", 2), ("ta_concat_item", 0)], "user"),
+        ([("attr_head:item_block", 6)], "attr_head:item_block"),
+    ]
+    rng = np.random.default_rng(15)
+    params = training_blocks(rng)
+    state = AdamState.for_params(params)
+    state.apply(sparse_grads(rng, params), params)  # moments and count not at their start
+    for (cells, named), paired in itertools.product(cases, (False, True)):
+        grads = sparse_grads(rng, params)
+        for value, (name, row) in zip(itertools.cycle((np.nan, np.inf, -np.inf)), cells):
+            grads[name][row, -1] = value
+        before = state_bytes(state, params)
+        message = f"non-finite gradient in parameter block '{named}'"
+        with pool if paired else contextlib.nullcontext():
+            with pytest.raises(DivergenceError) as info:
+                state.apply(grads, params)
+        assert str(info.value) == message, (cells, paired)
+        assert state_bytes(state, params) == before, (cells, paired)
+    assert pool.submitted == len(cases)
 
 
 def test_extra_blocks_updated():
@@ -178,7 +211,7 @@ def test_paired_apply_halves_every_block_by_rows(pool, monkeypatch):
         with pool:
             paired_state.apply(grads, params)
         monkeypatch.setattr(AdamState, "_update_rows", real)
-    assert pool.submitted == 3
+    assert pool.submitted == 6  # each step's check pair and update pair
     # 37, 23, 16 and 8 rows: the worker takes 18 + 11 + 8 + 4 of each step's 84.
     assert rows == {True: 3 * 41, False: 3 * 43}
     for name in params:

@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 from instances import make_joint_instance
 
+import taskhg.gradients
 import taskhg.model
 import taskhg.optim
 from taskhg import schedule
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
-from taskhg.gradients import finetune_loss_and_grad, pretrain_loss_and_grad
+from taskhg.gradients import BatchRows, finetune_loss_and_grad, pretrain_loss_and_grad
 from taskhg.hypergraph import build_hypergraph
 from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind, build_relation_hypergraph
 from taskhg.train import finetune, pretrain
@@ -126,6 +127,40 @@ def test_one_step_hands_every_pair_to_the_worker(pool, loss, pretrain_halves, fi
         finetune_loss_and_grad(table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
                                batch.rec_neg_items)
     assert pool.submitted == finetune_halves
+
+
+@pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
+def test_each_table_loss_gradient_is_made_on_its_sides_thread(pool, monkeypatch, loss):
+    # The losses return batch rows; under the pool, the worker makes the
+    # user table's gradient and the calling thread the item table's, in
+    # pretraining's stage 1 and in finetuning's backward pair.
+    returned = []
+    made = {}
+    real_loss = taskhg.gradients.rec_loss_grad
+    real_dense = BatchRows.dense
+
+    def loss_spy(*args, **kwargs):
+        result = real_loss(*args, **kwargs)
+        returned.append(result[1:])
+        return result
+
+    def dense_spy(rows):
+        made[id(rows)] = threading.current_thread().name
+        return real_dense(rows)
+
+    monkeypatch.setattr(taskhg.gradients, "rec_loss_grad", loss_spy)
+    monkeypatch.setattr(BatchRows, "dense", dense_spy)
+    rng = np.random.default_rng([10, list(LossKind).index(loss)])
+    table, rec_u, rec_i, aux, cfg, batch, extra = two_sided_instance(rng, loss=loss)
+    with pool:
+        pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+        finetune_loss_and_grad(table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
+                               batch.rec_neg_items)
+    assert len(returned) == 2
+    here = threading.current_thread().name
+    for user_rows, item_rows in returned:
+        assert made[id(user_rows)].startswith(schedule.THREAD_NAME_PREFIX)
+        assert made[id(item_rows)] == here
 
 
 def run_stages(dataset, cfg):
