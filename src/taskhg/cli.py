@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -113,6 +114,13 @@ def _config_from(args) -> TrainConfig:
     return cfg
 
 
+def _check_output_dir(flag: str, path: str):
+    """Refuse, before any data is read, an output whose directory is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{flag} {path}: directory {directory} does not exist")
+
+
 def _load(args, bins: int):
     dataset, stats = load_dataset(
         args.data,
@@ -153,6 +161,7 @@ def _save(args, stage: str, result, cfg: TrainConfig) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg = _config_from(args)
+    _check_output_dir("--out", args.out)
     dataset = _load(args, cfg.quantization_bins)
     return _save(args, "pretrain", pretrain(dataset, cfg), cfg)
 
@@ -162,6 +171,7 @@ def _cmd_finetune(args) -> int:
     if args.dim is not None and args.dim != ckpt.dim:
         raise ValueError(f"--dim {args.dim} differs from the checkpoint's dim {ckpt.dim}")
     cfg = replace(_config_from(args), dim=ckpt.dim)
+    _check_output_dir("--out", args.out)
     dataset = _load(args, cfg.quantization_bins)
     return _save(args, "finetune", finetune(ckpt.to_table(), dataset, cfg), cfg)
 
@@ -176,18 +186,21 @@ def _write_report(args, report) -> int:
 def _cmd_evaluate(args) -> int:
     ks = _parse_ks(args.ks)
     ckpt = load_checkpoint(args.checkpoint)
+    _check_output_dir("--report", args.report)
     dataset = _load(args, TrainConfig().quantization_bins)
     return _write_report(args, evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed))
 
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from(args)
+    _check_output_dir("--report", args.report)
     dataset = _load(args, cfg.quantization_bins)
     return _write_report(args, run_ablation(dataset, cfg))
 
 
 def _cmd_coldstart(args) -> int:
     cfg = _config_from(args)
+    _check_output_dir("--report", args.report)
     dataset = _load(args, cfg.quantization_bins)
     return _write_report(args, cold_start_eval(dataset, cfg, args.ratio))
 

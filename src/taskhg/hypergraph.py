@@ -12,6 +12,13 @@ incidence, built once per hypergraph: the kernel then adds inv * g for
 each member, the same rounded products, in the same order, as scaling
 the input rows first would give, without the scaled copy of the input.
 Pre-scaling the forward the same way would change its rounding.
+
+Each adjoint also has a row-restricted form for a gradient that is zero
+outside a few rows: it multiplies by the scaled incidence with every
+entry that meets a zero row left out. Every sparse product sums an
+output row's terms in ascending index order starting from +0.0; such a
+sum is never -0.0, so leaving out terms that are exact zeros changes no
+bit of it.
 """
 
 from __future__ import annotations
@@ -185,3 +192,41 @@ def aggregate_hyperedges_to_nodes_adjoint(h: Hypergraph, grad_node: np.ndarray) 
     """Adjoint of aggregate_hyperedges_to_nodes (gradient wrt hyperedge embeddings)."""
     grad_node = _check_rows("grad_node", grad_node, h.num_nodes)
     return h.incidence_t_by_node_degree @ grad_node
+
+
+def _kept_columns(mat: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The entries of CSR `mat` in the columns where `keep` holds, those
+    columns renumbered by rank; each row keeps its entries' order."""
+    mask = keep[mat.indices]
+    kept_before = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept_before[1:])
+    at = np.flatnonzero(mask)
+    rank = np.cumsum(keep) - 1
+    return sp.csr_matrix(
+        (mat.data[at], rank[mat.indices[at]], kept_before[mat.indptr]),
+        shape=(mat.shape[0], int(np.count_nonzero(keep))),
+    )
+
+
+def aggregate_hyperedges_to_nodes_adjoint_rows(h: Hypergraph, nodes, grad_rows):
+    """aggregate_hyperedges_to_nodes_adjoint of a gradient that is zero but
+    on the distinct, ascending `nodes`, whose rows are `grad_rows`.
+
+    Returns (edges, grad_edges): the hyperedges with a member in `nodes`,
+    ascending, and their rows of the dense adjoint, bit for bit; every
+    other row of it is zero.
+    """
+    keep = np.zeros(h.num_nodes, dtype=bool)
+    keep[nodes] = True
+    mat = _kept_columns(h.incidence_t_by_node_degree, keep)
+    edges = np.flatnonzero(np.diff(mat.indptr))
+    return edges, mat[edges] @ grad_rows
+
+
+def aggregate_nodes_to_hyperedges_adjoint_rows(h: Hypergraph, edges, grad_rows) -> np.ndarray:
+    """aggregate_nodes_to_hyperedges_adjoint of a gradient that is zero but
+    on the distinct, ascending `edges`, whose rows are `grad_rows`: the
+    dense gradient wrt node embeddings, bit for bit."""
+    keep = np.zeros(h.num_hyperedges, dtype=bool)
+    keep[edges] = True
+    return _kept_columns(h.incidence_by_edge_degree, keep) @ grad_rows

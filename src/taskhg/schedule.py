@@ -13,9 +13,10 @@ half first:
 - the `au` loss: the uniformity term of the side with more unique batch
   rows, beside the other side's term, the alignment term and that side's
   reverse;
-- pretraining reverse, stage 1: the user table's loss gradient, made
-  from the loss's batch rows and scaled by beta, and the user-side TA
-  backward, beside the same for the item table and every auxiliary loss;
+- pretraining reverse, stage 1: the user-side TA backward from the
+  user table's loss rows, scaled by beta (on the reached hyperedges
+  where `gradients._reverse` allows it), beside the same for the item
+  table and every auxiliary loss;
 - pretraining reverse, stage 2: the backward of every encoder that reads
   the item table and the sum of that table's gradient with its L2 term,
   beside the same for the user table;

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import taskhg.cli
 import taskhg.protocols
 import taskhg.train
 from taskhg.cli import _config_from, build_parser, main
@@ -501,6 +502,24 @@ class TestExitCodes:
             "a split never holds out a user's only interaction"
         )
         assert not report.exists()
+
+    @pytest.mark.parametrize("command, flag", [("pretrain", "--out"), ("ablate", "--report")])
+    def test_output_in_a_missing_directory_is_two_before_any_work(
+        self, synth_dir, tmp_path, command, flag, monkeypatch, capsys
+    ):
+        def refuse_to_load(*args, **kwargs):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(taskhg.cli, "load_dataset", refuse_to_load)
+        monkeypatch.setattr(taskhg.cli, "pretrain", refuse_to_train)
+        monkeypatch.setattr(taskhg.protocols, "pretrain", refuse_to_train)
+        out = tmp_path / "missing" / "out.bin"
+        code = run_cli([command, "--data", str(synth_dir), "--seed", "1", flag, str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} {out}: directory {out.parent} does not exist"
+        ]
+        assert not out.parent.exists()
 
     def test_coldstart_without_an_evaluable_cold_user_is_two_before_training(
         self, tmp_path, monkeypatch, capsys

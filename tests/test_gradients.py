@@ -25,6 +25,7 @@ from taskhg.data import (
     task_positive_pairs,
 )
 from taskhg.gradients import (
+    BatchRows,
     PretrainBatch,
     _reverse,
     _scatter_rows,
@@ -301,12 +302,33 @@ def optional_bytes(a):
     return None if a is None else a.tobytes()
 
 
+def assert_same_reverse(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert list(got[1]) == list(want[1])
+    for tid, g_z in want[1].items():
+        assert got[1][tid].tobytes() == g_z.tobytes(), tid
+    assert optional_bytes(got[2]) == optional_bytes(want[2])
+
+
+def row_sparse_gradient(rng, num_rows, d):
+    """The loss gradient of 1-3 batch pairs: repeated rows summed, or, as
+    `au` gives them, distinct ascending rows."""
+    index = rng.integers(num_rows, size=int(rng.integers(1, 4)))
+    unique = bool(rng.random() < 0.5)
+    if unique:
+        index = np.unique(index)
+    return BatchRows(num_rows, index, rng.normal(size=(len(index), d)), unique)
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
-def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
+def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers, monkeypatch):
     # The in-place forward and reverse against the fresh-array one, on both
     # recommendation sides, 0-3 attended tasks (0 is the encoder), a gamma
     # other than 1, and with and without a gradient on the final edges.
+    # A row-sparse loss gradient, scaled, goes through the final layer
+    # both on the hyperedges it reaches and densely (`concat` and the
+    # encoder always run densely).
     rng = np.random.default_rng([17, list(TAVariant).index(variant), layers])
     for _ in range(4):
         table, rec_u, rec_i, _, cfg, _, _ = make_joint_instance(rng, max_tasks=0)
@@ -331,12 +353,14 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
                 g_out = rng.normal(size=x.shape)
                 for g_edge in (None, rng.normal(size=(graph.num_hyperedges, d))):
                     got = _reverse(trace, g_out.copy(), None if g_edge is None else g_edge.copy())
-                    want = out_of_place_reverse(ref, g_out, g_edge)
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert list(got[1]) == list(want[1])
-                    for tid, g_z in want[1].items():
-                        assert got[1][tid].tobytes() == g_z.tobytes(), tid
-                    assert optional_bytes(got[2]) == optional_bytes(want[2])
+                    assert_same_reverse(got, out_of_place_reverse(ref, g_out, g_edge))
+                loss_rows = row_sparse_gradient(rng, len(x), d)
+                scale = float(rng.uniform(0.1, 0.9))
+                want = out_of_place_reverse(ref, scale * loss_rows.dense())
+                for on_reached_rows in (True, False):
+                    monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
+                                        lambda *args, forced=on_reached_rows: forced)
+                    assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
 
 
 @pytest.fixture(scope="module")

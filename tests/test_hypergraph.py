@@ -13,8 +13,10 @@ from taskhg.hypergraph import (
     Hypergraph,
     aggregate_hyperedges_to_nodes,
     aggregate_hyperedges_to_nodes_adjoint,
+    aggregate_hyperedges_to_nodes_adjoint_rows,
     aggregate_nodes_to_hyperedges,
     aggregate_nodes_to_hyperedges_adjoint,
+    aggregate_nodes_to_hyperedges_adjoint_rows,
     build_hypergraph,
 )
 from taskhg.model import encode_auxiliary_task_traced
@@ -253,6 +255,33 @@ class TestAdjoints:
         ]
         for k, (got, want) in enumerate(pairs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_restricted_adjoints_give_the_dense_bits(self, seed):
+        # A gradient that is zero outside a few rows, some of them -0.0
+        # and one an isolated node's: the restricted adjoints give the
+        # dense ones' rows, and the dense rows they leave out are +0.0.
+        rng = np.random.default_rng([23, seed])
+        H = random_hypergraph_dense(rng, 40, 25, density=0.2)
+        isolated = int(rng.integers(H.shape[0]))
+        H[isolated] = 0.0
+        h = from_dense(H)
+        nodes = np.unique(np.append(rng.integers(h.num_nodes, size=int(rng.integers(1, 8))),
+                                    isolated))
+        rows = rng.normal(size=(len(nodes), 5)) * 10.0 ** rng.integers(-6, 7, (len(nodes), 1))
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        g_node = np.zeros((h.num_nodes, 5))
+        g_node[nodes] = rows
+        dense = aggregate_hyperedges_to_nodes_adjoint(h, g_node)
+        edges, got = aggregate_hyperedges_to_nodes_adjoint_rows(h, nodes, rows)
+        assert edges.tolist() == np.flatnonzero(H[nodes].any(axis=0)).tolist()
+        assert got.tobytes() == dense[edges].tobytes()
+        others = np.delete(dense, edges, axis=0)
+        assert others.tobytes() == bytes(others.nbytes)
+        g_edge = np.zeros((h.num_hyperedges, 5))
+        g_edge[edges] = rng.normal(size=(len(edges), 5))
+        got = aggregate_nodes_to_hyperedges_adjoint_rows(h, edges, g_edge[edges])
+        assert got.tobytes() == aggregate_nodes_to_hyperedges_adjoint(h, g_edge).tobytes()
 
     def test_scaled_adjoint_operators_share_the_sparsity_arrays(self):
         h = build_hypergraph([(0, 1), (2, 1), (1, 0), (2, 2)], 4, 3)

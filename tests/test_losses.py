@@ -322,24 +322,6 @@ class TestAuBatchRows:
             (caller_rows,) = [n for n, thread in seen if thread == here]
             assert worker_rows > caller_rows
 
-    def test_memory_stays_near_the_two_gradients(self):
-        # The full-table form made normalized copies and reverse temporaries
-        # of both tables, about 3.4x their size; the batch-rows form makes
-        # no table-sized array (see test_loss_gradients_stay_batch_sized).
-        rng = np.random.default_rng(13)
-        user_out = rng.normal(size=(20000, 64))
-        item_out = rng.normal(size=(10000, 64))
-        users = rng.integers(20000, size=64)
-        items = rng.integers(10000, size=64)
-        tracemalloc.start()
-        try:
-            au_grad(user_out, item_out, users, items, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        tables = user_out.nbytes + item_out.nbytes
-        assert peak <= 1.25 * tables, f"au_grad peaked at {peak / tables:.2f}x the tables"
-
 
 @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
 def test_loss_gradients_stay_batch_sized(kind):

@@ -23,6 +23,7 @@ from instances import make_joint_instance
 import taskhg.gradients
 import taskhg.model
 import taskhg.optim
+import taskhg.train
 from taskhg import schedule
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
@@ -161,6 +162,62 @@ def test_each_table_loss_gradient_is_made_on_its_sides_thread(pool, monkeypatch,
     for user_rows, item_rows in returned:
         assert made[id(user_rows)].startswith(schedule.THREAD_NAME_PREFIX)
         assert made[id(item_rows)] == here
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """Shaped like the benchmark's eval-wide set: each 1024-pair batch's
+    users reach under half of the item hyperedges."""
+    return generate_synthetic_dataset(8000, 4000, 400, 0.05, 21, interactions_per_user=3)
+
+
+def test_pretraining_on_the_reached_rows_gives_the_same_bits(monkeypatch, wide_dataset):
+    # The user-side TA stack's final layer reverses the reached hyperedges
+    # or all of them, on one thread or two: every table byte, epoch loss
+    # and attention bound is the same.
+    cfg = TrainConfig(epochs_pretrain=1, seed=4)
+    runs = []
+    for on_reached_rows, cpus in itertools.product((True, False), (1, 2)):
+        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
+                            lambda *args, forced=on_reached_rows: forced)
+        monkeypatch.setattr(schedule, "usable_cpus", lambda cpus=cpus: cpus)
+        runs.append(pretrain(wide_dataset, cfg))
+    first = runs[0]
+    for run in runs[1:]:
+        assert run.table.user_emb.tobytes() == first.table.user_emb.tobytes()
+        assert run.table.item_emb.tobytes() == first.table.item_emb.tobytes()
+        assert run.log.epoch_losses == first.log.epoch_losses
+        assert run.log.attention == first.log.attention
+
+
+@pytest.mark.parametrize("shape", ["eval-wide", "train-medium"])
+def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
+    monkeypatch, wide_dataset, shape
+):
+    # On the eval-wide shape every step's batch users have degrees summing
+    # to about 0.6 of the item count; with 10 interactions per user the
+    # sum is above it, and every step stays dense.
+    if shape == "eval-wide":
+        dataset = wide_dataset
+    else:
+        dataset = generate_synthetic_dataset(4000, 2000, 20, 0.05, 21, interactions_per_user=10)
+    calls = {"steps": 0, "reached": 0}
+    real_step = taskhg.train.pretrain_loss_and_grad
+    real_reached = taskhg.gradients._reverse_on_reached_rows
+
+    def step(*args, **kwargs):
+        calls["steps"] += 1
+        return real_step(*args, **kwargs)
+
+    def reached(*args, **kwargs):
+        calls["reached"] += 1
+        return real_reached(*args, **kwargs)
+
+    monkeypatch.setattr(taskhg.train, "pretrain_loss_and_grad", step)
+    monkeypatch.setattr(taskhg.gradients, "_reverse_on_reached_rows", reached)
+    pretrain(dataset, TrainConfig(epochs_pretrain=1, seed=4))
+    assert calls["steps"] > 1
+    assert calls["reached"] == (calls["steps"] if shape == "eval-wide" else 0)
 
 
 def run_stages(dataset, cfg):

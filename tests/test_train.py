@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import taskhg.gradients
+import taskhg.schedule
 import taskhg.train
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
@@ -216,6 +218,62 @@ class TestDivergence:
         assert str(info.value) == "non-finite loss or gradient at finetune epoch 0, batch 0"
         assert np.array_equal(seen["table"].user_emb, seen["before"].user_emb)
         assert np.array_equal(seen["table"].item_emb, seen["before"].item_emb)
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("on_reached_rows", [True, False], ids=["reached", "dense"])
+    def test_inf_in_an_item_row_the_batch_does_not_reach(self, monkeypatch, on_reached_rows,
+                                                         cpus):
+        # On that row the dense TA reverse multiplies zero gradients by
+        # non-finite task embeddings and the reached-rows one never reads
+        # it; either way the L2 term makes the loss non-finite, and the
+        # first step stops before the update.
+        dataset = generate_synthetic_dataset(60, 40, 4, noise=0.1, seed=5,
+                                             interactions_per_user=3)
+        cfg = small_config(epochs_pretrain=1, batch_size=8)
+        monkeypatch.setattr(taskhg.schedule, "usable_cpus", lambda: cpus)
+        real_step = taskhg.train.pretrain_loss_and_grad
+        seen = {}
+
+        class FirstStep(Exception):
+            pass
+
+        def first_batch(table, rec_u, rec_i, aux, config, batch, extra):
+            seen["users"] = batch.rec_users
+            raise FirstStep
+
+        monkeypatch.setattr(taskhg.train, "pretrain_loss_and_grad", first_batch)
+        with pytest.raises(FirstStep):
+            pretrain(dataset, cfg)
+        rec_u = dataset.rec_pair()[0].graph.incidence
+        reached = set(rec_u[np.unique(seen["users"])].indices.tolist())
+        item = min(set(range(dataset.num_items)) - reached)
+
+        def step(table, *args):
+            seen["table"], seen["before"] = table, table.copy()
+            return real_step(table, *args)
+
+        real_adam = taskhg.train.AdamState.for_params
+
+        def adam(*args, **kwargs):
+            seen["adam"] = real_adam(*args, **kwargs)
+            return seen["adam"]
+
+        monkeypatch.setattr(taskhg.train, "pretrain_loss_and_grad", step)
+        monkeypatch.setattr(taskhg.train.AdamState, "for_params", adam)
+        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
+                            lambda *args: on_reached_rows)
+        start = init_embeddings(dataset.num_users, dataset.num_items, cfg.dim, cfg.seed)
+        start.item_emb[item, 0] = math.inf
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore",
+                                                                 invalid="ignore"):
+            pretrain(dataset, cfg, start)
+        assert str(info.value) == "non-finite loss or gradient at pretrain epoch 0, batch 0"
+        assert seen["table"].user_emb.tobytes() == seen["before"].user_emb.tobytes()
+        assert seen["table"].item_emb.tobytes() == seen["before"].item_emb.tobytes()
+        assert seen["adam"].step_count == 0
+        for moments in (seen["adam"].first_moment, seen["adam"].second_moment):
+            assert not any(m.any() for m in moments.values())
 
 
 class TestBPRNegatives:
