@@ -7,10 +7,11 @@ covered: the attention softmax and tanh, the degree-normalized
 aggregations, every recommendation loss, the auxiliary hyperedge-ranking
 and attribute cross-entropy losses, and the optional linear heads of the
 ablation variants. Encoders and TA stacks share one reverse loop, as they
-share one forward loop; it takes a loss gradient as the batch's rows
-and, when the final layer attends with `full` or `sum` and the batch
-reaches few of its hyperedges, reverses that layer on the reached ones
-only, with the same bits (see `_reverse`). Each loss exists once, as a
+share one forward loop; it takes a loss gradient as the batch's rows.
+When a TA stack's final layer attends with `full` or `sum` and the batch
+reaches few of its hyperedges, the step runs that layer on the batch's
+rows in both passes, with the same bits (see `_reverse` and
+`pretrain_loss_and_grad`). Each loss exists once, as a
 (value, gradients) function with batch-mean normalization; a full step
 returns one gradient dict keyed like the optimizer's parameter blocks.
 Correctness is pinned by central finite differences and by independent
@@ -28,9 +29,7 @@ import numpy as np
 from .config import LossKind, TAVariant, TrainConfig
 from .hypergraph import (
     aggregate_hyperedges_to_nodes_adjoint,
-    aggregate_hyperedges_to_nodes_adjoint_rows,
     aggregate_nodes_to_hyperedges_adjoint,
-    aggregate_nodes_to_hyperedges_adjoint_rows,
     csr_from_sorted,
     sorted_unique,
 )
@@ -47,11 +46,11 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
     """Add one attending layer's task gradients into g_zs / g_w and its
     attention's share into g_q, which becomes the layer's g_eps in place.
 
-    g_q, g_zs and g_w hold the layer's hyperedge `rows` (every row by
-    default), where `a`, alpha, `eps` and each task's z are read.
+    g_q, g_zs and g_w hold the layer's hyperedges, which are each task's z
+    rows `rows` (every row by default).
     """
     zs = [z[rows] for z in trace.task_embs]
-    a = layer.a[rows]
+    a = layer.a
     # g_s = (gamma * g_q) * (1 - a**2); then `buf` takes each product in turn.
     g_s = np.multiply(g_q, trace.gamma)
     buf = np.multiply(a, a)
@@ -59,7 +58,7 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
     g_s *= buf
     if trace.variant == TAVariant.FULL:
         sqrt_d = math.sqrt(g_q.shape[1])
-        alpha, eps = layer.alpha[rows], layer.eps[rows]
+        alpha, eps = layer.alpha, layer.eps
         g_alpha = np.stack([np.multiply(g_s, z, out=buf).sum(axis=1) for z in zs], axis=1)
         row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
         g_logit = alpha * (g_alpha - row_dot)
@@ -81,53 +80,42 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
             g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
 
 
-def _reaches_few_hyperedges(graph, index) -> bool:
-    """Whether an attending final layer reverses only the hyperedges that
-    the nodes in `index` reach: when the distinct nodes' degrees, which
-    bound the reached count, sum to at most the hyperedge count.
+def _reaches_few_hyperedges(graph, nodes) -> bool:
+    """Whether an attending final layer runs only on the distinct `nodes`
+    and the hyperedges they reach: when their degrees, which bound the
+    reached count, sum to at most the hyperedge count.
 
     Measured on the user side of an 8000 x 4000 synthetic set with 3
-    interactions per user (dim 64, `full`, two tasks), one stack reverse
-    took 5.9 ms on the reached rows against 9.1 ms dense with 45 % of the
-    hyperedges reached (degree sum 0.59 of the count), 7.6 against 8.9 ms
-    at 64 % (1.00), and 10.0 against 8.9 ms at 70 % (1.13). The test
-    reads only the batch's degrees, so a step that stays dense pays
-    O(batch).
+    interactions per user (dim 64, `full`, two tasks, BLAS 1 thread), one
+    stack's forward and reverse together took 6.3 ms on the rows against
+    15.1 ms dense at degree sum 0.61 of the count (46 % reached), 9.1
+    against 15.0 at 1.13 (70 %) and 15.4 against 15.5 at 2.45 (93 %).
+    The bound stays at 1: every benchmark shape sits far from it (0.15
+    to 0.60 on that set, over 3.4 on the others). The test reads only
+    the batch's degrees, so a step that stays dense pays O(batch).
     """
-    return int(graph.node_degrees[sorted_unique(index)].sum()) <= graph.num_hyperedges
+    return int(graph.node_degrees[nodes].sum()) <= graph.num_hyperedges
 
 
-def _reverse_on_reached_rows(trace: TATrace, g_out, scale, g_zs):
-    """The final attending layer's reverse from the batch rows `g_out`, on
-    the hyperedges they reach: returns the dense gradient on its input.
-
-    Every other hyperedge's gradient is an exact zero in the dense reverse:
-    the `full` and `sum` reverses work row by row, and each aggregation's
-    terms from zero rows change no bit of its sums (see `hypergraph`).
-    Each task's gradient starts from zeros there, as in the dense reverse.
-    """
-    nodes, rows = g_out.summed()
-    edges, g_q = aggregate_hyperedges_to_nodes_adjoint_rows(trace.graph, nodes, rows * scale)
-    g_rows = {tid: np.zeros_like(g_q) for tid in trace.task_ids}
-    _attention_reverse(trace, trace.layers[-1], g_q, g_rows, None, edges)
-    for tid, g_z in g_rows.items():
-        g_zs[tid][edges] = g_z
-    del g_rows
-    return aggregate_nodes_to_hyperedges_adjoint_rows(trace.graph, edges, g_q)
+def _final_rows(graph, index):
+    """The distinct nodes of `index`, ascending, if they reach few
+    hyperedges of `graph`, else None."""
+    nodes = sorted_unique(index)
+    return nodes if _reaches_few_hyperedges(graph, nodes) else None
 
 
 def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
     """Reverse of the convolution stack: (g_input, g_task_embs, g_concat_weight).
 
     g_out is the gradient on the stack's node output: the loss's
-    `BatchRows`, summed and then scaled by `scale`, or a dense array taken
-    as it is. g_edge (or None) is the gradient on its final layer's
-    hyperedge embeddings. When the final layer attends with `full` or
-    `sum` and the batch reaches few of its hyperedges
-    (`_reaches_few_hyperedges`), that layer runs on the reached ones only;
-    `concat`'s head gradient is one product over every row, so it stays
-    dense. Otherwise the dense gradient is made from the batch rows first
-    and held until the reverse returns: dropping it after the first
+    `BatchRows`, summed and then scaled by `scale`, or an array taken as
+    it is. g_edge (or None) is the gradient on its final layer's
+    hyperedge embeddings. A final layer that ran on a `restriction`
+    reverses on it too: g_out then holds the restricted nodes' rows, and
+    each task's gradient is written on the reached hyperedges; every other
+    row is an exact zero in the dense reverse, as the `full` and `sum`
+    reverses work row by row. The dense gradient made from the batch rows
+    is held until the reverse returns: dropping it after the first
     aggregation lowered no pretraining step's peak, but made the heap
     shrink and fault back in every step (three times the page faults and
     15 % more time per pretraining epoch on a 4000 x 2000 set). Each
@@ -135,26 +123,26 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
     own gradients is dropped once the aggregation that reads it returns.
     """
     graph = trace.graph
-    on_reached_rows = False
     if isinstance(g_out, BatchRows):
-        on_reached_rows = (
-            g_edge is None
-            and trace.attends
-            and trace.variant != TAVariant.CONCAT
-            and _reaches_few_hyperedges(graph, g_out.index)
-        )
-        if not on_reached_rows:
-            g_out = g_out.dense()
-            if scale != 1.0:
-                g_out *= scale
+        g_out = g_out.dense()
+        if scale != 1.0:
+            g_out *= scale
+    g = np.asarray(g_out, dtype=np.float64)
     g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, trace.task_embs)}
     g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
     layers = trace.layers
-    if on_reached_rows:
-        g = _reverse_on_reached_rows(trace, g_out, scale, g_zs)
+    rows = trace.restriction
+    if rows is not None:
+        g_q = rows.hyperedges_to_nodes_adjoint(g)
+        del g
+        g_rows = {tid: np.zeros_like(g_q) for tid in trace.task_ids}
+        _attention_reverse(trace, layers[-1], g_q, g_rows, None, rows.edges)
+        for tid, g_z in g_rows.items():
+            g_zs[tid][rows.edges] = g_z
+        del g_rows
+        g = rows.nodes_to_hyperedges_adjoint(g_q)
+        del g_q
         layers = layers[:-1]
-    else:
-        g = np.asarray(g_out, dtype=np.float64)
     for layer in reversed(layers):
         g_eps = aggregate_hyperedges_to_nodes_adjoint(graph, g)
         del g
@@ -227,8 +215,7 @@ class BatchRows(NamedTuple):
 
     `dense()` makes the (num_rows, d) array: `rows` summed into zeros in
     the order of `index`, or, when `unique`, written at their distinct,
-    ascending `index` rows by assignment. `summed()` gives the same sums
-    on the distinct rows only.
+    ascending `index` rows by assignment.
     """
 
     num_rows: int
@@ -242,18 +229,6 @@ class BatchRows(NamedTuple):
         out = np.zeros((self.num_rows, self.rows.shape[1]))
         out[self.index] = self.rows
         return out
-
-    def summed(self):
-        """(index, rows): each distinct index once, ascending, and the rows
-        of `dense()` there, summed in the same order."""
-        if self.unique:
-            return self.index, self.rows
-        order = np.argsort(self.index, kind="stable")
-        index = self.index[order]
-        first = np.ones(len(index), dtype=bool)
-        first[1:] = index[1:] != index[:-1]
-        rank = np.cumsum(first) - 1
-        return index[first], csr_from_sorted(rank, order, (rank[-1] + 1, len(index))) @ self.rows
 
 
 def alignment_grad(user_out, item_out, users, items):
@@ -528,17 +503,29 @@ def pretrain_loss_and_grad(
     reverse stages. Stage 1 runs the user-side TA backward on the worker;
     this thread runs the item-side TA backward and every auxiliary loss.
     Each TA backward takes its table's loss rows and beta, and makes the
-    scaled table-sized gradient itself unless its final layer runs on
-    the reached hyperedges (see `_reverse`). Stage 2 runs one half per
+    scaled gradient itself (see `_reverse`). Stage 2 runs one half per
     table, items on the worker: the backward of every encoder whose input
     is that table, then the table's gradient summed as the TA stack's,
     each task's in `aux_tasks` order, and the L2 term.
+
+    Each TA stack that attends with `full` or `sum` runs its final layer
+    on the batch's rows, in both passes, when they reach few of its
+    hyperedges (`_reaches_few_hyperedges`, decided here once per step);
+    the recommendation loss then reads the stack's compact output.
 
     Each table-sized array lives only until its last reader is done
     (`test_step_peak_memory_is_bounded_in_table_sizes` bounds the peak).
     """
     extra_params = extra_params or {}
-    acts = forward_pretrain(table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params)
+    users, pos, neg = batch.rec_users, batch.rec_pos_items, batch.rec_neg_items
+    user_rows = item_rows = None
+    if cfg.ta_variant in (TAVariant.FULL, TAVariant.SUM):
+        items = pos if neg is None else np.append(pos, neg)
+        user_rows = _final_rows(rec_user_task.graph, users)
+        item_rows = _final_rows(rec_item_task.graph, items)
+    acts = forward_pretrain(
+        table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params, user_rows, item_rows
+    )
     ta_user, ta_item = acts.ta_user_trace, acts.ta_item_trace
     ta_user.drop_edge_output()
     ta_item.drop_edge_output()
@@ -546,9 +533,9 @@ def pretrain_loss_and_grad(
         cfg.pretrain_loss,
         ta_user.node_emb,
         ta_item.node_emb,
-        batch.rec_users,
-        batch.rec_pos_items,
-        batch.rec_neg_items,
+        ta_user.output_index(users),
+        ta_item.output_index(pos),
+        None if neg is None else ta_item.output_index(neg),
         cfg.uniformity_weight,
     )
     ta_user.node_emb = ta_item.node_emb = None

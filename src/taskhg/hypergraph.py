@@ -13,12 +13,10 @@ each member, the same rounded products, in the same order, as scaling
 the input rows first would give, without the scaled copy of the input.
 Pre-scaling the forward the same way would change its rounding.
 
-Each adjoint also has a row-restricted form for a gradient that is zero
-outside a few rows: it multiplies by the scaled incidence with every
-entry that meets a zero row left out. Every sparse product sums an
-output row's terms in ascending index order starting from +0.0; such a
-sum is never -0.0, so leaving out terms that are exact zeros changes no
-bit of it.
+A `Restriction` runs one layer on a few nodes' rows and the hyperedges
+they reach, in both passes. Every sparse product sums an output row's
+terms in ascending index order starting from +0.0; such a sum is never
+-0.0, so leaving out terms that are exact zeros changes no bit of it.
 """
 
 from __future__ import annotations
@@ -194,39 +192,63 @@ def aggregate_hyperedges_to_nodes_adjoint(h: Hypergraph, grad_node: np.ndarray) 
     return h.incidence_t_by_node_degree @ grad_node
 
 
-def _kept_columns(mat: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    """The entries of CSR `mat` in the columns where `keep` holds, those
-    columns renumbered by rank; each row keeps its entries' order."""
-    mask = keep[mat.indices]
-    kept_before = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=kept_before[1:])
-    at = np.flatnonzero(mask)
-    rank = np.cumsum(keep) - 1
-    return sp.csr_matrix(
-        (mat.data[at], rank[mat.indices[at]], kept_before[mat.indptr]),
-        shape=(mat.shape[0], int(np.count_nonzero(keep))),
-    )
+class Restriction:
+    """One convolution layer restricted to the distinct, ascending `nodes`
+    and the ascending `edges`, the hyperedges they reach.
 
-
-def aggregate_hyperedges_to_nodes_adjoint_rows(h: Hypergraph, nodes, grad_rows):
-    """aggregate_hyperedges_to_nodes_adjoint of a gradient that is zero but
-    on the distinct, ascending `nodes`, whose rows are `grad_rows`.
-
-    Returns (edges, grad_edges): the hyperedges with a member in `nodes`,
-    ascending, and their rows of the dense adjoint, bit for bit; every
-    other row of it is zero.
+    `members` holds the incidence_t rows of `edges`, and `incidence` the
+    incidence rows of `nodes` with their columns renumbered to `edges`.
+    Each product gives the rows of a dense aggregation or adjoint bit for
+    bit: the forward ones compute their rows as the dense ones do, and
+    each adjoint leaves out only terms from rows that are zero in its
+    gradient (see the module docstring).
     """
-    keep = np.zeros(h.num_nodes, dtype=bool)
-    keep[nodes] = True
-    mat = _kept_columns(h.incidence_t_by_node_degree, keep)
-    edges = np.flatnonzero(np.diff(mat.indptr))
-    return edges, mat[edges] @ grad_rows
+
+    __slots__ = ("graph", "nodes", "edges", "members", "incidence")
+
+    def __init__(self, h: Hypergraph, nodes: np.ndarray):
+        self.graph = h
+        self.nodes = nodes
+        rows = h.incidence[nodes]
+        reached = np.zeros(h.num_hyperedges, dtype=bool)
+        reached[rows.indices] = True
+        self.edges = np.flatnonzero(reached)
+        self.members = h.incidence_t[self.edges]
+        rank = np.cumsum(reached) - 1
+        self.incidence = sp.csr_matrix(
+            (rows.data, rank[rows.indices], rows.indptr), shape=(len(nodes), len(self.edges))
+        )
+
+    def nodes_to_hyperedges(self, node_emb: np.ndarray) -> np.ndarray:
+        """Rows `edges` of aggregate_nodes_to_hyperedges(graph, node_emb)."""
+        sums = self.members @ node_emb
+        sums *= self.graph.inv_hyperedge_degrees[self.edges, None]
+        return sums
+
+    def hyperedges_to_nodes(self, edge_rows: np.ndarray) -> np.ndarray:
+        """Rows `nodes` of aggregate_hyperedges_to_nodes(graph, q), given
+        q's rows `edges`: no other row of q reaches them."""
+        sums = self.incidence @ edge_rows
+        sums *= self.graph.inv_node_degrees[self.nodes, None]
+        return sums
+
+    def hyperedges_to_nodes_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:
+        """Rows `edges` of aggregate_hyperedges_to_nodes_adjoint(graph, g)
+        for a g that is zero but on `nodes`, whose rows are grad_rows; its
+        other rows are zero."""
+        return _scaled_transpose(self.incidence, self.graph.inv_node_degrees[self.nodes]) @ grad_rows
+
+    def nodes_to_hyperedges_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:
+        """aggregate_nodes_to_hyperedges_adjoint(graph, g) for a g that is
+        zero but on `edges`, whose rows are grad_rows: the dense gradient
+        wrt node embeddings."""
+        scale = self.graph.inv_hyperedge_degrees[self.edges]
+        return _scaled_transpose(self.members, scale) @ grad_rows
 
 
-def aggregate_nodes_to_hyperedges_adjoint_rows(h: Hypergraph, edges, grad_rows) -> np.ndarray:
-    """aggregate_nodes_to_hyperedges_adjoint of a gradient that is zero but
-    on the distinct, ascending `edges`, whose rows are `grad_rows`: the
-    dense gradient wrt node embeddings, bit for bit."""
-    keep = np.zeros(h.num_hyperedges, dtype=bool)
-    keep[edges] = True
-    return _kept_columns(h.incidence_by_edge_degree, keep) @ grad_rows
+def _scaled_transpose(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csc_matrix:
+    """(diag(scale) @ mat).T for a 0/1 CSR matrix, sharing its indices and
+    indptr. Its product adds scale[i] * x[i] into each output row in
+    ascending i: the terms, and the order, of the scaled adjoint operators."""
+    data = np.repeat(scale, np.diff(mat.indptr))
+    return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape[::-1])

@@ -8,7 +8,10 @@ entity's task-specific embeddings into the hyperedge before the node
 update. Both run one layer loop: an encoder is a TA stack with no tasks.
 The loop records, in a `TATrace`, the intermediates the reverse pass in
 `gradients` needs; the TA settings (gamma, depth, variant) and the
-encoder depth are read from the `TrainConfig`.
+encoder depth are read from the `TrainConfig`. When a caller reads the
+output of an attending `full` or `sum` stack on a few rows only, the
+final layer runs on those rows and the hyperedges they reach, and the
+reverse runs the same restricted layer (`hypergraph.Restriction`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .config import TAVariant, TrainConfig
 from .hypergraph import (
     Hypergraph,
+    Restriction,
     aggregate_hyperedges_to_nodes,
     aggregate_nodes_to_hyperedges,
 )
@@ -93,6 +97,10 @@ class TATrace:
     something reads it: every attending layer, for the reverse, and the
     final layer, as the stack's `edge_emb`. A training step drops each
     array once its last reader is done.
+
+    With a `restriction`, the final layer ran on its nodes R and the
+    hyperedges E they reach: that layer's `eps`, alpha and `a` hold E's
+    rows, and `node_emb` holds R's rows only (see `output_index`).
     """
 
     graph: Hypergraph
@@ -103,6 +111,7 @@ class TATrace:
     layers: list = field(default_factory=list, repr=False)
     concat_weight: np.ndarray | None = field(default=None, repr=False)
     node_emb: np.ndarray | None = field(default=None, repr=False)  # final layer's output
+    restriction: Restriction | None = field(default=None, repr=False)
 
     @property
     def attends(self) -> bool:
@@ -115,8 +124,15 @@ class TATrace:
 
     @property
     def attention(self) -> list:
-        """Per-layer (num_hyperedges, T) attention weight arrays."""
+        """Per-layer (hyperedges, T) attention weight arrays: every
+        hyperedge, or the reached ones in a restricted final layer."""
         return [layer.alpha for layer in self.layers if layer.alpha is not None]
+
+    def output_index(self, index: np.ndarray) -> np.ndarray:
+        """The rows of `node_emb` that hold the nodes in `index`."""
+        if self.restriction is None:
+            return index
+        return np.searchsorted(self.restriction.nodes, index)
 
     def drop_edge_output(self):
         """Drop `edge_emb` unless the reverse reads it."""
@@ -131,12 +147,12 @@ class TATrace:
             layer.eps = layer.a = None
 
 
-def _attend(trace: TATrace, eps: np.ndarray, buf: np.ndarray):
-    """One layer's (alpha, a): the attention weights (FULL only) and the task mix.
+def _attend(trace: TATrace, zs: list, eps: np.ndarray, buf: np.ndarray):
+    """One layer's (alpha, a): the attention weights (FULL only) and the
+    task mix, from the task embeddings `zs` on eps's hyperedges.
 
     `buf`, shaped like eps, takes every table-sized product in turn.
     """
-    zs = trace.task_embs
     alpha = None
     if trace.variant == TAVariant.FULL:
         sqrt_d = math.sqrt(eps.shape[1])
@@ -162,21 +178,32 @@ def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
     """Run `num_layers` layers from node embeddings x, recording each in `trace`.
 
     An attending layer builds its fused hyperedges q = eps + gamma * a in
-    one scratch array, which the node update reads last.
+    one scratch array, which the node update reads last. The final layer
+    runs on the trace's `restriction` when it has one, with each task's
+    embeddings gathered on the reached hyperedges once.
     """
     for k in range(num_layers):
-        eps = aggregate_nodes_to_hyperedges(trace.graph, x)
-        keep = trace.attends or k == num_layers - 1
-        layer = TALayerTrace(eps=eps if keep else None, alpha=None, a=None)
+        final = k == num_layers - 1
+        rows = trace.restriction if final else None
+        if rows is None:
+            eps = aggregate_nodes_to_hyperedges(trace.graph, x)
+            zs = trace.task_embs
+        else:
+            eps = rows.nodes_to_hyperedges(x)
+            zs = [z[rows.edges] for z in trace.task_embs]
+        layer = TALayerTrace(eps=eps if trace.attends or final else None, alpha=None, a=None)
         if trace.attends:
             q = np.empty_like(eps)
-            layer.alpha, layer.a = _attend(trace, eps, q)
+            layer.alpha, layer.a = _attend(trace, zs, eps, q)
             np.multiply(layer.a, trace.gamma, out=q)
             q += eps
         else:
             q = eps
-        x = aggregate_hyperedges_to_nodes(trace.graph, q)
-        del eps, q  # before the next layer allocates its own
+        if rows is None:
+            x = aggregate_hyperedges_to_nodes(trace.graph, q)
+        else:
+            x = rows.hyperedges_to_nodes(q)
+        del eps, q, zs  # before the next layer allocates its own
         trace.layers.append(layer)
     trace.node_emb = x
     return trace
@@ -195,6 +222,7 @@ def ta_forward_traced(
     opposite_tasks,
     cfg: TrainConfig,
     concat_weight: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> TATrace:
     """Matrix-form transitional attention over `cfg.ta_layers` layers.
 
@@ -203,6 +231,10 @@ def ta_forward_traced(
     its node output into the next, and the trace's `node_emb` is the
     stack's output. With no opposite tasks (or the NO_TA variant) the
     layer degrades to a weight-free hypergraph convolution.
+
+    `rows`, distinct and ascending, are the nodes whose output the caller
+    reads. When the stack attends with `full` or `sum`, its final layer
+    runs on them only (see `TATrace`); every other stack ignores them.
     """
     x = np.asarray(side_input, dtype=np.float64)
     task_ids = [tid for tid, _ in opposite_tasks]
@@ -218,6 +250,8 @@ def ta_forward_traced(
         if concat_weight is None:
             raise ValueError("CONCAT variant requires a concat weight matrix")
         trace.concat_weight = concat_weight
+    if rows is not None and trace.attends and cfg.ta_variant != TAVariant.CONCAT:
+        trace.restriction = Restriction(graph, rows)
     return _convolve(trace, x, cfg.ta_layers)
 
 
@@ -241,6 +275,8 @@ def forward_pretrain(
     aux_tasks,
     cfg: TrainConfig,
     extra_params: dict | None = None,
+    user_rows: np.ndarray | None = None,
+    item_rows: np.ndarray | None = None,
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides.
 
@@ -248,10 +284,12 @@ def forward_pretrain(
     from extra_params. Each TA side reads only the encoders of the opposite
     side's tasks, so [item-side encoders -> user TA] and [user-side
     encoders -> item TA] are two independent halves, run by `run_pair`.
+    `user_rows` and `item_rows` are each TA stack's `rows` (see
+    `ta_forward_traced`).
     """
     extra_params = extra_params or {}
 
-    def side(graph, side_input, tasks_side, head):
+    def side(rec_task, side_input, tasks_side, head, rows):
         traces = {
             task.task_id: encode_auxiliary_task_traced(
                 task.graph, table.side_emb(task.side), cfg.aux_encoder_layers
@@ -260,12 +298,14 @@ def forward_pretrain(
             if task.side == tasks_side
         }
         opposite = [(tid, trace.node_emb) for tid, trace in traces.items()]
-        ta = ta_forward_traced(side_input, graph, opposite, cfg, extra_params.get(head))
+        ta = ta_forward_traced(
+            side_input, rec_task.graph, opposite, cfg, extra_params.get(head), rows
+        )
         return traces, ta
 
     (item_traces, ta_user), (user_traces, ta_item) = run_pair(
-        lambda: side(rec_user_task.graph, table.user_emb, NodeSide.ITEMS, "ta_concat_user"),
-        lambda: side(rec_item_task.graph, table.item_emb, NodeSide.USERS, "ta_concat_item"),
+        lambda: side(rec_user_task, table.user_emb, NodeSide.ITEMS, "ta_concat_user", user_rows),
+        lambda: side(rec_item_task, table.item_emb, NodeSide.USERS, "ta_concat_item", item_rows),
     )
     traces = {**item_traces, **user_traces}
     return TaskActivations(

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from taskhg import schedule
+from taskhg.data import generate_synthetic_dataset
 
 
 class CountingPool:
@@ -34,6 +35,13 @@ def pool():
     prefix = schedule.THREAD_NAME_PREFIX
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix) as real:
         yield CountingPool(real)
+
+
+@pytest.fixture(scope="session")
+def wide_dataset():
+    """Shaped like the benchmark's eval-wide set: each 1024-pair batch's
+    users reach under half of the item hyperedges."""
+    return generate_synthetic_dataset(8000, 4000, 400, 0.05, 21, interactions_per_user=3)
 
 
 @pytest.fixture(autouse=True)

@@ -3,10 +3,16 @@
 The traced benchmark replaces these functions by name; a refactor that
 drops or renames one leaves its layer absent from the trace, and one that
 changes a signature breaks the layer's counter hook. The smoke tests under
-perfbench/ are not part of this suite, so check both here.
+perfbench/ are not part of this suite, so check both here, and run the
+benchmark's pretraining check and one untraced smoke run too.
 """
 
 import importlib.util
+import json
+import math
+import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -24,17 +30,59 @@ from taskhg.model import init_embeddings
 from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind
 from taskhg.train import finetune, pretrain
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load_bench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    """perfbench/pipeline.py, which imports its sibling modules by name."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return load_bench_module("pipeline")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_pretraining_on_the_batch_rows_passes_the_benchmark_check(pipeline, wide_dataset):
+    # On the eval-wide shape the user-side TA stack's final layer runs on
+    # the batch's rows, so the audit sees fewer attention rows than the
+    # dense 4000 per step; they must still lie on the simplex.
+    cfg = TrainConfig(epochs_pretrain=1, seed=4)
+    result = pretrain(wide_dataset, cfg)
+    steps = math.ceil(len(wide_dataset.train_array) / cfg.batch_size)
+    assert 0 < result.log.attention.vectors_seen < steps * wide_dataset.num_items
+    assert pipeline.check_pretrain(result) is None
+
+
+def test_untraced_smoke_run_is_correct(tmp_path):
+    # As the benchmark runs: a fresh copy of the sources, the harness and
+    # its spec, nothing else.
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_*")
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
+    shutil.copytree(BENCH, tmp_path / "perfbench", ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "smoke", "--seed", "7",
+         "--seconds", "0.5", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {metric["name"] for metric in spec["end_to_end"]}
 
 
 @pytest.mark.parametrize(

@@ -320,15 +320,34 @@ def row_sparse_gradient(rng, num_rows, d):
     return BatchRows(num_rows, index, rng.normal(size=(len(index), d)), unique)
 
 
+def assert_restricted_forward(trace, ref, nodes):
+    """A stack whose final layer ran on `nodes`: that layer's arrays are the
+    oracle's rows at the hyperedges they reach, every other one its own."""
+    rows = trace.restriction
+    graph = trace.graph
+    assert rows.nodes.tolist() == nodes.tolist()
+    assert rows.edges.tolist() == sorted(set(graph.incidence[nodes].indices.tolist()))
+    assert trace.node_emb.tobytes() == ref.node_emb[nodes].tobytes()
+    *inner, final = zip(trace.layers, ref.layers)
+    for layer, ref_layer in inner:
+        for name in ("eps", "alpha", "a"):
+            assert optional_bytes(getattr(layer, name)) == optional_bytes(getattr(ref_layer, name))
+    layer, ref_layer = final
+    for name in ("eps", "alpha", "a"):
+        want = getattr(ref_layer, name)
+        want = None if want is None else want[rows.edges]
+        assert optional_bytes(getattr(layer, name)) == optional_bytes(want), name
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
-def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers, monkeypatch):
+def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
     # The in-place forward and reverse against the fresh-array one, on both
     # recommendation sides, 0-3 attended tasks (0 is the encoder), a gamma
     # other than 1, and with and without a gradient on the final edges.
-    # A row-sparse loss gradient, scaled, goes through the final layer
-    # both on the hyperedges it reaches and densely (`concat` and the
-    # encoder always run densely).
+    # A row-sparse loss gradient, scaled, goes through the final layer run
+    # on a few rows (its own and others) in both passes; `concat`, `no_ta`
+    # and the encoder ignore the rows and run densely.
     rng = np.random.default_rng([17, list(TAVariant).index(variant), layers])
     for _ in range(4):
         table, rec_u, rec_i, _, cfg, _, _ = make_joint_instance(rng, max_tasks=0)
@@ -357,10 +376,17 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers, 
                 loss_rows = row_sparse_gradient(rng, len(x), d)
                 scale = float(rng.uniform(0.1, 0.9))
                 want = out_of_place_reverse(ref, scale * loss_rows.dense())
-                for on_reached_rows in (True, False):
-                    monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
-                                        lambda *args, forced=on_reached_rows: forced)
-                    assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+                assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+                nodes = np.unique(np.append(loss_rows.index, rng.integers(len(x), size=2)))
+                trace = ta_forward_traced(x, graph, opposite, cfg, weight, nodes)
+                if trace.attends and variant != TAVariant.CONCAT:
+                    assert_restricted_forward(trace, ref, nodes)
+                    index = np.searchsorted(nodes, loss_rows.index)
+                    loss_rows = loss_rows._replace(num_rows=len(nodes), index=index)
+                else:
+                    assert trace.restriction is None
+                    assert trace.node_emb.tobytes() == ref.node_emb.tobytes()
+                assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
 
 
 @pytest.fixture(scope="module")

@@ -11,12 +11,11 @@ from oracles import (
 from taskhg.errors import ConstructionError
 from taskhg.hypergraph import (
     Hypergraph,
+    Restriction,
     aggregate_hyperedges_to_nodes,
     aggregate_hyperedges_to_nodes_adjoint,
-    aggregate_hyperedges_to_nodes_adjoint_rows,
     aggregate_nodes_to_hyperedges,
     aggregate_nodes_to_hyperedges_adjoint,
-    aggregate_nodes_to_hyperedges_adjoint_rows,
     build_hypergraph,
 )
 from taskhg.model import encode_auxiliary_task_traced
@@ -256,11 +255,10 @@ class TestAdjoints:
         for k, (got, want) in enumerate(pairs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_row_restricted_adjoints_give_the_dense_bits(self, seed):
-        # A gradient that is zero outside a few rows, some of them -0.0
-        # and one an isolated node's: the restricted adjoints give the
-        # dense ones' rows, and the dense rows they leave out are +0.0.
+    @staticmethod
+    def restriction_instance(seed):
+        """A hypergraph with an isolated node, a restriction to a few of its
+        nodes (the isolated one among them) and row scales over 12 decades."""
         rng = np.random.default_rng([23, seed])
         H = random_hypergraph_dense(rng, 40, 25, density=0.2)
         isolated = int(rng.integers(H.shape[0]))
@@ -268,20 +266,46 @@ class TestAdjoints:
         h = from_dense(H)
         nodes = np.unique(np.append(rng.integers(h.num_nodes, size=int(rng.integers(1, 8))),
                                     isolated))
-        rows = rng.normal(size=(len(nodes), 5)) * 10.0 ** rng.integers(-6, 7, (len(nodes), 1))
-        rows[rng.random(rows.shape) < 0.2] = -0.0
+        rows = Restriction(h, nodes)
+        assert rows.edges.tolist() == np.flatnonzero(H[nodes].any(axis=0)).tolist()
+        return rng, h, rows
+
+    @staticmethod
+    def scaled_normal(rng, n, d):
+        return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_restricted_adjoints_give_the_dense_bits(self, seed):
+        # A gradient that is zero outside a few rows, some of them -0.0
+        # and one an isolated node's: the restricted adjoints give the
+        # dense ones' rows, and the dense rows they leave out are +0.0.
+        rng, h, rows = self.restriction_instance(seed)
+        grad = self.scaled_normal(rng, len(rows.nodes), 5)
+        grad[rng.random(grad.shape) < 0.2] = -0.0
         g_node = np.zeros((h.num_nodes, 5))
-        g_node[nodes] = rows
+        g_node[rows.nodes] = grad
         dense = aggregate_hyperedges_to_nodes_adjoint(h, g_node)
-        edges, got = aggregate_hyperedges_to_nodes_adjoint_rows(h, nodes, rows)
-        assert edges.tolist() == np.flatnonzero(H[nodes].any(axis=0)).tolist()
-        assert got.tobytes() == dense[edges].tobytes()
-        others = np.delete(dense, edges, axis=0)
+        got = rows.hyperedges_to_nodes_adjoint(grad)
+        assert got.tobytes() == dense[rows.edges].tobytes()
+        others = np.delete(dense, rows.edges, axis=0)
         assert others.tobytes() == bytes(others.nbytes)
         g_edge = np.zeros((h.num_hyperedges, 5))
-        g_edge[edges] = rng.normal(size=(len(edges), 5))
-        got = aggregate_nodes_to_hyperedges_adjoint_rows(h, edges, g_edge[edges])
+        g_edge[rows.edges] = rng.normal(size=(len(rows.edges), 5))
+        got = rows.nodes_to_hyperedges_adjoint(g_edge[rows.edges])
         assert got.tobytes() == aggregate_nodes_to_hyperedges_adjoint(h, g_edge).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_restricted_aggregations_give_the_dense_bits(self, seed):
+        # The forward products give the dense ones' rows at the reached
+        # hyperedges and at the restricted nodes, whatever the other rows
+        # of the hyperedge input hold.
+        rng, h, rows = self.restriction_instance(seed)
+        x = self.scaled_normal(rng, h.num_nodes, 5)
+        eps = aggregate_nodes_to_hyperedges(h, x)
+        assert rows.nodes_to_hyperedges(x).tobytes() == eps[rows.edges].tobytes()
+        q = self.scaled_normal(rng, h.num_hyperedges, 5)
+        out = aggregate_hyperedges_to_nodes(h, q)
+        assert rows.hyperedges_to_nodes(q[rows.edges]).tobytes() == out[rows.nodes].tobytes()
 
     def test_scaled_adjoint_operators_share_the_sparsity_arrays(self):
         h = build_hypergraph([(0, 1), (2, 1), (1, 0), (2, 2)], 4, 3)

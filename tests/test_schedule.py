@@ -9,6 +9,7 @@ synthetic data, where only the user-side stack attends.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from taskhg import schedule
 from taskhg.config import LossKind, TAVariant, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset
 from taskhg.gradients import BatchRows, finetune_loss_and_grad, pretrain_loss_and_grad
-from taskhg.hypergraph import build_hypergraph
+from taskhg.hypergraph import Restriction, build_hypergraph
 from taskhg.tasks import NodeSide, TaskHypergraph, TaskKind, build_relation_hypergraph
 from taskhg.train import finetune, pretrain
 
@@ -76,11 +77,16 @@ def assert_same_step(a, b):
 
 @pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
-def test_pretrain_step_is_the_same_on_both_schedules(pool, variant, loss):
+def test_pretrain_step_is_the_same_on_both_schedules(pool, monkeypatch, variant, loss):
+    # With the batch's rows forced, each attending `full` or `sum` stack
+    # runs its final layer on them, and the loss reads the compact output.
     rng = np.random.default_rng([7, list(TAVariant).index(variant), list(LossKind).index(loss)])
-    for make_instance, layers, unified in itertools.product(
-        (two_sided_instance, item_side_instance), (1, 2), (True, False)
+    on_rows = variant in (TAVariant.FULL, TAVariant.SUM)
+    for make_instance, layers, unified, forced in itertools.product(
+        (two_sided_instance, item_side_instance), (1, 2), (True, False), (True, False)
     ):
+        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
+                            lambda *args, forced=forced: forced)
         table, rec_u, rec_i, aux, cfg, batch, extra = make_instance(
             rng, loss=loss, variant=variant, unified=unified,
             ta_layers=layers, aux_layers=layers,
@@ -94,6 +100,14 @@ def test_pretrain_step_is_the_same_on_both_schedules(pool, variant, loss):
             a.tobytes() for a in attention
         ]
         assert list(paired[2].encoder_traces) == [task.task_id for task in aux]
+        users = np.unique(batch.rec_users)
+        item_side_attends = make_instance is two_sided_instance
+        for acts in (serial[2], paired[2]):
+            rows = acts.ta_user_trace.restriction
+            assert (rows is not None) == (forced and on_rows)
+            assert rows is None or rows.nodes.tolist() == users.tolist()
+            item_rows = acts.ta_item_trace.restriction
+            assert (item_rows is not None) == (forced and on_rows and item_side_attends)
     assert pool.submitted > 0
 
 
@@ -164,30 +178,51 @@ def test_each_table_loss_gradient_is_made_on_its_sides_thread(pool, monkeypatch,
         assert made[id(item_rows)] == here
 
 
-@pytest.fixture(scope="module")
-def wide_dataset():
-    """Shaped like the benchmark's eval-wide set: each 1024-pair batch's
-    users reach under half of the item hyperedges."""
-    return generate_synthetic_dataset(8000, 4000, 400, 0.05, 21, interactions_per_user=3)
+def restrictions(monkeypatch):
+    """The reached-hyperedge count of every restricted layer made, in order."""
+    counts = []
+    real = taskhg.model.Restriction
+
+    def spy(*args):
+        rows = real(*args)
+        counts.append(len(rows.edges))
+        return rows
+
+    monkeypatch.setattr(taskhg.model, "Restriction", spy)
+    return counts
 
 
 def test_pretraining_on_the_reached_rows_gives_the_same_bits(monkeypatch, wide_dataset):
-    # The user-side TA stack's final layer reverses the reached hyperedges
-    # or all of them, on one thread or two: every table byte, epoch loss
-    # and attention bound is the same.
+    # The user-side TA stack's final layer runs on the batch's rows or on
+    # all of them, on one thread or two: every table byte and epoch loss
+    # is the same. The attention audit counts what was computed: on the
+    # rows, each step's reached hyperedges only, whose weights are among
+    # the dense ones, so its bounds can only tighten.
     cfg = TrainConfig(epochs_pretrain=1, seed=4)
-    runs = []
+    counts = restrictions(monkeypatch)
+    runs = {}
+    reached = []
     for on_reached_rows, cpus in itertools.product((True, False), (1, 2)):
         monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
                             lambda *args, forced=on_reached_rows: forced)
         monkeypatch.setattr(schedule, "usable_cpus", lambda cpus=cpus: cpus)
-        runs.append(pretrain(wide_dataset, cfg))
-    first = runs[0]
-    for run in runs[1:]:
+        counts.clear()
+        runs[on_reached_rows, cpus] = pretrain(wide_dataset, cfg)
+        reached.append(sum(counts))
+    first = runs[True, 1]
+    for run in runs.values():
         assert run.table.user_emb.tobytes() == first.table.user_emb.tobytes()
         assert run.table.item_emb.tobytes() == first.table.item_emb.tobytes()
         assert run.log.epoch_losses == first.log.epoch_losses
-        assert run.log.attention == first.log.attention
+    rows, dense = runs[True, 1].log.attention, runs[False, 1].log.attention
+    assert runs[True, 2].log.attention == rows
+    assert runs[False, 2].log.attention == dense
+    steps = math.ceil(len(wide_dataset.train_array) / cfg.batch_size)
+    assert dense.vectors_seen == steps * wide_dataset.num_items
+    assert reached[:2] == [rows.vectors_seen] * 2 and reached[2:] == [0, 0]
+    assert 0 < rows.vectors_seen < dense.vectors_seen
+    assert rows.min_weight >= dense.min_weight
+    assert rows.max_sum_deviation <= dense.max_sum_deviation
 
 
 @pytest.mark.parametrize("shape", ["eval-wide", "train-medium"])
@@ -195,29 +230,40 @@ def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
     monkeypatch, wide_dataset, shape
 ):
     # On the eval-wide shape every step's batch users have degrees summing
-    # to about 0.6 of the item count; with 10 interactions per user the
-    # sum is above it, and every step stays dense.
+    # to about 0.6 of the item count, and the user-side TA stack's final
+    # layer runs on their rows in both passes; with 10 interactions per
+    # user the sum is above it, and every step stays dense.
     if shape == "eval-wide":
         dataset = wide_dataset
     else:
         dataset = generate_synthetic_dataset(4000, 2000, 20, 0.05, 21, interactions_per_user=10)
-    calls = {"steps": 0, "reached": 0}
+    calls = {"steps": 0, "forward": 0, "reverse": 0}
     real_step = taskhg.train.pretrain_loss_and_grad
-    real_reached = taskhg.gradients._reverse_on_reached_rows
+    real_forward = Restriction.hyperedges_to_nodes
+    real_reverse = Restriction.hyperedges_to_nodes_adjoint
 
     def step(*args, **kwargs):
         calls["steps"] += 1
         return real_step(*args, **kwargs)
 
-    def reached(*args, **kwargs):
-        calls["reached"] += 1
-        return real_reached(*args, **kwargs)
+    def forward(rows, q):
+        calls["forward"] += 1
+        out = real_forward(rows, q)
+        assert out.shape[0] == len(rows.nodes) < rows.graph.num_nodes
+        return out
+
+    def reverse(rows, grad):
+        calls["reverse"] += 1
+        assert grad.shape[0] == len(rows.nodes)
+        return real_reverse(rows, grad)
 
     monkeypatch.setattr(taskhg.train, "pretrain_loss_and_grad", step)
-    monkeypatch.setattr(taskhg.gradients, "_reverse_on_reached_rows", reached)
+    monkeypatch.setattr(Restriction, "hyperedges_to_nodes", forward)
+    monkeypatch.setattr(Restriction, "hyperedges_to_nodes_adjoint", reverse)
     pretrain(dataset, TrainConfig(epochs_pretrain=1, seed=4))
     assert calls["steps"] > 1
-    assert calls["reached"] == (calls["steps"] if shape == "eval-wide" else 0)
+    on_rows = calls["steps"] if shape == "eval-wide" else 0
+    assert calls["forward"] == calls["reverse"] == on_rows
 
 
 def run_stages(dataset, cfg):
