@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -149,7 +150,36 @@ class TestTopK:
                 block[rng.random(block.shape) < 0.2] = np.nan
             self.assert_matches_rank_items(block, k)
 
-    def test_only_rows_tied_at_the_boundary_take_the_fallback(self, monkeypatch):
+    def test_equals_rank_items_on_wide_rows(self, monkeypatch):
+        # Rows of up to 400 items in buckets of 1 to 64: most buckets hold
+        # many items, so the bound leaves items out of most rows' candidates.
+        pruned = []
+
+        def recording_first_k(block, keep, k):
+            pruned.append(np.count_nonzero(keep) < np.count_nonzero(~np.isnan(block)))
+            return first_k(block, keep, k)
+
+        first_k = EVALUATE_MODULE._first_k
+        monkeypatch.setattr(EVALUATE_MODULE, "_first_k", recording_first_k)
+        rng = np.random.default_rng(29)
+        for trial in range(600):
+            monkeypatch.setattr(EVALUATE_MODULE, "BUCKET_WIDTH", int(rng.integers(1, 65)))
+            n_rows, n_items = int(rng.integers(1, 6)), int(rng.integers(1, 401))
+            k = int(rng.integers(1, 46))
+            if trial % 2 == 0:
+                block = rng.integers(-3, 4, size=(n_rows, n_items)).astype(float)
+            else:
+                block = rng.normal(size=(n_rows, n_items))
+            block[rng.random(block.shape) < rng.uniform(0.0, 0.9)] = -np.inf
+            block[int(rng.integers(n_rows))] = -np.inf  # a row with no unmasked item
+            if trial % 3 == 0:
+                block[rng.random(block.shape) < rng.uniform(0.0, 0.2)] = np.inf
+            if trial % 4 == 0:
+                block[rng.random(block.shape) < rng.uniform(0.0, 0.3)] = np.nan
+            self.assert_matches_rank_items(block, k)
+        assert np.mean(pruned) > 0.5
+
+    def test_only_rows_short_of_candidates_through_nans_take_the_fallback(self, monkeypatch):
         fallback_rows = []
 
         def recording_survivors(block, k):
@@ -157,24 +187,26 @@ class TestTopK:
             return _top_k_survivors(block, k)
 
         monkeypatch.setattr(EVALUATE_MODULE, "_top_k_survivors", recording_survivors)
+        # 200 items, k = 5: item j < 192 goes to bucket j mod 12 of 12 buckets.
+        monkeypatch.setattr(EVALUATE_MODULE, "BUCKET_WIDTH", 16)
         rng = np.random.default_rng(8)
-        block = rng.normal(size=(12, 30))
+        block = rng.normal(size=(10, 200))
         block[rng.random(block.shape) < 0.3] = -np.inf
-        block[1, :3] = -np.inf  # masked items among a row's top k
-        block[2, [4, 9]] = 5.0  # a tie inside the top k, not at its boundary
-        block[3, 3] = np.inf
+        order = np.argsort(-block, axis=1, kind="stable")
+        block[1, order[1, :3]] = -np.inf  # masked items among a row's top k
+        block[2, order[2, [1, 3]]] = 5.0  # a tie inside the top k, not at its boundary
+        block[3, order[3, 5]] = block[3, order[3, 4]]  # 5th and 6th best tie
+        block[4, order[4, :6]] = np.inf  # six +inf scores for k = 5
+        block[5, order[5, 3:]] = -np.inf  # 3 finite scores for k = 5: bound -inf
+        block[6, order[6, 0]] = np.nan  # one NaN: 11 buckets still bound the row
         self.assert_matches_rank_items(block, 5)
         assert fallback_rows == []
 
-        order = np.argsort(-block, axis=1, kind="stable")
-        dirty = block.copy()
-        dirty[4, order[4, 5]] = dirty[4, order[4, 4]]  # 5th and 6th best tie
-        dirty[5, order[5, 5:]] = -np.inf
-        dirty[5, order[5, 3:5]] = -np.inf  # 3 finite scores for k = 5
-        dirty[6, 7] = np.nan
-        dirty[7, order[7, :6]] = np.inf  # six +inf scores for k = 5
-        self.assert_matches_rank_items(dirty, 5)
-        assert np.array_equal(fallback_rows, dirty[4:8], equal_nan=True)
+        block[7, :8] = np.nan  # NaN maxima in 8 of 12 buckets: bound NaN
+        block[8, 3:] = np.nan  # 3 scores that are not NaN for k = 5
+        block[9, :] = np.nan
+        self.assert_matches_rank_items(block, 5)
+        assert np.array_equal(fallback_rows, block[7:10], equal_nan=True)
 
     def test_rows_with_fewer_unmasked_items_than_k(self):
         block = np.array([[2.0, -np.inf, 2.0, -np.inf, 1.0], [-np.inf] * 5])
@@ -214,11 +246,25 @@ class TestTopK:
         assert peak < 32 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MB"
 
     def test_serial_memory_stays_below_two_score_blocks(self, monkeypatch):
-        # One block of 8 MB at a time, ranked in quarter-block row slices.
+        # One block of 8 MB at a time; ranking it takes about 1.3 MB more.
         monkeypatch.setattr(schedule, "usable_cpus", lambda: 1)
         report, peak = traced_evaluation_peak()
         assert report.rows[0].num_users > 3000
         assert peak <= 16 * 2**20, f"serial evaluate peaked at {peak / 2**20:.1f} MB"
+
+
+def test_ranking_scratch_stays_below_a_quarter_block():
+    # One eval-wide-shaped score block: 262 users x 4000 items, 8.4 MB.
+    rng = np.random.default_rng(31)
+    block = rng.normal(size=(262, 4000))
+    block[rng.random(block.shape) < 1e-3] = -np.inf
+    tracemalloc.start()
+    try:
+        top_k_items(block, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"ranking one block peaked at {peak / 2**20:.2f} MB"
 
 
 def traced_evaluation_peak():
@@ -333,8 +379,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "users, count",
-        [([0], 1), ({1, 7, -2}, 1), (np.array([1, 0, 1]), 2), ([], 0), (range(3), 2)],
-        ids=["one", "set-with-unknown-users", "array-with-repeats", "none", "range"],
+        [([0], 1), ({1}, 1), (np.array([1, 0, 1]), 2), ([], 0), (range(2), 2)],
+        ids=["one", "set", "array-with-repeats", "none", "range"],
     )
     def test_users_restrict_the_evaluated_rows(self, users, count):
         ds = self.make_dataset()
@@ -342,6 +388,18 @@ class TestEvaluate:
                                np.random.default_rng(1).normal(size=(3, 4)))
         report = evaluate(table, ds, ks=(1, 2), users=users)
         assert report.rows[0].num_users == count
+
+    @pytest.mark.parametrize(
+        "users, bad",
+        [([10**9, -3], "1000000000"), ([0, -3], "-3"), ([1.7], "1.7"),
+         (np.array([1.0]), repr(np.float64(1.0))), ({2}, "2"), (["0"], "'0'")],
+        ids=["too-large", "negative", "float", "float-array", "num-users", "string"],
+    )
+    def test_bad_user_ids_rejected(self, users, bad):
+        ds = self.make_dataset()
+        table = EmbeddingTable(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match=rf"user id {re.escape(bad)} is not an integer in \[0, 2\)"):
+            evaluate(table, ds, ks=(1,), users=users)
 
     def test_extra_inference_edges_enable_cold_users(self):
         ds = InteractionDataset(3, 3, {(0, 0), (1, 1)}, {(0, 1), (2, 2)}, [])
