@@ -2,6 +2,9 @@
 
 Subcommands: synth, pretrain, finetune, evaluate, ablate, coldstart.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
+Identical commands with identical seeds write byte-identical reports and
+checkpoints at a fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1);
+across thread counts, `au` pretraining can differ in the last bits.
 """
 
 from __future__ import annotations

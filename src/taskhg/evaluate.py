@@ -53,9 +53,10 @@ class EvalReport:
 # Cells of one block of scores (users x items) that evaluation holds at a
 # time: 8 MB of float64, however many users are evaluated.
 SCORE_BLOCK_CELLS = 1 << 20
-# Items per bucket of `top_k_items`' bound. Ranking k = 20, 16 and 32 ran
-# within 5 % of each other on 262 x 4000 score blocks; 16 was 4-15 % faster
-# on 524 x 2000 and 263 x 1000, and 64 was the slowest on all three.
+# Items per bucket of `top_k_items`' bound. Ranking k = 20 on trained score
+# blocks (median of 25 rounds, BLAS 1 thread), widths 16 / 32 took 2.96 /
+# 2.88 ms per 262 x 4000 block, 3.16 / 3.19 ms per 524 x 2000 block, and
+# 4.80 / 5.90 ms for the 1048 + 263 rows x 1000 of one evaluation.
 BUCKET_WIDTH = 16
 
 
@@ -83,7 +84,7 @@ def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     neg.partition(k - 1, axis=1)  # NaN sorts last, as in rank_items
     bound = -neg[:, k - 1 : k]
     del neg  # freed before the candidates' mask is made
-    top, short = _first_k(block, block >= bound, k)
+    top, short = _first_k(block, np.flatnonzero(block >= bound), k)
     if short.any():
         top[short] = _top_k_survivors(block[short], k)
     return top
@@ -94,17 +95,34 @@ def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
     not below the k-th largest score: NaNs too, and all where that is NaN."""
     neg = np.negative(block)
     neg.partition(k - 1, axis=1)
-    return _first_k(block, ~(block < -neg[:, k - 1 : k]), k)[0]
+    return _first_k(block, np.flatnonzero(~(block < -neg[:, k - 1 : k])), k)[0]
 
 
-def _first_k(block: np.ndarray, keep: np.ndarray, k: int):
-    """(top, short): each row's first k candidates, marked in `keep`, in
-    `rank_items` order; `short` marks the rows with fewer, unset in `top`."""
+def _first_k(block: np.ndarray, flat: np.ndarray, k: int):
+    """(top, short): each row's first k candidates in `rank_items` order;
+    `short` marks the rows with fewer, unset in `top`. `flat` holds the
+    candidates' ascending flat indices into the block, so their mask is
+    freed before they are ordered.
+
+    An unstable sort of the negated scores gives each candidate a dense
+    rank: equal scores share one, so -0.0 ties with +0.0, and NaNs tie and
+    rank last. The integer key rank · items + item is unique within a row,
+    so its unstable sort breaks ties by ascending item; a stable sort of
+    the row numbers, in the narrowest unsigned dtype that holds them (a
+    radix sort up to 65,536 rows), then groups the rows in key order.
+    """
     n_rows, n_items = block.shape
-    flat = np.flatnonzero(keep)
     rows = flat // n_items
-    # `flat` ascends, so the stable sort breaks ties by ascending item.
-    cols = (flat - rows * n_items)[np.lexsort((-block.take(flat), rows))]
+    neg = np.negative(block.take(flat))
+    by_score = np.argsort(neg)  # NaN sorts last
+    ordered = neg[by_score]
+    rank = np.empty(len(flat), dtype=np.int64)
+    rank[by_score[:1]] = 0
+    rank[by_score[1:]] = np.cumsum((ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1]))
+    cols = flat - rows * n_items
+    by_key = np.argsort(rank * n_items + cols)
+    by_key = by_key[np.argsort(rows.astype(np.min_scalar_type(n_rows - 1))[by_key], kind="stable")]
+    cols = cols[by_key]
     per_row = np.bincount(rows, minlength=n_rows)
     full = per_row >= k
     top = np.empty((n_rows, k), dtype=np.intp)
@@ -229,7 +247,8 @@ def evaluate(
     if users is not None:
         users = list(users)
         for u in users:
-            if not isinstance(u, (int, np.integer)) or not 0 <= u < dataset.num_users:
+            integer = isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+            if not integer or not 0 <= u < dataset.num_users:
                 raise ValueError(f"user id {u!r} is not an integer in [0, {dataset.num_users})")
         known = known[np.isin(known, users)]
     tests = dataset.test_incidence()

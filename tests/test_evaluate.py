@@ -155,9 +155,9 @@ class TestTopK:
         # many items, so the bound leaves items out of most rows' candidates.
         pruned = []
 
-        def recording_first_k(block, keep, k):
-            pruned.append(np.count_nonzero(keep) < np.count_nonzero(~np.isnan(block)))
-            return first_k(block, keep, k)
+        def recording_first_k(block, flat, k):
+            pruned.append(len(flat) < np.count_nonzero(~np.isnan(block)))
+            return first_k(block, flat, k)
 
         first_k = EVALUATE_MODULE._first_k
         monkeypatch.setattr(EVALUATE_MODULE, "_first_k", recording_first_k)
@@ -178,6 +178,31 @@ class TestTopK:
                 block[rng.random(block.shape) < rng.uniform(0.0, 0.3)] = np.nan
             self.assert_matches_rank_items(block, k)
         assert np.mean(pruned) > 0.5
+
+    def test_signed_zeros_tie_and_break_by_item(self):
+        # -0.0 == +0.0, so a mix of them at and around the k-th score ties,
+        # and the tie breaks by ascending item, whatever each zero's sign.
+        assert top_k_items(np.array([[0.0, -0.0, 0.0, 1.0, -0.0]]), 3).tolist() == [[3, 0, 1]]
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            n_rows, n_items = int(rng.integers(1, 6)), int(rng.integers(1, 80))
+            k = int(rng.integers(1, n_items + 1))
+            block = np.where(rng.random((n_rows, n_items)) < 0.5, 0.0, -0.0)
+            # About (k - 1) / 2 scores above zero, some below: the k-th is mostly a zero.
+            above = rng.random(block.shape) < (k - 1) / (2 * n_items)
+            block[above] = rng.integers(1, 3, size=np.count_nonzero(above))
+            block[rng.random(block.shape) < 0.2] = -1.0
+            if trial % 3 == 0:
+                block[rng.random(block.shape) < 0.1] = np.nan
+            self.assert_matches_rank_items(block, k)
+
+    def test_blocks_taller_than_a_16_bit_row_number(self):
+        # Evaluation makes blocks this tall for catalogues of at most 15 items.
+        rng = np.random.default_rng(47)
+        block = rng.choice([-1.0, -0.0, 0.0, 1.0, np.nan, -np.inf], size=(70_000, 2))
+        want = np.array([rank_items(row) for row in block])
+        for k in (1, 2):
+            assert np.array_equal(top_k_items(block, k), want[:, :k])
 
     def test_only_rows_short_of_candidates_through_nans_take_the_fallback(self, monkeypatch):
         fallback_rows = []
@@ -392,8 +417,10 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "users, bad",
         [([10**9, -3], "1000000000"), ([0, -3], "-3"), ([1.7], "1.7"),
-         (np.array([1.0]), repr(np.float64(1.0))), ({2}, "2"), (["0"], "'0'")],
-        ids=["too-large", "negative", "float", "float-array", "num-users", "string"],
+         (np.array([1.0]), repr(np.float64(1.0))), ({2}, "2"), (["0"], "'0'"),
+         ([0, True], "True"), (np.array([False]), repr(np.False_))],
+        ids=["too-large", "negative", "float", "float-array", "num-users", "string",
+             "bool", "bool-array"],
     )
     def test_bad_user_ids_rejected(self, users, bad):
         ds = self.make_dataset()
