@@ -3,8 +3,9 @@
 Subcommands: synth, pretrain, finetune, evaluate, ablate, coldstart.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 Identical commands with identical seeds write byte-identical reports and
-checkpoints at a fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS=1);
-across thread counts, `au` pretraining can differ in the last bits.
+checkpoints at a fixed BLAS thread count: one, unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS sets another; across thread counts,
+`au` pretraining can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from enum import Enum
+
+# One BLAS thread unless the user chose a count: the step pool is the
+# command's parallelism, and a BLAS pool beside it made every benchmark
+# workload slower. Set before NumPy loads (the package root loads none).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

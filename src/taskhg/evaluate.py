@@ -53,10 +53,8 @@ class EvalReport:
 # Cells of one block of scores (users x items) that evaluation holds at a
 # time: 8 MB of float64, however many users are evaluated.
 SCORE_BLOCK_CELLS = 1 << 20
-# Items per bucket of `top_k_items`' bound. Ranking k = 20 on trained score
-# blocks (median of 25 rounds, BLAS 1 thread), widths 16 / 32 took 2.96 /
-# 2.88 ms per 262 x 4000 block, 3.16 / 3.19 ms per 524 x 2000 block, and
-# 4.80 / 5.90 ms for the 1048 + 263 rows x 1000 of one evaluation.
+# Items per bucket of `top_k_items`' bound, the measured fastest width
+# (see CHANGES.md); any width gives the same ranking.
 BUCKET_WIDTH = 16
 
 

@@ -8,10 +8,9 @@ aggregations, every recommendation loss, the auxiliary hyperedge-ranking
 and attribute cross-entropy losses, and the optional linear heads of the
 ablation variants. Encoders and TA stacks share one reverse loop, as they
 share one forward loop; it takes a loss gradient as the batch's rows.
-When a TA stack's final layer attends with `full` or `sum` and the batch
-reaches few of its hyperedges, the step runs that layer on the batch's
-rows in both passes, with the same bits (see `_reverse` and
-`pretrain_loss_and_grad`). Each loss exists once, as a
+Where a recommendation stack's loss reads few of its rows, the step runs
+its final layer on the batch's rows in both passes, with the same bits
+(see `_final_rows`). Each loss exists once, as a
 (value, gradients) function with batch-mean normalization; a full step
 returns one gradient dict keyed like the optimizer's parameter blocks.
 Correctness is pinned by central finite differences and by independent
@@ -40,6 +39,7 @@ from .model import (
     forward_pretrain,
 )
 from .schedule import run_pair
+from .tasks import NodeSide
 
 
 def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
@@ -80,47 +80,54 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
             g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
 
 
-def _reaches_few_hyperedges(graph, nodes) -> bool:
-    """Whether an attending final layer runs only on the distinct `nodes`
-    and the hyperedges they reach: when their degrees, which bound the
-    reached count, sum to at most the hyperedge count.
+# The largest share of a graph's incidences that the batch's rows may hold
+# for a final layer to run on them with every hyperedge (see CHANGES.md
+# for the measured crossover).
+NODE_ROWS_SHARE = 1 / 3
 
-    Measured on the user side of an 8000 x 4000 synthetic set with 3
-    interactions per user (dim 64, `full`, two tasks, BLAS 1 thread), one
-    stack's forward and reverse together took 6.3 ms on the rows against
-    15.1 ms dense at degree sum 0.61 of the count (46 % reached), 9.1
-    against 15.0 at 1.13 (70 %) and 15.4 against 15.5 at 2.45 (93 %).
-    The bound stays at 1: every benchmark shape sits far from it (0.15
-    to 0.60 on that set, over 3.4 on the others). The test reads only
-    the batch's degrees, so a step that stays dense pays O(batch).
-    """
+
+def _reaches_few_hyperedges(graph, nodes) -> bool:
+    """Whether the distinct `nodes`' degrees, which bound the hyperedges
+    they reach, sum to at most the hyperedge count."""
     return int(graph.node_degrees[nodes].sum()) <= graph.num_hyperedges
 
 
-def _final_rows(graph, index):
-    """The distinct nodes of `index`, ascending, if they reach few
-    hyperedges of `graph`, else None."""
+def _holds_few_incidences(graph, nodes) -> bool:
+    """Whether the distinct `nodes`' degrees sum to at most
+    `NODE_ROWS_SHARE` of the graph's incidences."""
+    return int(graph.node_degrees[nodes].sum()) <= NODE_ROWS_SHARE * graph.nnz
+
+
+def _final_rows(graph, index, may_reach):
+    """The `rows` of a stack whose loss reads its output at `index` only
+    (see `model.ta_forward_traced`), or None for a dense final layer.
+
+    The layer runs on the distinct nodes of `index` and the hyperedges
+    they reach where `may_reach` (a stack attending with `full` or `sum`)
+    and they reach few; else on those nodes and every hyperedge where
+    they hold few incidences. Each test reads only the batch's degrees.
+    """
     nodes = sorted_unique(index)
-    return nodes if _reaches_few_hyperedges(graph, nodes) else None
+    if may_reach and _reaches_few_hyperedges(graph, nodes):
+        return nodes, True
+    if _holds_few_incidences(graph, nodes):
+        return nodes, False
+    return None
 
 
 def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
-    """Reverse of the convolution stack: (g_input, g_task_embs, g_concat_weight).
+    """Reverse of the convolution stack, its final layer on the trace's
+    `restriction` where it has one: (g_input, g_task_embs, g_concat_weight).
 
-    g_out is the gradient on the stack's node output: the loss's
-    `BatchRows`, summed and then scaled by `scale`, or an array taken as
-    it is. g_edge (or None) is the gradient on its final layer's
-    hyperedge embeddings. A final layer that ran on a `restriction`
-    reverses on it too: g_out then holds the restricted nodes' rows, and
-    each task's gradient is written on the reached hyperedges; every other
-    row is an exact zero in the dense reverse, as the `full` and `sum`
-    reverses work row by row. The dense gradient made from the batch rows
-    is held until the reverse returns: dropping it after the first
-    aggregation lowered no pretraining step's peak, but made the heap
-    shrink and fault back in every step (three times the page faults and
-    15 % more time per pretraining epoch on a 4000 x 2000 set). Each
-    layer's g_eps is its g_q, updated in place, and each of the reverse's
-    own gradients is dropped once the aggregation that reads it returns.
+    g_out is the gradient on the stack's node output (the restricted
+    nodes' rows only, with a restriction): the loss's `BatchRows`, summed
+    and then scaled by `scale`, or an array taken as it is. g_edge (or
+    None) is the gradient on its final layer's hyperedge embeddings. On
+    reached hyperedges each task's gradient is written on their rows
+    only; every other row is an exact zero in the dense reverse, as the
+    `full` and `sum` reverses work row by row. The gradient made from the
+    batch rows lives until the reverse returns; each layer's g_eps is its
+    g_q, updated in place.
     """
     graph = trace.graph
     if isinstance(g_out, BatchRows):
@@ -132,7 +139,7 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
     g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
     layers = trace.layers
     rows = trace.restriction
-    if rows is not None:
+    if rows is not None and rows.edges is not None:
         g_q = rows.hyperedges_to_nodes_adjoint(g)
         del g
         g_rows = {tid: np.zeros_like(g_q) for tid in trace.task_ids}
@@ -142,9 +149,12 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
         del g_rows
         g = rows.nodes_to_hyperedges_adjoint(g_q)
         del g_q
-        layers = layers[:-1]
+        layers, rows = layers[:-1], None
     for layer in reversed(layers):
-        g_eps = aggregate_hyperedges_to_nodes_adjoint(graph, g)
+        if rows is None:
+            g_eps = aggregate_hyperedges_to_nodes_adjoint(graph, g)
+        else:  # the final layer on node rows, with every hyperedge
+            g_eps, rows = rows.hyperedges_to_nodes_adjoint(g), None
         del g
         if trace.attends:
             _attention_reverse(trace, layer, g_eps, g_zs, g_w)
@@ -508,21 +518,21 @@ def pretrain_loss_and_grad(
     is that table, then the table's gradient summed as the TA stack's,
     each task's in `aux_tasks` order, and the L2 term.
 
-    Each TA stack that attends with `full` or `sum` runs its final layer
-    on the batch's rows, in both passes, when they reach few of its
-    hyperedges (`_reaches_few_hyperedges`, decided here once per step);
-    the recommendation loss then reads the stack's compact output.
+    Each TA stack's final layer runs on the batch's rows, in both passes,
+    where `_final_rows` chooses them, once per stack per step; the
+    recommendation loss then reads the stack's compact output.
 
     Each table-sized array lives only until its last reader is done
     (`test_step_peak_memory_is_bounded_in_table_sizes` bounds the peak).
     """
     extra_params = extra_params or {}
     users, pos, neg = batch.rec_users, batch.rec_pos_items, batch.rec_neg_items
-    user_rows = item_rows = None
-    if cfg.ta_variant in (TAVariant.FULL, TAVariant.SUM):
-        items = pos if neg is None else np.append(pos, neg)
-        user_rows = _final_rows(rec_user_task.graph, users)
-        item_rows = _final_rows(rec_item_task.graph, items)
+    items = pos if neg is None else np.append(pos, neg)
+    # Each TA stack attends over the tasks of the opposite side.
+    sides = {task.side for task in aux_tasks}
+    full_or_sum = cfg.ta_variant in (TAVariant.FULL, TAVariant.SUM)
+    user_rows = _final_rows(rec_user_task.graph, users, full_or_sum and NodeSide.ITEMS in sides)
+    item_rows = _final_rows(rec_item_task.graph, items, full_or_sum and NodeSide.USERS in sides)
     acts = forward_pretrain(
         table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params, user_rows, item_rows
     )
@@ -594,13 +604,17 @@ def finetune_loss_and_grad(
     Returns (loss, grads, ()): the empty tuple stands where pretraining
     returns its activations, as finetuning has no attention to audit. The
     user and item encoders, forward and backward, run as pairs, and so
-    does the `au` loss. The encoders' outputs go after the loss; each
-    encoder backward makes its side's loss gradient from the batch rows
-    and drops it when it returns.
+    does the `au` loss. Each encoder runs on the batch's rows where
+    `_final_rows` chooses them. The encoders' outputs go after the loss;
+    each encoder backward makes its side's loss gradient from the batch
+    rows and drops it when it returns.
     """
+    items = pos if neg is None else np.append(pos, neg)
+    user_rows = _final_rows(rec_user_task.graph, users, False)
+    item_rows = _final_rows(rec_item_task.graph, items, False)
     trace_u, trace_i = run_pair(
-        lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1),
-        lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1),
+        lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1, user_rows),
+        lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1, item_rows),
     )
     trace_u.drop_edge_output()
     trace_i.drop_edge_output()
@@ -608,9 +622,9 @@ def finetune_loss_and_grad(
         cfg.finetune_loss,
         trace_u.node_emb,
         trace_i.node_emb,
-        users,
-        pos,
-        neg,
+        trace_u.output_index(users),
+        trace_i.output_index(pos),
+        None if neg is None else trace_i.output_index(neg),
         cfg.uniformity_weight,
     )
     trace_u.node_emb = trace_i.node_emb = None

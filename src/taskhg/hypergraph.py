@@ -13,10 +13,11 @@ each member, the same rounded products, in the same order, as scaling
 the input rows first would give, without the scaled copy of the input.
 Pre-scaling the forward the same way would change its rounding.
 
-A `Restriction` runs one layer on a few nodes' rows and the hyperedges
-they reach, in both passes. Every sparse product sums an output row's
-terms in ascending index order starting from +0.0; such a sum is never
--0.0, so leaving out terms that are exact zeros changes no bit of it.
+A `Restriction` runs one layer on a few nodes' rows, in both passes,
+with the hyperedges they reach or with every hyperedge. Every sparse
+product sums an output row's terms in ascending index order starting
+from +0.0; such a sum is never -0.0, so leaving out terms that are exact
+zeros changes no bit of it.
 """
 
 from __future__ import annotations
@@ -193,28 +194,31 @@ def aggregate_hyperedges_to_nodes_adjoint(h: Hypergraph, grad_node: np.ndarray) 
 
 
 class Restriction:
-    """One convolution layer restricted to the distinct, ascending `nodes`
-    and the ascending `edges`, the hyperedges they reach.
+    """One layer whose output is read only at the distinct, ascending
+    `nodes`, run on the hyperedges they reach (`edges`, ascending) or, with
+    `edges` None, on every hyperedge; each product gives the dense one's
+    rows bit for bit (see the module docstring).
 
-    `members` holds the incidence_t rows of `edges`, and `incidence` the
-    incidence rows of `nodes` with their columns renumbered to `edges`.
-    Each product gives the rows of a dense aggregation or adjoint bit for
-    bit: the forward ones compute their rows as the dense ones do, and
-    each adjoint leaves out only terms from rows that are zero in its
-    gradient (see the module docstring).
+    `incidence` holds the incidence rows of `nodes`, their columns
+    renumbered to `edges` when it is given, and `members` the incidence_t
+    rows of `edges`.
     """
 
     __slots__ = ("graph", "nodes", "edges", "members", "incidence")
 
-    def __init__(self, h: Hypergraph, nodes: np.ndarray):
+    def __init__(self, h: Hypergraph, nodes: np.ndarray, reached: bool = True):
         self.graph = h
         self.nodes = nodes
         rows = h.incidence[nodes]
-        reached = np.zeros(h.num_hyperedges, dtype=bool)
-        reached[rows.indices] = True
-        self.edges = np.flatnonzero(reached)
+        self.edges = self.members = None
+        self.incidence = rows
+        if not reached:
+            return
+        hit = np.zeros(h.num_hyperedges, dtype=bool)
+        hit[rows.indices] = True
+        self.edges = np.flatnonzero(hit)
         self.members = h.incidence_t[self.edges]
-        rank = np.cumsum(reached) - 1
+        rank = np.cumsum(hit) - 1
         self.incidence = sp.csr_matrix(
             (rows.data, rank[rows.indices], rows.indptr), shape=(len(nodes), len(self.edges))
         )
@@ -227,15 +231,15 @@ class Restriction:
 
     def hyperedges_to_nodes(self, edge_rows: np.ndarray) -> np.ndarray:
         """Rows `nodes` of aggregate_hyperedges_to_nodes(graph, q), given
-        q's rows `edges`: no other row of q reaches them."""
+        q's rows `edges` (no other row of q reaches them), or all of q."""
         sums = self.incidence @ edge_rows
         sums *= self.graph.inv_node_degrees[self.nodes, None]
         return sums
 
     def hyperedges_to_nodes_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:
-        """Rows `edges` of aggregate_hyperedges_to_nodes_adjoint(graph, g)
-        for a g that is zero but on `nodes`, whose rows are grad_rows; its
-        other rows are zero."""
+        """Rows `edges`, or all rows, of aggregate_hyperedges_to_nodes_adjoint(
+        graph, g) for a g that is zero but on `nodes`, whose rows are
+        grad_rows; the rows `edges` leave out are zero."""
         return _scaled_transpose(self.incidence, self.graph.inv_node_degrees[self.nodes]) @ grad_rows
 
     def nodes_to_hyperedges_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:

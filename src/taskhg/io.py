@@ -265,8 +265,9 @@ class _IdMapper:
         _replace_file(path, blob)
 
 
-def _replace_file(path, blob: bytes):
-    """Write `blob` to `path` through a temp file in the same directory.
+def _replace_file(path, *chunks):
+    """Write the bytes-like `chunks`, in order, to `path` through a temp
+    file in the same directory.
 
     A concurrent reader sees the old file or the new one, never a partial
     one, and a failed write leaves the old file as it was.
@@ -274,7 +275,9 @@ def _replace_file(path, blob: bytes):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -428,7 +431,8 @@ class Checkpoint:
     item_emb: np.ndarray
 
     def to_table(self) -> EmbeddingTable:
-        return EmbeddingTable(self.user_emb.copy(), self.item_emb.copy())
+        """The table, sharing the checkpoint's arrays (training copies it)."""
+        return EmbeddingTable(self.user_emb, self.item_emb)
 
 
 def save_checkpoint(table: EmbeddingTable, config: TrainConfig, path):
@@ -439,13 +443,20 @@ def save_checkpoint(table: EmbeddingTable, config: TrainConfig, path):
         config.seed,
         bytes.fromhex(config.fingerprint()),
     )
-    body_u = np.ascontiguousarray(table.user_emb, dtype="<f8").tobytes()
-    body_i = np.ascontiguousarray(table.item_emb, dtype="<f8").tobytes()
-    _replace_file(path, CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header + body_u + body_i)
+    # The tables are written from their own memory, without a bytes copy.
+    _replace_file(
+        path,
+        CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header,
+        np.ascontiguousarray(table.user_emb, dtype="<f8"),
+        np.ascontiguousarray(table.item_emb, dtype="<f8"),
+    )
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    # Read into a writable buffer, so the tables are views of it, not copies.
+    with open(path, "rb") as f:
+        blob = bytearray(os.fstat(f.fileno()).st_size)
+        del blob[f.readinto(blob) :]
     if len(blob) < len(CHECKPOINT_MAGIC) + 1 or not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic bytes)")
     version = blob[len(CHECKPOINT_MAGIC)]
@@ -467,7 +478,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointTruncatedError(
             f"{path}: body holds {len(blob) - offset} bytes, header promises {expected}"
         )
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    flat = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64, copy=False)
     user = flat[: num_users * dim].reshape(num_users, dim)
     item = flat[num_users * dim :].reshape(num_items, dim)
     for block, emb in (("user", user), ("item", item)):

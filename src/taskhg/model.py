@@ -8,10 +8,10 @@ entity's task-specific embeddings into the hyperedge before the node
 update. Both run one layer loop: an encoder is a TA stack with no tasks.
 The loop records, in a `TATrace`, the intermediates the reverse pass in
 `gradients` needs; the TA settings (gamma, depth, variant) and the
-encoder depth are read from the `TrainConfig`. When a caller reads the
-output of an attending `full` or `sum` stack on a few rows only, the
-final layer runs on those rows and the hyperedges they reach, and the
-reverse runs the same restricted layer (`hypergraph.Restriction`).
+encoder depth are read from the `TrainConfig`. When a caller reads a
+stack's output on a few rows only, it may run the final layer on those
+rows, and the reverse runs the same restricted layer
+(`hypergraph.Restriction`).
 """
 
 from __future__ import annotations
@@ -89,18 +89,15 @@ class TALayerTrace:
 
 @dataclass
 class TATrace:
-    """Intermediates of one stack of convolution layers.
+    """Intermediates of one stack of convolution layers, as the reverse
+    reads them; with a `restriction`, `node_emb` holds its nodes' rows and
+    a final layer on reached hyperedges holds theirs.
 
     With no tasks (or the NO_TA variant) the stack is the plain weight-free
     encoder; otherwise each layer adds gamma times its task mix `a` to the
     hyperedges before the node update. A layer keeps its `eps` only where
     something reads it: every attending layer, for the reverse, and the
-    final layer, as the stack's `edge_emb`. A training step drops each
-    array once its last reader is done.
-
-    With a `restriction`, the final layer ran on its nodes R and the
-    hyperedges E they reach: that layer's `eps`, alpha and `a` hold E's
-    rows, and `node_emb` holds R's rows only (see `output_index`).
+    final layer, as the stack's `edge_emb`.
     """
 
     graph: Hypergraph
@@ -185,7 +182,7 @@ def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
     for k in range(num_layers):
         final = k == num_layers - 1
         rows = trace.restriction if final else None
-        if rows is None:
+        if rows is None or rows.edges is None:
             eps = aggregate_nodes_to_hyperedges(trace.graph, x)
             zs = trace.task_embs
         else:
@@ -209,11 +206,17 @@ def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
     return trace
 
 
-def encode_auxiliary_task_traced(graph: Hypergraph, x0: np.ndarray, layers: int) -> TATrace:
-    """Weight-free hypergraph convolution: a TA stack with no tasks."""
+def encode_auxiliary_task_traced(
+    graph: Hypergraph, x0: np.ndarray, layers: int, rows: tuple | None = None
+) -> TATrace:
+    """Weight-free hypergraph convolution: a TA stack with no tasks.
+
+    `rows` restricts the final layer, as in `ta_forward_traced`.
+    """
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    return _convolve(TATrace(graph), np.asarray(x0, dtype=np.float64), layers)
+    trace = TATrace(graph, restriction=None if rows is None else Restriction(graph, *rows))
+    return _convolve(trace, np.asarray(x0, dtype=np.float64), layers)
 
 
 def ta_forward_traced(
@@ -222,7 +225,7 @@ def ta_forward_traced(
     opposite_tasks,
     cfg: TrainConfig,
     concat_weight: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
+    rows: tuple | None = None,
 ) -> TATrace:
     """Matrix-form transitional attention over `cfg.ta_layers` layers.
 
@@ -232,9 +235,11 @@ def ta_forward_traced(
     stack's output. With no opposite tasks (or the NO_TA variant) the
     layer degrades to a weight-free hypergraph convolution.
 
-    `rows`, distinct and ascending, are the nodes whose output the caller
-    reads. When the stack attends with `full` or `sum`, its final layer
-    runs on them only (see `TATrace`); every other stack ignores them.
+    `rows` is None, for a dense stack, or the `Restriction` arguments
+    (nodes, reached) of its final layer: the distinct, ascending nodes
+    whose output the caller reads, and whether the layer runs on only the
+    hyperedges they reach, which only a stack attending with `full` or
+    `sum` may do (see `gradients._final_rows`).
     """
     x = np.asarray(side_input, dtype=np.float64)
     task_ids = [tid for tid, _ in opposite_tasks]
@@ -250,8 +255,8 @@ def ta_forward_traced(
         if concat_weight is None:
             raise ValueError("CONCAT variant requires a concat weight matrix")
         trace.concat_weight = concat_weight
-    if rows is not None and trace.attends and cfg.ta_variant != TAVariant.CONCAT:
-        trace.restriction = Restriction(graph, rows)
+    if rows is not None:
+        trace.restriction = Restriction(graph, *rows)
     return _convolve(trace, x, cfg.ta_layers)
 
 
@@ -275,8 +280,8 @@ def forward_pretrain(
     aux_tasks,
     cfg: TrainConfig,
     extra_params: dict | None = None,
-    user_rows: np.ndarray | None = None,
-    item_rows: np.ndarray | None = None,
+    user_rows: tuple | None = None,
+    item_rows: tuple | None = None,
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides.
 

@@ -38,11 +38,8 @@ from .tasks import NodeSide, TaskKind
 
 @dataclass
 class AttentionAudit:
-    """Running bounds over every attention vector computed during training.
-
-    Where a TA stack's final layer ran on the batch's rows, a step's
-    vectors are those of the hyperedges the batch reached only.
-    """
+    """Running bounds over every attention vector a step computed: on the
+    reached rows path, the reached hyperedges' only."""
 
     vectors_seen: int = 0
     min_weight: float = math.inf

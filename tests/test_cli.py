@@ -33,14 +33,24 @@ def run_cli(args):
     return main(list(args))
 
 
-def run_cli_process(args):
-    """`python -m taskhg.cli` in a child that imports the package under test."""
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(blas=None):
+    """This process's environment for a child that imports the package
+    under test; with `blas`, the BLAS variables are exactly those given."""
     src = str(Path(taskhg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ)
+    if blas is not None:
+        env = {k: v for k, v in env.items() if k not in BLAS_VARS} | blas
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(args, blas=None):
+    """`python -m taskhg.cli` in a child that imports the package under test."""
     return subprocess.run(
-        [sys.executable, "-m", "taskhg.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
+        [sys.executable, "-m", "taskhg.cli", *args], env=child_env(blas), capture_output=True
     )
 
 
@@ -605,3 +615,41 @@ class TestGeneratedFlags:
             aux_encoder_layers=3, eval_ks=(5, 50), quantization_bins=7,
             ta_variant=TAVariant.CONCAT, unified_attributes=False, uniformity_weight=0.5,
         )
+
+
+class TestBlasThreads:
+    def run_python(self, code, blas):
+        return subprocess.run([sys.executable, "-c", code], env=child_env(blas),
+                              capture_output=True, text=True, timeout=60, check=True).stdout
+
+    def test_importing_the_package_loads_no_numpy(self):
+        # So the command can set the BLAS variables before NumPy reads them;
+        # the root's `evaluate` stays the function after the submodule loads.
+        out = self.run_python(
+            "import sys, types, taskhg; print('numpy' in sys.modules); "
+            "import taskhg.cli; from taskhg import evaluate; "
+            "print(isinstance(evaluate, types.FunctionType), taskhg.pretrain.__module__)",
+            {},
+        )
+        assert out.split() == ["False", "True", "taskhg.train"]
+
+    @pytest.mark.parametrize("blas, want", [({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")])
+    def test_the_command_pins_blas_to_one_thread_unless_set(self, blas, want):
+        code = f"import os, taskhg.cli; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+        assert self.run_python(code, blas).strip() == want
+
+    def test_the_demo_au_checkpoint_is_the_same_with_blas_unset_and_pinned(self, tmp_path):
+        # `au` pretraining's bits depend on the BLAS thread count (README),
+        # so an unset environment must take the pinned count.
+        data = tmp_path / "demo"
+        synth = ["synth", "--out", str(data), "--users", "200", "--items", "100",
+                 "--blocks", "4", "--noise", "0.05", "--seed", "7"]
+        assert run_cli_process(synth).returncode == 0
+        blobs = []
+        for name, blas in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"{name}.ckpt"
+            proc = run_cli_process(["pretrain", "--data", str(data), "--seed", "7",
+                                    "--pretrain-loss", "au", "--out", str(out)], blas)
+            assert proc.returncode == 0, proc.stderr.decode()
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]

@@ -27,11 +27,13 @@ from taskhg.data import (
 from taskhg.gradients import (
     BatchRows,
     PretrainBatch,
+    _final_rows,
     _reverse,
     _scatter_rows,
     finetune_loss_and_grad,
     pretrain_loss_and_grad,
 )
+from taskhg.hypergraph import build_hypergraph
 from taskhg.model import (
     EmbeddingTable,
     TATrace,
@@ -321,21 +323,27 @@ def row_sparse_gradient(rng, num_rows, d):
 
 
 def assert_restricted_forward(trace, ref, nodes):
-    """A stack whose final layer ran on `nodes`: that layer's arrays are the
-    oracle's rows at the hyperedges they reach, every other one its own."""
+    """A stack whose final layer ran on `nodes`: its output is the oracle's
+    rows at `nodes`; the final layer's arrays are the oracle's rows at the
+    hyperedges they reach, or all of them with every hyperedge, and every
+    other layer's are its own."""
     rows = trace.restriction
     graph = trace.graph
     assert rows.nodes.tolist() == nodes.tolist()
-    assert rows.edges.tolist() == sorted(set(graph.incidence[nodes].indices.tolist()))
+    edges = slice(None)
+    if rows.edges is not None:
+        edges = rows.edges
+        assert edges.tolist() == sorted(set(graph.incidence[nodes].indices.tolist()))
     assert trace.node_emb.tobytes() == ref.node_emb[nodes].tobytes()
     *inner, final = zip(trace.layers, ref.layers)
     for layer, ref_layer in inner:
-        for name in ("eps", "alpha", "a"):
+        assert optional_bytes(layer.eps) == (ref_layer.eps.tobytes() if trace.attends else None)
+        for name in ("alpha", "a"):
             assert optional_bytes(getattr(layer, name)) == optional_bytes(getattr(ref_layer, name))
     layer, ref_layer = final
     for name in ("eps", "alpha", "a"):
         want = getattr(ref_layer, name)
-        want = None if want is None else want[rows.edges]
+        want = None if want is None else want[edges]
         assert optional_bytes(getattr(layer, name)) == optional_bytes(want), name
 
 
@@ -346,8 +354,9 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
     # recommendation sides, 0-3 attended tasks (0 is the encoder), a gamma
     # other than 1, and with and without a gradient on the final edges.
     # A row-sparse loss gradient, scaled, goes through the final layer run
-    # on a few rows (its own and others) in both passes; `concat`, `no_ta`
-    # and the encoder ignore the rows and run densely.
+    # on a few rows (its own and others) in both passes: with every
+    # hyperedge, and, where the stack attends with `full` or `sum`, with
+    # the hyperedges they reach.
     rng = np.random.default_rng([17, list(TAVariant).index(variant), layers])
     for _ in range(4):
         table, rec_u, rec_i, _, cfg, _, _ = make_joint_instance(rng, max_tasks=0)
@@ -378,15 +387,27 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
                 want = out_of_place_reverse(ref, scale * loss_rows.dense())
                 assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
                 nodes = np.unique(np.append(loss_rows.index, rng.integers(len(x), size=2)))
-                trace = ta_forward_traced(x, graph, opposite, cfg, weight, nodes)
-                if trace.attends and variant != TAVariant.CONCAT:
+                index = np.searchsorted(nodes, loss_rows.index)
+                loss_rows = loss_rows._replace(num_rows=len(nodes), index=index)
+                may_reach = trace.attends and variant in (TAVariant.FULL, TAVariant.SUM)
+                for reached in (False, True) if may_reach else (False,):
+                    trace = ta_forward_traced(x, graph, opposite, cfg, weight, (nodes, reached))
                     assert_restricted_forward(trace, ref, nodes)
-                    index = np.searchsorted(nodes, loss_rows.index)
-                    loss_rows = loss_rows._replace(num_rows=len(nodes), index=index)
-                else:
-                    assert trace.restriction is None
-                    assert trace.node_emb.tobytes() == ref.node_emb.tobytes()
-                assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+                    assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+
+
+def test_final_rows_take_the_reached_side_then_node_rows_then_dense():
+    # 12 nodes of degree 2 over 8 hyperedges: 24 incidences, so up to 4
+    # nodes reach few hyperedges and up to 4 hold a third of them.
+    h = build_hypergraph([(v, e) for v in range(12) for e in (v % 8, (v + 1) % 8)], 12, 8)
+    for count, may_reach, want in [
+        (4, True, "reached"), (4, False, "node rows"), (5, True, "dense"), (12, True, "dense")
+    ]:
+        index = np.repeat(np.arange(count), 2)[::-1]
+        rows = _final_rows(h, index, may_reach)
+        path = "dense" if rows is None else "reached" if rows[1] else "node rows"
+        assert path == want, (count, may_reach)
+        assert rows is None or rows[0].tolist() == list(range(count))
 
 
 @pytest.fixture(scope="module")

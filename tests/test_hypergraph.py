@@ -307,6 +307,24 @@ class TestAdjoints:
         out = aggregate_hyperedges_to_nodes(h, q)
         assert rows.hyperedges_to_nodes(q[rows.edges]).tobytes() == out[rows.nodes].tobytes()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_node_rows_with_every_hyperedge_give_the_dense_bits(self, seed):
+        # The hyperedge->node average and its adjoint on a few nodes' rows
+        # and every hyperedge: the dense output's rows, and the whole dense
+        # adjoint of a gradient that is zero (or -0.0) off those rows.
+        rng, h, reached = self.restriction_instance(seed)
+        rows = Restriction(h, reached.nodes, reached=False)
+        assert rows.edges is None and rows.members is None
+        q = self.scaled_normal(rng, h.num_hyperedges, 5)
+        out = aggregate_hyperedges_to_nodes(h, q)
+        assert rows.hyperedges_to_nodes(q).tobytes() == out[rows.nodes].tobytes()
+        grad = self.scaled_normal(rng, len(rows.nodes), 5)
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        g_node = np.zeros((h.num_nodes, 5))
+        g_node[rows.nodes] = grad
+        dense = aggregate_hyperedges_to_nodes_adjoint(h, g_node)
+        assert rows.hyperedges_to_nodes_adjoint(grad).tobytes() == dense.tobytes()
+
     def test_scaled_adjoint_operators_share_the_sparsity_arrays(self):
         h = build_hypergraph([(0, 1), (2, 1), (1, 0), (2, 2)], 4, 3)
         for scaled, base in ((h.incidence_by_edge_degree, h.incidence),

@@ -482,6 +482,24 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.item_emb, table.item_emb)
         assert ckpt.user_emb.tobytes() == table.user_emb.tobytes()
 
+    def test_file_bytes_are_the_header_then_each_table_row_major(self, tmp_path):
+        # The writer's chunks give the bytes of one concatenated blob, also
+        # for a column-major table; the loaded table holds them, writably.
+        rng = np.random.default_rng(1)
+        table = EmbeddingTable(np.asfortranarray(rng.normal(size=(6, 4))), rng.normal(size=(3, 4)))
+        cfg = TrainConfig(dim=4, seed=9)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(table, cfg, path)
+        header = _HEADER.pack(4, 6, 3, 9, bytes.fromhex(cfg.fingerprint()))
+        assert path.read_bytes() == (
+            CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + header
+            + table.user_emb.astype("<f8").tobytes() + table.item_emb.astype("<f8").tobytes()
+        )
+        loaded = load_checkpoint(path).to_table()
+        for got, want in ((loaded.user_emb, table.user_emb), (loaded.item_emb, table.item_emb)):
+            assert got.dtype == np.float64 and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
     def test_truncated_body(self, tmp_path):
         table = EmbeddingTable(np.ones((2, 3)), np.ones((2, 3)))
         path = tmp_path / "ckpt.bin"

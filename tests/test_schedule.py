@@ -75,52 +75,113 @@ def assert_same_step(a, b):
         assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
 
 
+# Each path's (`_reaches_few_hyperedges`, `_holds_few_incidences`) answers.
+PATHS = {"dense": (False, False), "node rows": (False, True), "reached": (True, True)}
+
+
+def force_path(monkeypatch, path):
+    """Make `_final_rows` choose `path` for every stack that may take it."""
+    reaches, holds = PATHS[path]
+    monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges", lambda *args: reaches)
+    monkeypatch.setattr(taskhg.gradients, "_holds_few_incidences", lambda *args: holds)
+
+
+def path_of(rows):
+    """The path of a final layer run on `rows` (a `Restriction` or None)."""
+    return "dense" if rows is None else "node rows" if rows.edges is None else "reached"
+
+
+def assert_same_attention(trace, dense):
+    """`trace`'s attention arrays are the dense trace's, or their rows at
+    the reached hyperedges in a final layer on the reached path."""
+    want = dense.attention
+    if path_of(trace.restriction) == "reached" and want:
+        want = [*want[:-1], want[-1][trace.restriction.edges]]
+    assert [a.tobytes() for a in trace.attention] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
 def test_pretrain_step_is_the_same_on_both_schedules(pool, monkeypatch, variant, loss):
-    # With the batch's rows forced, each attending `full` or `sum` stack
-    # runs its final layer on them, and the loss reads the compact output.
+    # Each forced path runs each TA stack's final layer dense, on the
+    # batch's rows with every hyperedge, or on the rows and the hyperedges
+    # they reach (a stack attending with `full` or `sum` only; any other
+    # takes node rows), and the loss reads the compact output. Every path,
+    # on one thread or two, gives the dense step's bits.
     rng = np.random.default_rng([7, list(TAVariant).index(variant), list(LossKind).index(loss)])
-    on_rows = variant in (TAVariant.FULL, TAVariant.SUM)
-    for make_instance, layers, unified, forced in itertools.product(
-        (two_sided_instance, item_side_instance), (1, 2), (True, False), (True, False)
+    full_or_sum = variant in (TAVariant.FULL, TAVariant.SUM)
+    for make_instance, layers, unified in itertools.product(
+        (two_sided_instance, item_side_instance), (1, 2), (True, False)
     ):
-        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
-                            lambda *args, forced=forced: forced)
         table, rec_u, rec_i, aux, cfg, batch, extra = make_instance(
             rng, loss=loss, variant=variant, unified=unified,
             ta_layers=layers, aux_layers=layers,
         )
-        serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
-        with pool:
-            paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
-        assert_same_step(serial, paired)
-        attention = serial[2].attention_arrays()
-        assert [a.tobytes() for a in paired[2].attention_arrays()] == [
-            a.tobytes() for a in attention
-        ]
-        assert list(paired[2].encoder_traces) == [task.task_id for task in aux]
-        users = np.unique(batch.rec_users)
+        items = batch.rec_pos_items
+        if batch.rec_neg_items is not None:
+            items = np.append(items, batch.rec_neg_items)
         item_side_attends = make_instance is two_sided_instance
-        for acts in (serial[2], paired[2]):
-            rows = acts.ta_user_trace.restriction
-            assert (rows is not None) == (forced and on_rows)
-            assert rows is None or rows.nodes.tolist() == users.tolist()
-            item_rows = acts.ta_item_trace.restriction
-            assert (item_rows is not None) == (forced and on_rows and item_side_attends)
+        stacks = (
+            (lambda acts: acts.ta_user_trace, np.unique(batch.rec_users), True),
+            (lambda acts: acts.ta_item_trace, np.unique(items), item_side_attends),
+        )
+        dense = None
+        for path in PATHS:
+            force_path(monkeypatch, path)
+            serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+            with pool:
+                paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
+            dense = dense or serial
+            for step in (serial, paired):
+                assert_same_step(dense, step)
+                assert list(step[2].encoder_traces) == [task.task_id for task in aux]
+                for trace_of, nodes, attends in stacks:
+                    trace = trace_of(step[2])
+                    want = path
+                    if path == "reached" and not (full_or_sum and attends):
+                        want = "node rows"
+                    assert path_of(trace.restriction) == want
+                    if trace.restriction is not None:
+                        assert trace.restriction.nodes.tolist() == nodes.tolist()
+                    assert_same_attention(trace, trace_of(dense[2]))
     assert pool.submitted > 0
 
 
+def traces_made(monkeypatch, name):
+    """Every trace that `taskhg.gradients.<name>` returns, as it returns."""
+    traces = []
+    real = getattr(taskhg.gradients, name)
+
+    def spy(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(taskhg.gradients, name, spy)
+    return traces
+
+
 @pytest.mark.parametrize("loss", list(LossKind), ids=lambda k: k.value)
-def test_finetune_step_is_the_same_on_both_schedules(pool, loss):
+def test_finetune_step_is_the_same_on_both_schedules(pool, monkeypatch, loss):
+    # Each forced path runs both encoders dense or on the batch's rows with
+    # every hyperedge; an encoder never takes the reached path.
     rng = np.random.default_rng([8, list(LossKind).index(loss)])
+    traces = traces_made(monkeypatch, "encode_auxiliary_task_traced")
     for _ in range(3):
         table, rec_u, rec_i, _, cfg, batch, _ = make_joint_instance(rng, loss=loss)
         args = (table, rec_u, rec_i, cfg, batch.rec_users, batch.rec_pos_items,
                 batch.rec_neg_items)
-        serial = finetune_loss_and_grad(*args)
-        with pool:
-            assert_same_step(serial, finetune_loss_and_grad(*args))
+        dense = None
+        for path in PATHS:
+            force_path(monkeypatch, path)
+            traces.clear()
+            serial = finetune_loss_and_grad(*args)
+            with pool:
+                paired = finetune_loss_and_grad(*args)
+            dense = dense or serial
+            assert_same_step(dense, serial)
+            assert_same_step(dense, paired)
+            want = "dense" if path == "dense" else "node rows"
+            assert [path_of(t.restriction) for t in traces] == [want] * 4
     assert pool.submitted > 0
 
 
@@ -179,13 +240,14 @@ def test_each_table_loss_gradient_is_made_on_its_sides_thread(pool, monkeypatch,
 
 
 def restrictions(monkeypatch):
-    """The reached-hyperedge count of every restricted layer made, in order."""
+    """(node count, reached-hyperedge count or None with every hyperedge)
+    of every restricted layer made."""
     counts = []
     real = taskhg.model.Restriction
 
     def spy(*args):
         rows = real(*args)
-        counts.append(len(rows.edges))
+        counts.append((rows.graph.num_nodes, None if rows.edges is None else len(rows.edges)))
         return rows
 
     monkeypatch.setattr(taskhg.model, "Restriction", spy)
@@ -193,58 +255,94 @@ def restrictions(monkeypatch):
 
 
 def test_pretraining_on_the_reached_rows_gives_the_same_bits(monkeypatch, wide_dataset):
-    # The user-side TA stack's final layer runs on the batch's rows or on
-    # all of them, on one thread or two: every table byte and epoch loss
-    # is the same. The attention audit counts what was computed: on the
-    # rows, each step's reached hyperedges only, whose weights are among
-    # the dense ones, so its bounds can only tighten.
-    cfg = TrainConfig(epochs_pretrain=1, seed=4)
+    # Both stages run every final layer on each path, on one thread or
+    # two: every table byte and epoch loss is the same. The attention
+    # audit counts what was computed: on the reached rows, each step's
+    # reached hyperedges only, whose weights are among the dense ones, so
+    # its bounds can only tighten; on node rows, every hyperedge.
+    cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, seed=4)
     counts = restrictions(monkeypatch)
     runs = {}
-    reached = []
-    for on_reached_rows, cpus in itertools.product((True, False), (1, 2)):
-        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges",
-                            lambda *args, forced=on_reached_rows: forced)
+    reached = {}
+    for path, cpus in itertools.product(PATHS, (1, 2)):
+        force_path(monkeypatch, path)
         monkeypatch.setattr(schedule, "usable_cpus", lambda cpus=cpus: cpus)
         counts.clear()
-        runs[on_reached_rows, cpus] = pretrain(wide_dataset, cfg)
-        reached.append(sum(counts))
-    first = runs[True, 1]
+        runs[path, cpus] = run_stages(wide_dataset, cfg)
+        reached[path, cpus] = counts[:]
+    first = runs["dense", 1]
     for run in runs.values():
-        assert run.table.user_emb.tobytes() == first.table.user_emb.tobytes()
-        assert run.table.item_emb.tobytes() == first.table.item_emb.tobytes()
-        assert run.log.epoch_losses == first.log.epoch_losses
-    rows, dense = runs[True, 1].log.attention, runs[False, 1].log.attention
-    assert runs[True, 2].log.attention == rows
-    assert runs[False, 2].log.attention == dense
+        for stage, want in zip(run, first):
+            assert stage.table.user_emb.tobytes() == want.table.user_emb.tobytes()
+            assert stage.table.item_emb.tobytes() == want.table.item_emb.tobytes()
+            assert stage.log.epoch_losses == want.log.epoch_losses
+    audits = {key: run[0].log.attention for key, run in runs.items()}
     steps = math.ceil(len(wide_dataset.train_array) / cfg.batch_size)
+    dense = audits["dense", 1]
     assert dense.vectors_seen == steps * wide_dataset.num_items
-    assert reached[:2] == [rows.vectors_seen] * 2 and reached[2:] == [0, 0]
+    for cpus in (1, 2):
+        assert audits["dense", cpus] == audits["node rows", cpus] == dense
+        assert reached["dense", cpus] == []
+        # Pretraining's two stacks and finetuning's two encoders, per step.
+        assert [count for _, count in reached["node rows", cpus]] == [None] * (4 * steps)
+        # Only the pretraining user-side stack attends (the tasks are item-side).
+        on_reached = [(n, count) for n, count in reached["reached", cpus] if count is not None]
+        assert len(reached["reached", cpus]) - len(on_reached) == 3 * steps
+        assert {n for n, _ in on_reached} == {wide_dataset.num_users}
+        assert len(on_reached) == steps
+        assert sum(count for _, count in on_reached) == audits["reached", cpus].vectors_seen
+    rows = audits["reached", 1]
+    assert audits["reached", 2] == rows
     assert 0 < rows.vectors_seen < dense.vectors_seen
     assert rows.min_weight >= dense.min_weight
     assert rows.max_sum_deviation <= dense.max_sum_deviation
 
 
-@pytest.mark.parametrize("shape", ["eval-wide", "train-medium"])
+# The path each stage's stack takes on a full batch, by benchmark shape;
+# every other stack stays dense.
+SHAPE_PATHS = {
+    "eval-wide": {
+        ("pretrain", "users"): "reached",
+        ("pretrain", "items"): "node rows",
+        ("finetune", "users"): "node rows",
+    },
+    "train-medium": {("pretrain", "users"): "node rows", ("finetune", "users"): "node rows"},
+    "au-small": {},
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPE_PATHS))
 def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
     monkeypatch, wide_dataset, shape
 ):
-    # On the eval-wide shape every step's batch users have degrees summing
-    # to about 0.6 of the item count, and the user-side TA stack's final
-    # layer runs on their rows in both passes; with 10 interactions per
-    # user the sum is above it, and every step stays dense.
+    # Shares of a graph's incidences that a full batch's distinct nodes
+    # hold, users / pretraining items / finetuning items (positives and
+    # negatives): eval-wide 0.13 / 0.26 / 0.43, train-medium 0.23 / 0.42 /
+    # 0.65, au-small 0.44 / 0.69 / 0.89. eval-wide's users also reach
+    # under 0.6 of the items, so its attending user-side TA stack takes
+    # the reached rows; its item-side stack attends over no task. A stack
+    # on rows runs both passes on them.
+    loss = LossKind.ALIGNMENT
     if shape == "eval-wide":
         dataset = wide_dataset
-    else:
+    elif shape == "train-medium":
         dataset = generate_synthetic_dataset(4000, 2000, 20, 0.05, 21, interactions_per_user=10)
-    calls = {"steps": 0, "forward": 0, "reverse": 0}
-    real_step = taskhg.train.pretrain_loss_and_grad
+    else:
+        dataset = generate_synthetic_dataset(2000, 1000, 20, 0.05, 21, interactions_per_user=5)
+        loss = LossKind.AU
+    stage = ["pretrain"]
+    chosen = []
+    calls = {"forward": 0, "reverse": 0}
+    real_rows = taskhg.gradients._final_rows
     real_forward = Restriction.hyperedges_to_nodes
     real_reverse = Restriction.hyperedges_to_nodes_adjoint
 
-    def step(*args, **kwargs):
-        calls["steps"] += 1
-        return real_step(*args, **kwargs)
+    def final_rows(graph, index, may_reach):
+        rows = real_rows(graph, index, may_reach)
+        side = "users" if graph.num_nodes == dataset.num_users else "items"
+        path = "dense" if rows is None else "reached" if rows[1] else "node rows"
+        chosen.append((stage[0], side, path))
+        return rows
 
     def forward(rows, q):
         calls["forward"] += 1
@@ -257,12 +355,20 @@ def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
         assert grad.shape[0] == len(rows.nodes)
         return real_reverse(rows, grad)
 
-    monkeypatch.setattr(taskhg.train, "pretrain_loss_and_grad", step)
+    monkeypatch.setattr(taskhg.gradients, "_final_rows", final_rows)
     monkeypatch.setattr(Restriction, "hyperedges_to_nodes", forward)
     monkeypatch.setattr(Restriction, "hyperedges_to_nodes_adjoint", reverse)
-    pretrain(dataset, TrainConfig(epochs_pretrain=1, seed=4))
-    assert calls["steps"] > 1
-    on_rows = calls["steps"] if shape == "eval-wide" else 0
+    cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, seed=4, pretrain_loss=loss)
+    pre = pretrain(dataset, cfg)
+    stage[0] = "finetune"
+    finetune(pre.table, dataset, cfg)
+    steps = math.ceil(len(dataset.train_array) / cfg.batch_size)
+    assert len(chosen) == 4 * steps
+    # The last step of each stage may hold a short batch.
+    full = chosen[: 2 * steps - 2] + chosen[2 * steps : -2]
+    for stage_name, side, path in full:
+        assert path == SHAPE_PATHS[shape].get((stage_name, side), "dense"), (stage_name, side)
+    on_rows = sum(path != "dense" for *_, path in chosen)
     assert calls["forward"] == calls["reverse"] == on_rows
 
 
