@@ -42,12 +42,12 @@ from .schedule import run_pair
 from .tasks import NodeSide
 
 
-def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
+def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows):
     """Add one attending layer's task gradients into g_zs / g_w and its
     attention's share into g_q, which becomes the layer's g_eps in place.
 
-    g_q, g_zs and g_w hold the layer's hyperedges, which are each task's z
-    rows `rows` (every row by default).
+    g_q holds the layer's hyperedges, which are each task's rows `rows`
+    (see `TATrace.operator`); their task gradients are added there.
     """
     zs = [z[rows] for z in trace.task_embs]
     a = layer.a
@@ -63,21 +63,23 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows=slice(None)):
         row_dot = (alpha * g_alpha).sum(axis=1, keepdims=True)
         g_logit = alpha * (g_alpha - row_dot)
         for t, (tid, z) in enumerate(zip(trace.task_ids, zs)):
-            g_zs[tid] += np.multiply(alpha[:, t : t + 1], g_s, out=buf)
+            g_z = g_zs[tid][rows]  # a view, or a copy written back
+            g_z += np.multiply(alpha[:, t : t + 1], g_s, out=buf)
             np.multiply(g_logit[:, t : t + 1], eps, out=buf)
-            g_zs[tid] += np.divide(buf, sqrt_d, out=buf)
+            g_z += np.divide(buf, sqrt_d, out=buf)
+            g_zs[tid][rows] = g_z
             np.multiply(g_logit[:, t : t + 1], z, out=buf)
             g_q += np.divide(buf, sqrt_d, out=buf)
     elif trace.variant == TAVariant.SUM:
         g_s /= len(zs)
         for tid in trace.task_ids:
-            g_zs[tid] += g_s
+            g_zs[tid][rows] += g_s
     else:  # CONCAT
         g_w += np.concatenate(zs, axis=1).T @ g_s
         g_stacked = g_s @ trace.concat_weight.T
         dim = g_q.shape[1]
         for t, tid in enumerate(trace.task_ids):
-            g_zs[tid] += g_stacked[:, t * dim : (t + 1) * dim]
+            g_zs[tid][rows] += g_stacked[:, t * dim : (t + 1) * dim]
 
 
 # The largest share of a graph's incidences that the batch's rows may hold
@@ -116,20 +118,20 @@ def _final_rows(graph, index, may_reach):
 
 
 def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
-    """Reverse of the convolution stack, its final layer on the trace's
-    `restriction` where it has one: (g_input, g_task_embs, g_concat_weight).
+    """Reverse of the convolution stack, each layer on its
+    `trace.operator`: (g_input, g_task_embs, g_concat_weight).
 
     g_out is the gradient on the stack's node output (the restricted
     nodes' rows only, with a restriction): the loss's `BatchRows`, summed
     and then scaled by `scale`, or an array taken as it is. g_edge (or
-    None) is the gradient on its final layer's hyperedge embeddings. On
-    reached hyperedges each task's gradient is written on their rows
+    None) is the gradient on its final layer's hyperedge embeddings. A
+    layer on reached hyperedges adds each task's gradient on their rows
     only; every other row is an exact zero in the dense reverse, as the
-    `full` and `sum` reverses work row by row. The gradient made from the
-    batch rows lives until the reverse returns; each layer's g_eps is its
-    g_q, updated in place.
+    `full` and `sum` reverses work row by row, and each of those rows is
+    first written here, so its sums start from +0.0 as the dense ones do.
+    The gradient made from the batch rows lives until the reverse
+    returns; each layer's g_eps is its g_q, updated in place.
     """
-    graph = trace.graph
     if isinstance(g_out, BatchRows):
         g_out = g_out.dense()
         if scale != 1.0:
@@ -137,31 +139,16 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
     g = np.asarray(g_out, dtype=np.float64)
     g_zs = {tid: np.zeros_like(z) for tid, z in zip(trace.task_ids, trace.task_embs)}
     g_w = np.zeros_like(trace.concat_weight) if trace.concat_weight is not None else None
-    layers = trace.layers
-    rows = trace.restriction
-    if rows is not None and rows.edges is not None:
-        g_q = rows.hyperedges_to_nodes_adjoint(g)
-        del g
-        g_rows = {tid: np.zeros_like(g_q) for tid in trace.task_ids}
-        _attention_reverse(trace, layers[-1], g_q, g_rows, None, rows.edges)
-        for tid, g_z in g_rows.items():
-            g_zs[tid][rows.edges] = g_z
-        del g_rows
-        g = rows.nodes_to_hyperedges_adjoint(g_q)
-        del g_q
-        layers, rows = layers[:-1], None
-    for layer in reversed(layers):
-        if rows is None:
-            g_eps = aggregate_hyperedges_to_nodes_adjoint(graph, g)
-        else:  # the final layer on node rows, with every hyperedge
-            g_eps, rows = rows.hyperedges_to_nodes_adjoint(g), None
+    for k in reversed(range(len(trace.layers))):
+        op, rows = trace.operator(k == len(trace.layers) - 1)
+        g_eps = aggregate_hyperedges_to_nodes_adjoint(op, g)
         del g
         if trace.attends:
-            _attention_reverse(trace, layer, g_eps, g_zs, g_w)
+            _attention_reverse(trace, trace.layers[k], g_eps, g_zs, g_w, rows)
         if g_edge is not None:  # the final layer, which comes first
             g_eps += g_edge
             g_edge = None
-        g = aggregate_nodes_to_hyperedges_adjoint(graph, g_eps)
+        g = aggregate_nodes_to_hyperedges_adjoint(op, g_eps)
         del g_eps
     return g, g_zs, g_w
 

@@ -13,11 +13,14 @@ each member, the same rounded products, in the same order, as scaling
 the input rows first would give, without the scaled copy of the input.
 Pre-scaling the forward the same way would change its rounding.
 
-A `Restriction` runs one layer on a few nodes' rows, in both passes,
-with the hyperedges they reach or with every hyperedge. Every sparse
-product sums an output row's terms in ascending index order starting
-from +0.0; such a sum is never -0.0, so leaving out terms that are exact
-zeros changes no bit of it.
+A `Restriction` is the operator of one layer whose output is read at a
+few nodes R only: the fields the four products read, restricted to R and
+to the hyperedges E that R reaches, or to R and every hyperedge. The
+products take either operator and check their input against the columns
+of the matrix they multiply. Every sparse product sums an output row's
+terms in ascending index order starting from +0.0; such a sum is never
+-0.0, so leaving out terms that are exact zeros changes no bit of it, and
+each restricted product gives the dense one's rows.
 """
 
 from __future__ import annotations
@@ -158,96 +161,98 @@ def _check_rows(name: str, emb: np.ndarray, expected: int) -> np.ndarray:
     return emb
 
 
-def aggregate_nodes_to_hyperedges(h: Hypergraph, node_emb: np.ndarray) -> np.ndarray:
+def aggregate_nodes_to_hyperedges(h: Hypergraph | Restriction, node_emb: np.ndarray) -> np.ndarray:
     """Average member-node embeddings into each hyperedge.
 
     Row eps of the result is the arithmetic mean of the embeddings of the
     nodes incident to eps; hyperedges with no members get the zero vector.
     """
-    node_emb = _check_rows("node_emb", node_emb, h.num_nodes)
+    node_emb = _check_rows("node_emb", node_emb, h.incidence_t.shape[1])
     sums = h.incidence_t @ node_emb
     sums *= h.inv_hyperedge_degrees[:, None]
     return sums
 
 
-def aggregate_hyperedges_to_nodes(h: Hypergraph, edge_emb: np.ndarray) -> np.ndarray:
+def aggregate_hyperedges_to_nodes(h: Hypergraph | Restriction, edge_emb: np.ndarray) -> np.ndarray:
     """Average incident-hyperedge embeddings into each node.
 
     Isolated nodes get the zero vector.
     """
-    edge_emb = _check_rows("edge_emb", edge_emb, h.num_hyperedges)
+    edge_emb = _check_rows("edge_emb", edge_emb, h.incidence.shape[1])
     sums = h.incidence @ edge_emb
     sums *= h.inv_node_degrees[:, None]
     return sums
 
 
-def aggregate_nodes_to_hyperedges_adjoint(h: Hypergraph, grad_edge: np.ndarray) -> np.ndarray:
+def aggregate_nodes_to_hyperedges_adjoint(
+    h: Hypergraph | Restriction, grad_edge: np.ndarray
+) -> np.ndarray:
     """Adjoint of aggregate_nodes_to_hyperedges (gradient wrt node embeddings)."""
-    grad_edge = _check_rows("grad_edge", grad_edge, h.num_hyperedges)
+    grad_edge = _check_rows("grad_edge", grad_edge, h.incidence_by_edge_degree.shape[1])
     return h.incidence_by_edge_degree @ grad_edge
 
 
-def aggregate_hyperedges_to_nodes_adjoint(h: Hypergraph, grad_node: np.ndarray) -> np.ndarray:
+def aggregate_hyperedges_to_nodes_adjoint(
+    h: Hypergraph | Restriction, grad_node: np.ndarray
+) -> np.ndarray:
     """Adjoint of aggregate_hyperedges_to_nodes (gradient wrt hyperedge embeddings)."""
-    grad_node = _check_rows("grad_node", grad_node, h.num_nodes)
+    grad_node = _check_rows("grad_node", grad_node, h.incidence_t_by_node_degree.shape[1])
     return h.incidence_t_by_node_degree @ grad_node
 
 
 class Restriction:
-    """One layer whose output is read only at the distinct, ascending
-    `nodes`, run on the hyperedges they reach (`edges`, ascending) or, with
-    `edges` None, on every hyperedge; each product gives the dense one's
-    rows bit for bit (see the module docstring).
+    """The operator of one layer whose output is read only at the
+    distinct, ascending `nodes` of `graph`: the `Hypergraph` fields the
+    `aggregate_*` products read, on those nodes' rows and the hyperedges
+    they reach (`edges`, ascending) or, with `edges` None, every hyperedge.
 
-    `incidence` holds the incidence rows of `nodes`, their columns
-    renumbered to `edges` when it is given, and `members` the incidence_t
-    rows of `edges`.
+    Each product gives the dense one's rows at `nodes` or `edges` from its
+    input's rows there; node->hyperedge reads, and its adjoint writes,
+    every node. The input rows left out reach none of those outputs, or
+    are zero in the dense reverse; the adjoint rows left out are zero.
     """
 
-    __slots__ = ("graph", "nodes", "edges", "members", "incidence")
+    __slots__ = (
+        "graph",
+        "nodes",
+        "edges",
+        "incidence",
+        "incidence_t",
+        "inv_node_degrees",
+        "inv_hyperedge_degrees",
+        "incidence_by_edge_degree",
+        "incidence_t_by_node_degree",
+    )
 
     def __init__(self, h: Hypergraph, nodes: np.ndarray, reached: bool = True):
         self.graph = h
         self.nodes = nodes
-        rows = h.incidence[nodes]
-        self.edges = self.members = None
-        self.incidence = rows
-        if not reached:
-            return
-        hit = np.zeros(h.num_hyperedges, dtype=bool)
-        hit[rows.indices] = True
-        self.edges = np.flatnonzero(hit)
-        self.members = h.incidence_t[self.edges]
-        rank = np.cumsum(hit) - 1
-        self.incidence = sp.csr_matrix(
-            (rows.data, rank[rows.indices], rows.indptr), shape=(len(nodes), len(self.edges))
-        )
+        self.edges = None
+        self.incidence = h.incidence[nodes]
+        self.incidence_t = h.incidence_t
+        self.inv_node_degrees = h.inv_node_degrees[nodes]
+        self.inv_hyperedge_degrees = h.inv_hyperedge_degrees
+        self.incidence_by_edge_degree = h.incidence_by_edge_degree
+        if reached:
+            rows = self.incidence
+            hit = np.zeros(h.num_hyperedges, dtype=bool)
+            hit[rows.indices] = True
+            self.edges = np.flatnonzero(hit)
+            rank = np.cumsum(hit) - 1
+            self.incidence = sp.csr_matrix(
+                (rows.data, rank[rows.indices], rows.indptr), shape=(len(nodes), len(self.edges))
+            )
+            self.incidence_t = h.incidence_t[self.edges]
+            self.inv_hyperedge_degrees = h.inv_hyperedge_degrees[self.edges]
+            self.incidence_by_edge_degree = _scaled_transpose(
+                self.incidence_t, self.inv_hyperedge_degrees
+            )
+        self.incidence_t_by_node_degree = _scaled_transpose(self.incidence, self.inv_node_degrees)
 
-    def nodes_to_hyperedges(self, node_emb: np.ndarray) -> np.ndarray:
-        """Rows `edges` of aggregate_nodes_to_hyperedges(graph, node_emb)."""
-        sums = self.members @ node_emb
-        sums *= self.graph.inv_hyperedge_degrees[self.edges, None]
-        return sums
-
-    def hyperedges_to_nodes(self, edge_rows: np.ndarray) -> np.ndarray:
-        """Rows `nodes` of aggregate_hyperedges_to_nodes(graph, q), given
-        q's rows `edges` (no other row of q reaches them), or all of q."""
-        sums = self.incidence @ edge_rows
-        sums *= self.graph.inv_node_degrees[self.nodes, None]
-        return sums
-
-    def hyperedges_to_nodes_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:
-        """Rows `edges`, or all rows, of aggregate_hyperedges_to_nodes_adjoint(
-        graph, g) for a g that is zero but on `nodes`, whose rows are
-        grad_rows; the rows `edges` leave out are zero."""
-        return _scaled_transpose(self.incidence, self.graph.inv_node_degrees[self.nodes]) @ grad_rows
-
-    def nodes_to_hyperedges_adjoint(self, grad_rows: np.ndarray) -> np.ndarray:
-        """aggregate_nodes_to_hyperedges_adjoint(graph, g) for a g that is
-        zero but on `edges`, whose rows are grad_rows: the dense gradient
-        wrt node embeddings."""
-        scale = self.graph.inv_hyperedge_degrees[self.edges]
-        return _scaled_transpose(self.members, scale) @ grad_rows
+    @property
+    def nnz(self) -> int:
+        """The incidences of `nodes`."""
+        return int(self.incidence.nnz)
 
 
 def _scaled_transpose(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csc_matrix:

@@ -8,10 +8,10 @@ entity's task-specific embeddings into the hyperedge before the node
 update. Both run one layer loop: an encoder is a TA stack with no tasks.
 The loop records, in a `TATrace`, the intermediates the reverse pass in
 `gradients` needs; the TA settings (gamma, depth, variant) and the
-encoder depth are read from the `TrainConfig`. When a caller reads a
-stack's output on a few rows only, it may run the final layer on those
-rows, and the reverse runs the same restricted layer
-(`hypergraph.Restriction`).
+encoder depth are read from the `TrainConfig`. Each layer runs the
+`hypergraph.aggregate_*` products on its operator: the graph, or, for a
+final layer whose output a caller reads on a few rows only, the graph's
+`Restriction` to them, in both passes.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ class TALayerTrace:
 @dataclass
 class TATrace:
     """Intermediates of one stack of convolution layers, as the reverse
-    reads them; with a `restriction`, `node_emb` holds its nodes' rows and
-    a final layer on reached hyperedges holds theirs.
+    reads them. With a `restriction`, the final layer's arrays hold its
+    rows: `node_emb` the restricted nodes', and eps, alpha and a the
+    reached hyperedges' when it runs on them.
 
     With no tasks (or the NO_TA variant) the stack is the plain weight-free
     encoder; otherwise each layer adds gamma times its task mix `a` to the
@@ -124,6 +125,15 @@ class TATrace:
         """Per-layer (hyperedges, T) attention weight arrays: every
         hyperedge, or the reached ones in a restricted final layer."""
         return [layer.alpha for layer in self.layers if layer.alpha is not None]
+
+    def operator(self, final: bool):
+        """A layer's operator, and the rows of each task embedding that
+        are its hyperedges: the restriction for the final layer, if the
+        trace has one, else the graph and every row."""
+        rows = self.restriction
+        if not final or rows is None:
+            return self.graph, slice(None)
+        return rows, slice(None) if rows.edges is None else rows.edges
 
     def output_index(self, index: np.ndarray) -> np.ndarray:
         """The rows of `node_emb` that hold the nodes in `index`."""
@@ -174,20 +184,15 @@ def _attend(trace: TATrace, zs: list, eps: np.ndarray, buf: np.ndarray):
 def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
     """Run `num_layers` layers from node embeddings x, recording each in `trace`.
 
-    An attending layer builds its fused hyperedges q = eps + gamma * a in
-    one scratch array, which the node update reads last. The final layer
-    runs on the trace's `restriction` when it has one, with each task's
-    embeddings gathered on the reached hyperedges once.
+    Each layer runs on its `trace.operator`. An attending layer builds its
+    fused hyperedges q = eps + gamma * a in one scratch array, which the
+    node update reads last.
     """
     for k in range(num_layers):
         final = k == num_layers - 1
-        rows = trace.restriction if final else None
-        if rows is None or rows.edges is None:
-            eps = aggregate_nodes_to_hyperedges(trace.graph, x)
-            zs = trace.task_embs
-        else:
-            eps = rows.nodes_to_hyperedges(x)
-            zs = [z[rows.edges] for z in trace.task_embs]
+        op, edges = trace.operator(final)
+        eps = aggregate_nodes_to_hyperedges(op, x)
+        zs = [z[edges] for z in trace.task_embs]
         layer = TALayerTrace(eps=eps if trace.attends or final else None, alpha=None, a=None)
         if trace.attends:
             q = np.empty_like(eps)
@@ -196,10 +201,7 @@ def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
             q += eps
         else:
             q = eps
-        if rows is None:
-            x = aggregate_hyperedges_to_nodes(trace.graph, q)
-        else:
-            x = rows.hyperedges_to_nodes(q)
+        x = aggregate_hyperedges_to_nodes(op, q)
         del eps, q, zs  # before the next layer allocates its own
         trace.layers.append(layer)
     trace.node_emb = x

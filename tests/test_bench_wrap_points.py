@@ -21,6 +21,7 @@ import numpy as np
 import oracles
 import pytest
 
+import taskhg.gradients
 from taskhg.config import LossKind, TrainConfig
 from taskhg.data import InteractionDataset, generate_synthetic_dataset, sample_negative_hyperedges
 from taskhg.evaluate import evaluate
@@ -222,6 +223,33 @@ def test_convolution_layers_keep_their_calls_and_never_nest():
     # The encoder and TA share private loops; a wrapped layer that called
     # another wrapped one would book the callee's time under the caller.
     assert nested == []
+
+
+def test_aggregation_calls_do_not_depend_on_the_final_layers_path(monkeypatch):
+    # Each path's (`_reaches_few_hyperedges`, `_holds_few_incidences`)
+    # answers. The tasks are item-side, so the user-side TA stack attends
+    # and takes the reached rows on that path; every other stack takes
+    # node rows. A restricted layer runs the same four wrapped products
+    # as a dense one, on operands that hold fewer incidences.
+    ds = generate_synthetic_dataset(30, 12, 3, 0.1, seed=2, interactions_per_user=3)
+    cfg = TrainConfig(dim=4, epochs_pretrain=1, epochs_finetune=1, batch_size=16, seed=2)
+    paths = {"dense": (False, False), "node rows": (False, True), "reached": (True, True)}
+    calls_by_path = {}
+    nnz_d = {}
+    for path, (reaches, holds) in paths.items():
+        monkeypatch.setattr(taskhg.gradients, "_reaches_few_hyperedges", lambda *a, r=reaches: r)
+        monkeypatch.setattr(taskhg.gradients, "_holds_few_incidences", lambda *a, h=holds: h)
+        traced = tracer.Tracer()
+        with tracer.installed(traced) as absent:
+            finetune(pretrain(ds, cfg).table, ds, cfg)
+        assert absent == []
+        assert traced.broken == set()
+        calls, _ = traced.layer_totals()
+        calls_by_path[path] = {name: calls[name] for name in tracer._AGGREGATIONS}
+        nnz_d[path] = traced.counts["nnz_d"]
+    assert calls_by_path["node rows"] == calls_by_path["reached"] == calls_by_path["dense"]
+    assert min(calls_by_path["dense"].values()) > 0
+    assert nnz_d["dense"] > max(nnz_d["node rows"], nnz_d["reached"])
 
 
 def test_negative_draw_counter_counts_every_draw():

@@ -355,8 +355,8 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
     # other than 1, and with and without a gradient on the final edges.
     # A row-sparse loss gradient, scaled, goes through the final layer run
     # on a few rows (its own and others) in both passes: with every
-    # hyperedge, and, where the stack attends with `full` or `sum`, with
-    # the hyperedges they reach.
+    # hyperedge, also with a gradient on the final edges, and, where the
+    # stack attends with `full` or `sum`, with the hyperedges they reach.
     rng = np.random.default_rng([17, list(TAVariant).index(variant), layers])
     for _ in range(4):
         table, rec_u, rec_i, _, cfg, _, _ = make_joint_instance(rng, max_tasks=0)
@@ -379,13 +379,15 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
                     assert optional_bytes(layer.alpha) == optional_bytes(ref_layer.alpha)
                     assert optional_bytes(layer.a) == optional_bytes(ref_layer.a)
                 g_out = rng.normal(size=x.shape)
-                for g_edge in (None, rng.normal(size=(graph.num_hyperedges, d))):
-                    got = _reverse(trace, g_out.copy(), None if g_edge is None else g_edge.copy())
-                    assert_same_reverse(got, out_of_place_reverse(ref, g_out, g_edge))
+                g_edge = rng.normal(size=(graph.num_hyperedges, d))
+                for edge in (None, g_edge):
+                    got = _reverse(trace, g_out.copy(), None if edge is None else edge.copy())
+                    assert_same_reverse(got, out_of_place_reverse(ref, g_out, edge))
                 loss_rows = row_sparse_gradient(rng, len(x), d)
                 scale = float(rng.uniform(0.1, 0.9))
                 want = out_of_place_reverse(ref, scale * loss_rows.dense())
                 assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+                want_edge = out_of_place_reverse(ref, scale * loss_rows.dense(), g_edge)
                 nodes = np.unique(np.append(loss_rows.index, rng.integers(len(x), size=2)))
                 index = np.searchsorted(nodes, loss_rows.index)
                 loss_rows = loss_rows._replace(num_rows=len(nodes), index=index)
@@ -394,6 +396,9 @@ def test_ta_stack_is_byte_identical_to_the_out_of_place_oracle(variant, layers):
                     trace = ta_forward_traced(x, graph, opposite, cfg, weight, (nodes, reached))
                     assert_restricted_forward(trace, ref, nodes)
                     assert_same_reverse(_reverse(trace, loss_rows, scale=scale), want)
+                    if not reached:  # node rows keep every hyperedge
+                        got = _reverse(trace, loss_rows, g_edge.copy(), scale)
+                        assert_same_reverse(got, want_edge)
 
 
 def test_final_rows_take_the_reached_side_then_node_rows_then_dense():

@@ -148,6 +148,17 @@ class TestAggregation:
             aggregate_nodes_to_hyperedges(h, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             aggregate_hyperedges_to_nodes(h, np.zeros((2, 3)))
+        # Restricted to node 1 of 5, which reaches hyperedges 0 and 2 of 4:
+        # each product names the row count its operator takes.
+        h = build_hypergraph([(0, 1), (1, 0), (1, 2), (2, 3), (3, 3), (4, 1)], 5, 4)
+        cases = [(Restriction(h, np.array([1])), (5, 2, 2, 1)),
+                 (Restriction(h, np.array([1]), reached=False), (5, 4, 4, 1))]
+        products = (aggregate_nodes_to_hyperedges, aggregate_hyperedges_to_nodes,
+                    aggregate_nodes_to_hyperedges_adjoint, aggregate_hyperedges_to_nodes_adjoint)
+        for rows, expected in cases:
+            for product, n in zip(products, expected):
+                with pytest.raises(ValueError, match=f"with {n} rows"):
+                    product(rows, np.zeros((n + 1, 3)))
 
 
 class TestConvolve:
@@ -285,13 +296,13 @@ class TestAdjoints:
         g_node = np.zeros((h.num_nodes, 5))
         g_node[rows.nodes] = grad
         dense = aggregate_hyperedges_to_nodes_adjoint(h, g_node)
-        got = rows.hyperedges_to_nodes_adjoint(grad)
+        got = aggregate_hyperedges_to_nodes_adjoint(rows, grad)
         assert got.tobytes() == dense[rows.edges].tobytes()
         others = np.delete(dense, rows.edges, axis=0)
         assert others.tobytes() == bytes(others.nbytes)
         g_edge = np.zeros((h.num_hyperedges, 5))
         g_edge[rows.edges] = rng.normal(size=(len(rows.edges), 5))
-        got = rows.nodes_to_hyperedges_adjoint(g_edge[rows.edges])
+        got = aggregate_nodes_to_hyperedges_adjoint(rows, g_edge[rows.edges])
         assert got.tobytes() == aggregate_nodes_to_hyperedges_adjoint(h, g_edge).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -302,10 +313,11 @@ class TestAdjoints:
         rng, h, rows = self.restriction_instance(seed)
         x = self.scaled_normal(rng, h.num_nodes, 5)
         eps = aggregate_nodes_to_hyperedges(h, x)
-        assert rows.nodes_to_hyperedges(x).tobytes() == eps[rows.edges].tobytes()
+        assert aggregate_nodes_to_hyperedges(rows, x).tobytes() == eps[rows.edges].tobytes()
         q = self.scaled_normal(rng, h.num_hyperedges, 5)
         out = aggregate_hyperedges_to_nodes(h, q)
-        assert rows.hyperedges_to_nodes(q[rows.edges]).tobytes() == out[rows.nodes].tobytes()
+        got = aggregate_hyperedges_to_nodes(rows, q[rows.edges])
+        assert got.tobytes() == out[rows.nodes].tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_node_rows_with_every_hyperedge_give_the_dense_bits(self, seed):
@@ -314,16 +326,17 @@ class TestAdjoints:
         # adjoint of a gradient that is zero (or -0.0) off those rows.
         rng, h, reached = self.restriction_instance(seed)
         rows = Restriction(h, reached.nodes, reached=False)
-        assert rows.edges is None and rows.members is None
+        assert rows.edges is None and rows.incidence_t is h.incidence_t
         q = self.scaled_normal(rng, h.num_hyperedges, 5)
         out = aggregate_hyperedges_to_nodes(h, q)
-        assert rows.hyperedges_to_nodes(q).tobytes() == out[rows.nodes].tobytes()
+        assert aggregate_hyperedges_to_nodes(rows, q).tobytes() == out[rows.nodes].tobytes()
         grad = self.scaled_normal(rng, len(rows.nodes), 5)
         grad[rng.random(grad.shape) < 0.2] = -0.0
         g_node = np.zeros((h.num_nodes, 5))
         g_node[rows.nodes] = grad
         dense = aggregate_hyperedges_to_nodes_adjoint(h, g_node)
-        assert rows.hyperedges_to_nodes_adjoint(grad).tobytes() == dense.tobytes()
+        got = aggregate_hyperedges_to_nodes_adjoint(rows, grad)
+        assert got.tobytes() == dense.tobytes()
 
     def test_scaled_adjoint_operators_share_the_sparsity_arrays(self):
         h = build_hypergraph([(0, 1), (2, 1), (1, 0), (2, 2)], 4, 3)

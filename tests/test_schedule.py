@@ -334,8 +334,8 @@ def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
     chosen = []
     calls = {"forward": 0, "reverse": 0}
     real_rows = taskhg.gradients._final_rows
-    real_forward = Restriction.hyperedges_to_nodes
-    real_reverse = Restriction.hyperedges_to_nodes_adjoint
+    real_forward = taskhg.model.aggregate_hyperedges_to_nodes
+    real_reverse = taskhg.gradients.aggregate_hyperedges_to_nodes_adjoint
 
     def final_rows(graph, index, may_reach):
         rows = real_rows(graph, index, may_reach)
@@ -344,20 +344,22 @@ def test_the_reverse_takes_the_reached_rows_only_where_batches_reach_few(
         chosen.append((stage[0], side, path))
         return rows
 
-    def forward(rows, q):
-        calls["forward"] += 1
-        out = real_forward(rows, q)
-        assert out.shape[0] == len(rows.nodes) < rows.graph.num_nodes
+    def forward(op, q):
+        out = real_forward(op, q)
+        if isinstance(op, Restriction):
+            calls["forward"] += 1
+            assert out.shape[0] == len(op.nodes) < op.graph.num_nodes
         return out
 
-    def reverse(rows, grad):
-        calls["reverse"] += 1
-        assert grad.shape[0] == len(rows.nodes)
-        return real_reverse(rows, grad)
+    def reverse(op, grad):
+        if isinstance(op, Restriction):
+            calls["reverse"] += 1
+            assert grad.shape[0] == len(op.nodes)
+        return real_reverse(op, grad)
 
     monkeypatch.setattr(taskhg.gradients, "_final_rows", final_rows)
-    monkeypatch.setattr(Restriction, "hyperedges_to_nodes", forward)
-    monkeypatch.setattr(Restriction, "hyperedges_to_nodes_adjoint", reverse)
+    monkeypatch.setattr(taskhg.model, "aggregate_hyperedges_to_nodes", forward)
+    monkeypatch.setattr(taskhg.gradients, "aggregate_hyperedges_to_nodes_adjoint", reverse)
     cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, seed=4, pretrain_loss=loss)
     pre = pretrain(dataset, cfg)
     stage[0] = "finetune"
