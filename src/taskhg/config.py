@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -24,8 +25,12 @@ class TAVariant(Enum):
 
 
 def check_eval_ks(ks) -> tuple:
-    """The cutoffs as a tuple; ValueError unless non-empty, each >= 1, strictly ascending."""
+    """The cutoffs as a tuple; ValueError unless non-empty, each an integer
+    (not a bool) >= 1, strictly ascending."""
     ks = tuple(ks)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"eval_ks cutoff {k!r} is not an integer, got {ks}")
     if not ks or any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
         raise ValueError(f"eval_ks must be non-empty, each >= 1 and strictly ascending, got {ks}")
     return ks

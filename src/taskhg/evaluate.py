@@ -69,10 +69,11 @@ def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     Item j + a·g, for a < items // g, goes to bucket j of g >= k buckets of
     about `BUCKET_WIDTH` items, a strided view of the block. The k buckets
     with the largest maxima hold k items scoring at least the k-th largest
-    maximum, so the row's top k all do; every item that does, ties
-    included, is a candidate. A NaN counts as the smallest maximum: a row
-    with fewer than k finite scores gets bound -inf, and only rows where
-    NaNs leave fewer than k candidates go to `_top_k_survivors`.
+    maximum, so the row's top k all do. A NaN counts as the smallest
+    maximum: a row with fewer than k finite scores gets bound -inf, and
+    one with fewer than k NaN-free buckets gets bound NaN. Every item not
+    below the bound is a candidate, ties and NaNs included (`_first_k`
+    ranks NaNs last), so every row has at least k.
     """
     n_rows, n_items = block.shape
     k = min(k, n_items)
@@ -82,25 +83,16 @@ def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     neg.partition(k - 1, axis=1)  # NaN sorts last, as in rank_items
     bound = -neg[:, k - 1 : k]
     del neg  # freed before the candidates' mask is made
-    top, short = _first_k(block, np.flatnonzero(block >= bound), k)
-    if short.any():
-        top[short] = _top_k_survivors(block[short], k)
-    return top
+    mask = np.less(block, bound)
+    flat = np.flatnonzero(np.logical_not(mask, out=mask))
+    del mask  # freed before the candidates are ordered
+    return _first_k(block, flat, k)
 
 
-def _top_k_survivors(block: np.ndarray, k: int) -> np.ndarray:
-    """`top_k_items` for any rows, k <= items, whose candidates are every item
-    not below the k-th largest score: NaNs too, and all where that is NaN."""
-    neg = np.negative(block)
-    neg.partition(k - 1, axis=1)
-    return _first_k(block, np.flatnonzero(~(block < -neg[:, k - 1 : k])), k)[0]
-
-
-def _first_k(block: np.ndarray, flat: np.ndarray, k: int):
-    """(top, short): each row's first k candidates in `rank_items` order;
-    `short` marks the rows with fewer, unset in `top`. `flat` holds the
-    candidates' ascending flat indices into the block, so their mask is
-    freed before they are ordered.
+def _first_k(block: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first k candidates in `rank_items` order, for a block
+    whose rows each have at least k. `flat` holds the candidates' ascending
+    flat indices into the block.
 
     An unstable sort of the negated scores gives each candidate a dense
     rank: equal scores share one, so -0.0 ties with +0.0, and NaNs tie and
@@ -120,12 +112,8 @@ def _first_k(block: np.ndarray, flat: np.ndarray, k: int):
     cols = flat - rows * n_items
     by_key = np.argsort(rank * n_items + cols)
     by_key = by_key[np.argsort(rows.astype(np.min_scalar_type(n_rows - 1))[by_key], kind="stable")]
-    cols = cols[by_key]
     per_row = np.bincount(rows, minlength=n_rows)
-    full = per_row >= k
-    top = np.empty((n_rows, k), dtype=np.intp)
-    top[full] = cols[(np.cumsum(per_row) - per_row)[full, None] + np.arange(k)]
-    return top, ~full
+    return cols[by_key][(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]
 
 
 def evaluate_scores(user_out, item_out, seen, ks, tests, users):

@@ -7,11 +7,13 @@ zero map to the zero vector, which keeps the operator total and linear.
 
 Each aggregation is one sparse product into a fresh array. The forward
 sums the members first and then scales the sums in place by the inverse
-degrees. The adjoints instead multiply by column-scaled copies of the
-incidence, built once per hypergraph: the kernel then adds inv * g for
-each member, the same rounded products, in the same order, as scaling
-the input rows first would give, without the scaled copy of the input.
-Pre-scaling the forward the same way would change its rounding.
+degrees. The adjoints instead multiply by scaled transposes, built once
+per hypergraph: CSC matrices that share the other incidence matrix's
+arrays and hold the inverse degrees as values. The kernel then adds
+inv * g for each member, the same rounded products, in the same order,
+as scaling the input rows first would give, without the scaled copy of
+the input. Pre-scaling the forward the same way would change its
+rounding.
 
 A `Restriction` is the operator of one layer whose output is read at a
 few nodes R only: the fields the four products read, restricted to R and
@@ -38,9 +40,10 @@ class Hypergraph:
     the CSR matrix and its transpose in CSR form are built once at
     construction so that each traversal direction runs on its natural
     layout with a fixed (ascending-index) summation order. The two adjoint
-    operators are built with them: `incidence_by_edge_degree` is
-    H diag(1/deg_e) and `incidence_t_by_node_degree` is H^T diag(1/deg_v),
-    each sharing its sparsity arrays with `incidence` / `incidence_t`.
+    operators are CSC transposes of them: `incidence_by_edge_degree` is
+    H diag(1/deg_e), sharing its sparsity arrays with `incidence_t`, and
+    `incidence_t_by_node_degree` is H^T diag(1/deg_v), sharing them with
+    `incidence`.
 
     `incidence_keys` encodes every incidence (v, e) as the int64 key
     v * num_hyperedges + e, in ascending order, followed by one sentinel
@@ -82,8 +85,10 @@ class Hypergraph:
             self.inv_hyperedge_degrees = np.where(
                 self.hyperedge_degrees > 0, 1.0 / self.hyperedge_degrees, 0.0
             )
-        self.incidence_by_edge_degree = _scale_columns(incidence, self.inv_hyperedge_degrees)
-        self.incidence_t_by_node_degree = _scale_columns(self.incidence_t, self.inv_node_degrees)
+        self.incidence_by_edge_degree = _scaled_transpose(
+            self.incidence_t, self.inv_hyperedge_degrees
+        )
+        self.incidence_t_by_node_degree = _scaled_transpose(incidence, self.inv_node_degrees)
         # Rows ascend and each row's indices are sorted, so the keys are too.
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.node_degrees)
         self.incidence_keys = np.append(
@@ -104,11 +109,6 @@ class Hypergraph:
             f"Hypergraph(num_nodes={self.num_nodes}, "
             f"num_hyperedges={self.num_hyperedges}, nnz={self.nnz})"
         )
-
-
-def _scale_columns(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
-    """mat @ diag(scale) for a 0/1 CSR matrix, sharing its indices and indptr."""
-    return sp.csr_matrix((scale[mat.indices], mat.indices, mat.indptr), shape=mat.shape)
 
 
 def build_hypergraph(memberships, num_nodes: int, num_hyperedges: int) -> Hypergraph:
@@ -258,6 +258,6 @@ class Restriction:
 def _scaled_transpose(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csc_matrix:
     """(diag(scale) @ mat).T for a 0/1 CSR matrix, sharing its indices and
     indptr. Its product adds scale[i] * x[i] into each output row in
-    ascending i: the terms, and the order, of the scaled adjoint operators."""
+    ascending i: the terms, and the order, of scaling x's rows first."""
     data = np.repeat(scale, np.diff(mat.indptr))
     return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape[::-1])

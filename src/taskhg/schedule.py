@@ -5,37 +5,11 @@ meet in the loss or in the update. Inside a stage's `step_pool` block,
 `run_pair` runs one half on the pool's single worker and the other on
 the calling thread; no function between the two takes the pool. The sparse
 products, BLAS products and ufuncs that do the work release the
-interpreter lock, so the halves overlap on two CPUs. The pairs, worker
-half first:
-
-- pretraining forward: item-side encoders -> user-side TA stack, beside
-  user-side encoders -> item-side TA stack;
-- the `au` loss: the uniformity term of the side with more unique batch
-  rows, beside the other side's term, the alignment term and that side's
-  reverse;
-- pretraining reverse, stage 1: the user-side TA backward from the
-  user table's loss rows, scaled by beta (on the reached hyperedges
-  where `gradients._reverse` allows it), beside the same for the item
-  table and every auxiliary loss;
-- pretraining reverse, stage 2: the backward of every encoder that reads
-  the item table and the sum of that table's gradient with its L2 term,
-  beside the same for the user table;
-- finetuning: the user encoder beside the item encoder, forward, then
-  each table's loss gradient, made from the batch rows, and its encoder
-  backward with its L2 term;
-- the Adam step: a finiteness check of the first half of every block's
-  rows beside one of the second half, then the update of the same halves;
-- evaluation: the user encoder beside the item encoder, then the
-  even-numbered score blocks beside the odd-numbered ones, each thread
-  scoring and ranking one block at a time. The blocks keep the rows of
-  the serial schedule, since BLAS picks its kernel by the product's shape.
-
-Between the pairs the calling thread does only batch-sized work: every
-recommendation loss returns each side's gradient as the batch's rows.
-On data whose auxiliary tasks are all item-side, as the synthetic
-generator makes them, only the user-side TA stack attends; stage 1 gives
-the calling thread the rest of the reverse work while the worker runs
-that stack.
+interpreter lock, so the halves overlap on two CPUs. Each caller of
+`run_pair` says which halves it pairs: `au_grad`, `pretrain_loss_and_grad`,
+`finetune_loss_and_grad`, `AdamState.apply`, `encode_for_inference` and
+`evaluate_scores`. Between the pairs the calling thread does only
+batch-sized work.
 
 Each table-sized array lives only until its last reader is done
 (`test_step_peak_memory_is_bounded_in_table_sizes` bounds a step's peak).

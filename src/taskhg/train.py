@@ -96,6 +96,14 @@ def _init_extra_params(dataset: InteractionDataset, config: TrainConfig) -> dict
     return extra
 
 
+def _check_table(table: EmbeddingTable, dataset: InteractionDataset, config: TrainConfig):
+    """ValueError unless `table` has `config.dim` columns; DataError unless
+    it has one row per user and per item of `dataset`."""
+    if table.dim != config.dim:
+        raise ValueError(f"table dim {table.dim} does not match config dim {config.dim}")
+    dataset.check_table(table)
+
+
 def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params, step_for_epoch):
     """Minibatch Adam over the shuffled training pairs; returns the log.
 
@@ -165,7 +173,7 @@ def pretrain(
     if table is None:
         table = init_embeddings(dataset.num_users, dataset.num_items, config.dim, config.seed)
     else:
-        dataset.check_table(table)
+        _check_table(table, dataset, config)
         table = table.copy()
     extra = _init_extra_params(dataset, config)
     if config.epochs_pretrain == 0:
@@ -221,9 +229,7 @@ def finetune(
 ) -> FinetuneResult:
     """Continue training through one recommendation-hypergraph convolution."""
     config.validate()
-    if table.dim != config.dim:
-        raise ValueError(f"table dim {table.dim} does not match config dim {config.dim}")
-    dataset.check_table(table)
+    _check_table(table, dataset, config)
     table = table.copy()
     if config.epochs_finetune == 0:
         return FinetuneResult(table, TrainingLog())

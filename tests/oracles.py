@@ -210,6 +210,14 @@ def random_hypergraph_dense(rng, max_nodes=50, max_edges=30, density=0.15):
     return H
 
 
+def column_scaled(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """mat @ diag(scale) for a 0/1 CSR matrix, sharing its indices and indptr:
+    the CSR construction of the adjoint operators `incidence_by_edge_degree`
+    (incidence, inverse hyperedge degrees) and `incidence_t_by_node_degree`
+    (incidence_t, inverse node degrees)."""
+    return sp.csr_matrix((scale[mat.indices], mat.indices, mat.indptr), shape=mat.shape)
+
+
 # ---------------------------------------------------------------------------
 # Scalar loss values. Each takes the full output tables plus the batch's row
 # indices, like the trained (value, gradients) functions, and uses the same

@@ -16,7 +16,6 @@ from taskhg.errors import DataError
 from taskhg.evaluate import (
     EvalReport,
     MetricRow,
-    _top_k_survivors,
     evaluate,
     evaluate_scores,
     rank_items,
@@ -138,7 +137,7 @@ class TestTopK:
             k = int(rng.integers(1, 20))  # often >= n_items
             if trial % 2 == 0:
                 # Integer scores in a small range: many ties, also at the
-                # boundary, so most rows take the exact fallback.
+                # boundary, where the bound leaves in every tied item.
                 block = rng.integers(-3, 4, size=(n_rows, n_items)).astype(float)
             else:
                 block = rng.normal(size=(n_rows, n_items))  # continuous: rarely a tie
@@ -152,11 +151,13 @@ class TestTopK:
 
     def test_equals_rank_items_on_wide_rows(self, monkeypatch):
         # Rows of up to 400 items in buckets of 1 to 64: most buckets hold
-        # many items, so the bound leaves items out of most rows' candidates.
+        # many items, so the bound leaves items out of most NaN-free
+        # blocks' candidates.
         pruned = []
 
         def recording_first_k(block, flat, k):
-            pruned.append(len(flat) < np.count_nonzero(~np.isnan(block)))
+            if not np.isnan(block).any():
+                pruned.append(len(flat) < block.size)
             return first_k(block, flat, k)
 
         first_k = EVALUATE_MODULE._first_k
@@ -204,14 +205,7 @@ class TestTopK:
         for k in (1, 2):
             assert np.array_equal(top_k_items(block, k), want[:, :k])
 
-    def test_only_rows_short_of_candidates_through_nans_take_the_fallback(self, monkeypatch):
-        fallback_rows = []
-
-        def recording_survivors(block, k):
-            fallback_rows.extend(block.tolist())
-            return _top_k_survivors(block, k)
-
-        monkeypatch.setattr(EVALUATE_MODULE, "_top_k_survivors", recording_survivors)
+    def test_rows_short_of_candidates_through_nans_rank_exactly(self, monkeypatch):
         # 200 items, k = 5: item j < 192 goes to bucket j mod 12 of 12 buckets.
         monkeypatch.setattr(EVALUATE_MODULE, "BUCKET_WIDTH", 16)
         rng = np.random.default_rng(8)
@@ -224,14 +218,10 @@ class TestTopK:
         block[4, order[4, :6]] = np.inf  # six +inf scores for k = 5
         block[5, order[5, 3:]] = -np.inf  # 3 finite scores for k = 5: bound -inf
         block[6, order[6, 0]] = np.nan  # one NaN: 11 buckets still bound the row
-        self.assert_matches_rank_items(block, 5)
-        assert fallback_rows == []
-
         block[7, :8] = np.nan  # NaN maxima in 8 of 12 buckets: bound NaN
         block[8, 3:] = np.nan  # 3 scores that are not NaN for k = 5
         block[9, :] = np.nan
         self.assert_matches_rank_items(block, 5)
-        assert np.array_equal(fallback_rows, block[7:10], equal_nan=True)
 
     def test_rows_with_fewer_unmasked_items_than_k(self):
         block = np.array([[2.0, -np.inf, 2.0, -np.inf, 1.0], [-np.inf] * 5])
@@ -455,12 +445,15 @@ class TestEvaluate:
         for row, items in zip(rows, masked):
             assert set(np.flatnonzero(row == -np.inf).tolist()) == items
 
-    @pytest.mark.parametrize("ks", [(), (0,), (-5,), (20, 10)], ids=str)
+    @pytest.mark.parametrize(
+        "ks", [(), (0,), (-5,), (20, 10), (10.5,), (True, 2), (1, 2.0), ("5",)], ids=str
+    )
     def test_bad_cutoffs_rejected(self, ks):
         ds = self.make_dataset()
         table = EmbeddingTable(np.ones((2, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError, match="eval_ks"):
+        with pytest.raises(ValueError, match="eval_ks") as info:
             evaluate(table, ds, ks=ks)
+        assert str(ks) in str(info.value)
 
     def test_table_of_another_shape_rejected(self):
         ds = self.make_dataset()

@@ -45,6 +45,8 @@ class TestConfig:
         ("dim", 0),
         ("quantization_bins", 1),
         ("eval_ks", (5, 5)),
+        ("eval_ks", (2.5,)),
+        ("eval_ks", (True, 2)),
     ])
     def test_out_of_range_value_is_named(self, field, value):
         with pytest.raises(ValueError, match=field) as info:
@@ -163,6 +165,20 @@ class TestTableShape:
                 pretrain(small_dataset, small_config(), table)
             else:
                 finetune(table, small_dataset, small_config())
+
+
+    @pytest.mark.parametrize("unified", [True, False], ids=["unified", "per-value"])
+    @pytest.mark.parametrize("variant", list(TAVariant), ids=lambda v: v.value)
+    def test_table_of_another_dim_rejected(self, small_dataset, variant, unified):
+        # Checked before any work: no stage trains at the table's dim under
+        # a fingerprint that names the config's.
+        table = init_embeddings(40, 20, 4, 0)
+        config = small_config(ta_variant=variant, unified_attributes=unified)
+        match = "table dim 4 does not match config dim 8"
+        with pytest.raises(ValueError, match=match):
+            pretrain(small_dataset, config, table)
+        with pytest.raises(ValueError, match=match):
+            finetune(table, small_dataset, config)
 
 
 class TestFinetune:
