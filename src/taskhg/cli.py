@@ -46,12 +46,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Every TrainConfig field has a flag but seed, which each command declares
-# itself, and the Adam constants, which are fixed.
-_FLAG_FIELDS = [
-    f for f in fields(TrainConfig)
-    if f.name not in ("seed", "adam_beta1", "adam_beta2", "adam_epsilon")
-]
+# Every TrainConfig field has a flag but seed, which each command declares itself.
+_FLAG_FIELDS = [f for f in fields(TrainConfig) if f.name != "seed"]
 _DEFAULT_KS = ",".join(str(k) for k in TrainConfig().eval_ks)
 
 

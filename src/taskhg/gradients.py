@@ -7,12 +7,14 @@ covered: the attention softmax and tanh, the degree-normalized
 aggregations, every recommendation loss, the auxiliary hyperedge-ranking
 and attribute cross-entropy losses, and the optional linear heads of the
 ablation variants. Encoders and TA stacks share one reverse loop, as they
-share one forward loop; it takes a loss gradient as the batch's rows.
-Where a recommendation stack's loss reads few of its rows, the step runs
-its final layer on the batch's rows in both passes, with the same bits
-(see `_final_rows`). Each loss exists once, as a
-(value, gradients) function with batch-mean normalization; a full step
-returns one gradient dict keyed like the optimizer's parameter blocks.
+share one forward loop. Each loss exists once, as a (value, gradients)
+function with batch-mean normalization, and gives every gradient on a
+node or hyperedge table in one form, `BatchRows`: the batch's rows, which
+the reverse half that reads them sums into the table-sized array. Where
+a recommendation stack's loss reads few of its rows, the step runs its
+final layer on the batch's rows in both passes, with the same bits (see
+`_final_rows`). A full step returns the loss, one gradient dict keyed
+like the optimizer's parameter blocks, and the attention arrays.
 Correctness is pinned by central finite differences and by independent
 scalar oracles in the test suite.
 """
@@ -211,21 +213,15 @@ class BatchRows(NamedTuple):
     """A table's loss gradient held as the batch's rows.
 
     `dense()` makes the (num_rows, d) array: `rows` summed into zeros in
-    the order of `index`, or, when `unique`, written at their distinct,
-    ascending `index` rows by assignment.
+    the order of `index`.
     """
 
     num_rows: int
     index: np.ndarray
     rows: np.ndarray
-    unique: bool = False
 
     def dense(self) -> np.ndarray:
-        if not self.unique:
-            return _scatter_rows(self.num_rows, self.index, self.rows)
-        out = np.zeros((self.num_rows, self.rows.shape[1]))
-        out[self.index] = self.rows
-        return out
+        return _scatter_rows(self.num_rows, self.index, self.rows)
 
 
 def alignment_grad(user_out, item_out, users, items):
@@ -324,7 +320,7 @@ class _SphereRows:
     def reverse(self, uniformity_weight):
         self.g_hat += (0.5 * uniformity_weight) * self.g_unif
         g = _norm_backward(self.g_hat, self.hat, self.norms)
-        self.grad = BatchRows(self.num_rows, self.rows, g, unique=True)
+        self.grad = BatchRows(self.num_rows, self.rows, g)
 
 
 def au_grad(user_out, item_out, users, items, uniformity_weight):
@@ -400,8 +396,7 @@ def attr_softmax_ce_grad(node_emb, weight, nodes, labels):
     g_logits[np.arange(n), labels] -= 1.0
     g_logits /= n
     g_w = x.T @ g_logits
-    g_node = _scatter_rows(len(node_emb), nodes, g_logits @ weight.T)
-    return loss, g_node, g_w
+    return loss, BatchRows(len(node_emb), nodes, g_logits @ weight.T), g_w
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +416,23 @@ class PretrainBatch:
     rec_neg_items: np.ndarray | None = None
     aux_bpr: dict = field(default_factory=dict)
     attr_ce: dict = field(default_factory=dict)
+
+
+def _rec_loss(kind, user_trace, item_trace, users, pos, neg, uniformity_weight):
+    """`rec_loss_grad` on two stacks' node outputs, at the batch's rows.
+
+    Drops each stack's edge output unless its reverse reads it, and both
+    node outputs once the loss is done.
+    """
+    user_trace.drop_edge_output()
+    item_trace.drop_edge_output()
+    out = rec_loss_grad(
+        kind, user_trace.node_emb, item_trace.node_emb, user_trace.output_index(users),
+        item_trace.output_index(pos), None if neg is None else item_trace.output_index(neg),
+        uniformity_weight,
+    )
+    user_trace.node_emb = item_trace.node_emb = None
+    return out
 
 
 def _add_l2(g, emb, lambda_reg):
@@ -457,9 +469,8 @@ def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_bet
             t_loss, g_n, g_e = aux_bpr_grad(
                 trace.node_emb, trace.edge_emb, nodes, pos_edges, neg_edges
             )
-            g_n, g_e = g_n.dense(), g_e.dense()
+            edge_grads[tid] = g_e = g_e.dense()
             g_e *= one_minus_beta
-            edge_grads[tid] = g_e
         elif tid in batch.attr_ce:
             nodes, labels = batch.attr_ce[tid]
             if len(nodes) == 0:
@@ -472,8 +483,8 @@ def _aux_losses(acts, aux_tasks, batch, extra_params, extra_grads, one_minus_bet
             continue
         trace.release()
         total += t_loss
+        node_grads[tid] = g_n = g_n.dense()
         g_n *= one_minus_beta
-        node_grads[tid] = g_n
     return total, node_grads, edge_grads
 
 
@@ -486,14 +497,14 @@ def pretrain_loss_and_grad(
     batch: PretrainBatch,
     extra_params: dict | None = None,
 ):
-    """Forward the full model on one batch and return (loss, grads, activations).
+    """Forward the full model on one batch; return (loss, grads, attention arrays).
 
     The scalar is the joint objective: beta-weighted recommendation loss
     plus (1 - beta)-weighted sum of per-task losses (each normalized by
     its batch size) plus the L2 term on both embedding blocks. grads maps
     "user", "item" and then each extra_params block, in that order, to its
     gradient; a head with no batch this step gets a zero gradient. The
-    activations keep only the attention weights and each trace's layout.
+    attention arrays are every weight array the TA stacks computed.
 
     Under a step pool (see `taskhg.schedule`) the step runs as four pairs:
     the forward halves, the `au` loss's pair (see `au_grad`), then two
@@ -524,18 +535,9 @@ def pretrain_loss_and_grad(
         table, rec_user_task, rec_item_task, aux_tasks, cfg, extra_params, user_rows, item_rows
     )
     ta_user, ta_item = acts.ta_user_trace, acts.ta_item_trace
-    ta_user.drop_edge_output()
-    ta_item.drop_edge_output()
-    rec_loss, g_ta_user, g_ta_item = rec_loss_grad(
-        cfg.pretrain_loss,
-        ta_user.node_emb,
-        ta_item.node_emb,
-        ta_user.output_index(users),
-        ta_item.output_index(pos),
-        None if neg is None else ta_item.output_index(neg),
-        cfg.uniformity_weight,
+    rec_loss, g_ta_user, g_ta_item = _rec_loss(
+        cfg.pretrain_loss, ta_user, ta_item, users, pos, neg, cfg.uniformity_weight
     )
-    ta_user.node_emb = ta_item.node_emb = None
     extra_grads = {name: np.zeros_like(p) for name, p in extra_params.items()}
     one_minus_beta = 1.0 - cfg.beta
 
@@ -574,7 +576,7 @@ def pretrain_loss_and_grad(
     )
     reg = sq_user + sq_item
     total = cfg.beta * rec_loss + one_minus_beta * aux_total + cfg.lambda_reg * reg
-    return total, {"user": g_user, "item": g_item, **extra_grads}, acts
+    return total, {"user": g_user, "item": g_item, **extra_grads}, acts.attention_arrays()
 
 
 def finetune_loss_and_grad(
@@ -588,8 +590,7 @@ def finetune_loss_and_grad(
 ):
     """One-layer downstream encoder plus the configured finetuning loss.
 
-    Returns (loss, grads, ()): the empty tuple stands where pretraining
-    returns its activations, as finetuning has no attention to audit. The
+    Returns (loss, grads, []): finetuning computes no attention. The
     user and item encoders, forward and backward, run as pairs, and so
     does the `au` loss. Each encoder runs on the batch's rows where
     `_final_rows` chooses them. The encoders' outputs go after the loss;
@@ -603,18 +604,9 @@ def finetune_loss_and_grad(
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1, user_rows),
         lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1, item_rows),
     )
-    trace_u.drop_edge_output()
-    trace_i.drop_edge_output()
-    loss, g_out_user, g_out_item = rec_loss_grad(
-        cfg.finetune_loss,
-        trace_u.node_emb,
-        trace_i.node_emb,
-        trace_u.output_index(users),
-        trace_i.output_index(pos),
-        None if neg is None else trace_i.output_index(neg),
-        cfg.uniformity_weight,
+    loss, g_out_user, g_out_item = _rec_loss(
+        cfg.finetune_loss, trace_u, trace_i, users, pos, neg, cfg.uniformity_weight
     )
-    trace_u.node_emb = trace_i.node_emb = None
 
     def backward(loss_rows, trace, emb):
         g = encoder_backward(trace, loss_rows)
@@ -626,4 +618,4 @@ def finetune_loss_and_grad(
     )
     reg = reg_user + reg_item
     total = loss + cfg.lambda_reg * reg
-    return total, {"user": g_user, "item": g_item}, ()
+    return total, {"user": g_user, "item": g_item}, []

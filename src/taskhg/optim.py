@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter blocks."""
+"""Adam over named parameter blocks, with `config`'s ADAM_* constants."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from .errors import DivergenceError
 from .schedule import run_pair
 
@@ -21,18 +22,15 @@ def _row_cells(block) -> int:
 
 @dataclass
 class AdamState:
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
     scratch: tuple = field(default=(), repr=False)
 
     @classmethod
-    def for_params(cls, params: dict, lr=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_params(cls, params: dict, lr: float):
+        state = cls(lr)
         for name, p in params.items():
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
@@ -79,8 +77,8 @@ class AdamState:
                 raise DivergenceError(f"non-finite gradient in parameter block '{name}'")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
 
         def update(part, scratch):
             for name, rs in part:
@@ -99,17 +97,17 @@ class AdamState:
         # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
         a = scratch[0][: g.size].reshape(g.shape)
         b = scratch[1][: g.size].reshape(g.shape)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         a *= g
         v += a
         np.divide(m, bc1, out=a)
         a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.epsilon
+        b += ADAM_EPSILON
         a /= b
         p -= a

@@ -30,10 +30,15 @@ LOSS_GRID = (
 )
 
 
-def _run_cell(dataset: InteractionDataset, config: TrainConfig, label: str) -> MetricRow:
+def _run_cell(
+    dataset: InteractionDataset, config: TrainConfig, label: str,
+    users=None, extra_inference_edges=None,
+) -> MetricRow:
     pre = pretrain(dataset, config)
     fine = finetune(pre.table, dataset, config)
-    return evaluate(fine.table, dataset, config.eval_ks, label=label).rows[0]
+    return evaluate(
+        fine.table, dataset, config.eval_ks, users, extra_inference_edges, label
+    ).rows[0]
 
 
 def run_ablation(dataset: InteractionDataset, config: TrainConfig) -> EvalReport:
@@ -97,26 +102,14 @@ def cold_start_eval(
             f"ratio {ratio} leaves no cold user with both a train edge to withhold and "
             f"a test edge to evaluate ({n_cold} cold users)"
         )
-    rows = []
-    for label, aux_tasks in (("full", dataset.auxiliary_tasks), ("no_auxiliary", [])):
-        train_ds = InteractionDataset(
-            dataset.num_users,
-            dataset.num_items,
-            reduced_train,
-            dataset.test_array,
-            list(aux_tasks),
+    rows = [
+        _run_cell(
+            InteractionDataset(dataset.num_users, dataset.num_items, reduced_train,
+                               dataset.test_array, list(aux_tasks)),
+            config, label, cold_users, withheld,
         )
-        pre = pretrain(train_ds, config)
-        fine = finetune(pre.table, train_ds, config)
-        report = evaluate(
-            fine.table,
-            train_ds,
-            config.eval_ks,
-            users=cold_users,
-            extra_inference_edges=withheld,
-            label=label,
-        )
-        rows.append(report.rows[0])
+        for label, aux_tasks in (("full", dataset.auxiliary_tasks), ("no_auxiliary", []))
+    ]
     return EvalReport(
         ks=tuple(config.eval_ks),
         rows=rows,

@@ -119,9 +119,7 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
     log = TrainingLog()
     shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + stream_offset)
     neg_rng = rng_for(config.seed, STREAM_NEGATIVES + stream_offset)
-    adam = AdamState.for_params(
-        params, config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon
-    )
+    adam = AdamState.for_params(params, config.lr)
     rec_user_task = dataset.rec_pair()[0]
     need_negatives = loss_kind == LossKind.BPR
     if need_negatives:
@@ -209,10 +207,9 @@ def pretrain(
                 elif len(chunk):
                     neg_edges = sample_negative_hyperedges(aux_rng, task, chunk[:, 0])
                     batch.aux_bpr[tid] = (chunk[:, 0], chunk[:, 1], neg_edges)
-            loss, grads, acts = pretrain_loss_and_grad(
+            return pretrain_loss_and_grad(
                 table, rec_user_task, rec_item_task, aux_tasks, config, batch, extra
             )
-            return loss, grads, acts.attention_arrays()
 
         return step
 

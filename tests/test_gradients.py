@@ -30,6 +30,12 @@ from taskhg.gradients import (
     _final_rows,
     _reverse,
     _scatter_rows,
+    alignment_grad,
+    attr_softmax_ce_grad,
+    au_grad,
+    aux_bpr_grad,
+    bpr_grad,
+    bpr_pos_grad,
     finetune_loss_and_grad,
     pretrain_loss_and_grad,
 )
@@ -300,6 +306,44 @@ def test_l2_term_is_bit_identical_to_out_of_place_expressions(stage):
         assert grads["item"].tobytes() == (base["item"] + g_item).tobytes()
 
 
+def loss_contract_case(name, rng):
+    """(loss function, its array arguments, its other arguments, how many
+    of the arrays are tables): 7 pairs over a 6-row and a 5-row table, with
+    repeated rows on both sides."""
+    a, b = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+    rows, pos, neg = rng.integers(6, size=7), rng.integers(5, size=7), rng.integers(5, size=7)
+    head = rng.normal(size=(4, 3))
+    return {
+        "alignment_grad": (alignment_grad, (a, b), (rows, pos), 2),
+        "bpr_grad": (bpr_grad, (a, b), (rows, pos, neg), 2),
+        "bpr_pos_grad": (bpr_pos_grad, (a, b), (rows, pos), 2),
+        "au_grad": (au_grad, (a, b), (rows, pos, 0.7), 2),
+        "aux_bpr_grad": (aux_bpr_grad, (a, b), (rows, pos, neg), 2),
+        # The head's weight is a parameter block, not a table.
+        "attr_softmax_ce_grad": (attr_softmax_ce_grad, (a, head), (rows, pos % 3), 1),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "alignment_grad", "bpr_grad", "bpr_pos_grad", "au_grad", "aux_bpr_grad",
+    "attr_softmax_ce_grad",
+])
+def test_every_loss_gives_table_gradients_as_batch_rows(name):
+    # One gradient form for the reverse pass: each table's gradient is the
+    # batch's rows, and its dense form is the gradient of the returned loss.
+    rng = np.random.default_rng(37)
+    fn, arrays, rest, tables = loss_contract_case(name, rng)
+    _, *grads = fn(*arrays, *rest)
+    assert len(grads) == len(arrays)
+    for k, (array, grad) in enumerate(zip(arrays, grads)):
+        if k < tables:
+            assert isinstance(grad, BatchRows), (name, k)
+            assert grad.num_rows == len(array)
+            grad = grad.dense()
+        num = central_difference_grad(lambda: fn(*arrays, *rest)[0], array)
+        assert_grad_close(grad, num, context=f"{name} argument {k}")
+
+
 def optional_bytes(a):
     return None if a is None else a.tobytes()
 
@@ -313,13 +357,12 @@ def assert_same_reverse(got, want):
 
 
 def row_sparse_gradient(rng, num_rows, d):
-    """The loss gradient of 1-3 batch pairs: repeated rows summed, or, as
-    `au` gives them, distinct ascending rows."""
+    """The loss gradient of 1-3 batch pairs: repeated rows, or, as `au`
+    gives them, distinct ascending rows."""
     index = rng.integers(num_rows, size=int(rng.integers(1, 4)))
-    unique = bool(rng.random() < 0.5)
-    if unique:
+    if rng.random() < 0.5:
         index = np.unique(index)
-    return BatchRows(num_rows, index, rng.normal(size=(len(index), d)), unique)
+    return BatchRows(num_rows, index, rng.normal(size=(len(index), d)))
 
 
 def assert_restricted_forward(trace, ref, nodes):

@@ -30,7 +30,7 @@ def test_first_step_analytic():
 
 def test_zero_gradient_is_noop():
     params = scalar_params(0.5, -0.25)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     state.apply({"user": np.zeros((1, 1)), "item": np.zeros((1, 1))}, params)
     assert params["user"][0, 0] == 0.5
     assert params["item"][0, 0] == -0.25
@@ -58,7 +58,7 @@ def state_bytes(state, params):
 
 def test_nonfinite_gradient_names_block(pool):
     params = scalar_params()
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     with pytest.raises(DivergenceError, match="user"):
         state.apply({"user": np.array([[np.nan]]), "item": np.zeros((1, 1))}, params)
     # The worker checks rows 0-17 of the 37-row user block and rows 0-10 of
@@ -73,7 +73,7 @@ def test_nonfinite_gradient_names_block(pool):
     ]
     rng = np.random.default_rng(15)
     params = training_blocks(rng)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     state.apply(sparse_grads(rng, params), params)  # moments and count not at their start
     for (cells, named), paired in itertools.product(cases, (False, True)):
         grads = sparse_grads(rng, params)
@@ -100,7 +100,7 @@ def test_extra_blocks_updated():
 
 def test_moments_start_at_zero_and_step_counts():
     params = {"user": np.zeros((2, 2)), "item": np.zeros((2, 2))}
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     assert all((m == 0).all() for m in state.first_moment.values())
     assert all((v == 0).all() for v in state.second_moment.values())
     for expected in (1, 2, 3):
@@ -130,13 +130,16 @@ def sparse_grads(rng, params):
 
 @pytest.mark.parametrize("block_cells", [1, 1 << 20], ids=["one-row", "whole-block"])
 def test_apply_is_bit_identical_to_the_textbook_step(block_cells, monkeypatch):
+    # Constants other than the defaults show that every term reads them.
     monkeypatch.setattr(taskhg.optim, "BLOCK_CELLS", block_cells)
+    for name, value in (("ADAM_BETA1", 0.8), ("ADAM_BETA2", 0.99), ("ADAM_EPSILON", 1e-7)):
+        monkeypatch.setattr(taskhg.optim, name, value)
     rng = np.random.default_rng(11)
     params = training_blocks(rng)
     expected = {name: p.copy() for name, p in params.items()}
     m_ref = {name: np.zeros_like(p) for name, p in params.items()}
     v_ref = {name: np.zeros_like(p) for name, p in params.items()}
-    state = AdamState.for_params(params, lr=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    state = AdamState.for_params(params, lr=0.03)
     for t in range(1, 7):
         grads = sparse_grads(rng, params)
         before = {name: g.tobytes() for name, g in grads.items()}
@@ -157,7 +160,7 @@ def test_apply_updates_non_contiguous_blocks_in_place(monkeypatch):
     params = {"user": base[:, ::2]}
     expected = {"user": params["user"].copy()}
     m_ref, v_ref = {"user": np.zeros((10, 6))}, {"user": np.zeros((10, 6))}
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     for t in range(1, 6):
         grads = {"user": rng.normal(size=(20, 6))[::2]}
         state.apply(grads, params)
@@ -173,7 +176,7 @@ def test_apply_allocates_no_full_table_temporary():
     rng = np.random.default_rng(13)
     params = {"user": rng.normal(size=(8000, 64)), "item": rng.normal(size=(4000, 64))}
     grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(params, lr=0.01)
     state.apply(grads, params)
     tracemalloc.start()
     try:

@@ -110,6 +110,7 @@ def test_pretrain_step_is_the_same_on_both_schedules(pool, monkeypatch, variant,
     # on one thread or two, gives the dense step's bits.
     rng = np.random.default_rng([7, list(TAVariant).index(variant), list(LossKind).index(loss)])
     full_or_sum = variant in (TAVariant.FULL, TAVariant.SUM)
+    forwards = traces_made(monkeypatch, "forward_pretrain")
     for make_instance, layers, unified in itertools.product(
         (two_sided_instance, item_side_instance), (1, 2), (True, False)
     ):
@@ -128,22 +129,27 @@ def test_pretrain_step_is_the_same_on_both_schedules(pool, monkeypatch, variant,
         dense = None
         for path in PATHS:
             force_path(monkeypatch, path)
+            forwards.clear()
             serial = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
             with pool:
                 paired = pretrain_loss_and_grad(table, rec_u, rec_i, aux, cfg, batch, extra)
-            dense = dense or serial
-            for step in (serial, paired):
-                assert_same_step(dense, step)
-                assert list(step[2].encoder_traces) == [task.task_id for task in aux]
+            assert len(forwards) == 2
+            dense = dense or (serial, forwards[0])
+            for step, acts in zip((serial, paired), forwards):
+                assert_same_step(dense[0], step)
+                assert [a.tobytes() for a in step[2]] == [
+                    a.tobytes() for a in acts.attention_arrays()
+                ]
+                assert list(acts.encoder_traces) == [task.task_id for task in aux]
                 for trace_of, nodes, attends in stacks:
-                    trace = trace_of(step[2])
+                    trace = trace_of(acts)
                     want = path
                     if path == "reached" and not (full_or_sum and attends):
                         want = "node rows"
                     assert path_of(trace.restriction) == want
                     if trace.restriction is not None:
                         assert trace.restriction.nodes.tolist() == nodes.tolist()
-                    assert_same_attention(trace, trace_of(dense[2]))
+                    assert_same_attention(trace, trace_of(dense[1]))
     assert pool.submitted > 0
 
 

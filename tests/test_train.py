@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,10 +39,10 @@ class TestConfig:
         ("lr", 0.0),
         ("lr", -1.0),
         ("uniformity_weight", math.nan),
-        ("adam_beta1", 1.0),
-        ("adam_beta2", -0.1),
-        ("adam_epsilon", 0.0),
-        ("adam_epsilon", math.inf),
+        ("epochs_finetune", -1),
+        ("batch_size", 0),
+        ("negatives_per_positive", 0),
+        ("aux_encoder_layers", 0),
         ("dim", 0),
         ("quantization_bins", 1),
         ("eval_ks", (5, 5)),
@@ -52,6 +53,39 @@ class TestConfig:
         with pytest.raises(ValueError, match=field) as info:
             TrainConfig(**{field: value}).validate()
         assert str(value) in str(info.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.5),
+        ("batch_size", 16.0),
+        ("ta_layers", 1.5),
+        ("seed", np.float64(3.0)),
+        ("epochs_pretrain", True),
+        ("gamma", "1"),
+        ("beta", False),
+        ("pretrain_loss", "align"),
+        ("finetune_loss", "bpr"),
+        ("ta_variant", "full"),
+        ("unified_attributes", "no"),
+    ])
+    def test_value_of_the_wrong_type_is_named(self, field, value):
+        # Each of these would otherwise fail mid-run, or train silently
+        # (one epoch for True).
+        with pytest.raises(ValueError, match=field) as info:
+            TrainConfig(**{field: value}).validate()
+        assert repr(value) in str(info.value)
+
+    def test_numpy_numbers_hash_as_python_ones(self):
+        cfg = TrainConfig(dim=np.int64(64), seed=np.int32(0),
+                          eval_ks=(np.int64(10), np.int64(20)), gamma=np.float32(0.5))
+        assert cfg.validate().fingerprint() == TrainConfig(gamma=0.5).fingerprint()
+
+    def test_fingerprint_still_hashes_the_adam_constants(self):
+        # The default digest of the configuration that held Adam's three
+        # constants as fields, so every checkpoint byte stays the same.
+        assert not [f for f in fields(TrainConfig) if f.name.startswith("adam")]
+        assert TrainConfig().fingerprint() == (
+            "4a817c16423e19da393ee3980581eb3e75b5142517552f08e310c6e01bae2e39"
+        )
 
 
 class TestPretrain:
