@@ -13,43 +13,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "config": ("LossKind", "TAVariant", "TrainConfig"),
-    "data": ("InteractionDataset", "generate_synthetic_dataset", "split_interactions"),
-    "errors": (
-        "CheckpointError",
-        "CheckpointFormatError",
-        "CheckpointTruncatedError",
-        "CheckpointVersionError",
-        "ConstructionError",
-        "DataError",
-        "DivergenceError",
-        "TaskHGError",
-    ),
-    "evaluate": ("EvalReport", "MetricRow", "evaluate"),
-    "hypergraph": ("Hypergraph", "build_hypergraph"),
-    "io": (
-        "Checkpoint",
-        "DatasetStats",
-        "TaskManifest",
-        "emit_report",
-        "format_report",
-        "load_checkpoint",
-        "load_dataset",
-        "parse_manifest",
-        "save_checkpoint",
-        "write_synthetic_dataset",
-    ),
+    "data": ("InteractionDataset", "generate_synthetic_dataset"),
+    "errors": ("DataError", "DivergenceError", "TaskHGError"),
+    "evaluate": ("EvalReport", "evaluate"),
+    "hypergraph": ("build_hypergraph",),
+    "io": ("load_checkpoint", "load_dataset", "save_checkpoint", "write_synthetic_dataset"),
     "model": ("EmbeddingTable", "init_embeddings"),
     "protocols": ("cold_start_eval", "run_ablation"),
-    "tasks": (
-        "NodeSide",
-        "TaskHypergraph",
-        "TaskKind",
-        "build_attribute_hypergraph",
-        "build_recommendation_hypergraphs",
-        "build_relation_hypergraph",
-        "quantize_continuous",
-    ),
-    "train": ("FinetuneResult", "PretrainResult", "TrainingLog", "finetune", "pretrain"),
+    "tasks": ("NodeSide", "build_attribute_hypergraph", "build_relation_hypergraph"),
+    "train": ("TrainResult", "finetune", "pretrain"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_MODULE_OF, "__version__"]

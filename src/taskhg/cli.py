@@ -127,13 +127,9 @@ def _check_output_dir(flag: str, path: str):
         raise FileNotFoundError(f"{flag} {path}: directory {directory} does not exist")
 
 
-def _load(args, bins: int):
+def _load(args):
     dataset, stats = load_dataset(
-        args.data,
-        args.manifest,
-        train_fraction=args.train_fraction,
-        split_seed=args.split_seed,
-        quantization_bins=bins,
+        args.data, args.manifest, train_fraction=args.train_fraction, split_seed=args.split_seed
     )
     for line in stats.lines():
         print(line, file=sys.stderr)
@@ -168,7 +164,7 @@ def _save(args, stage: str, result, cfg: TrainConfig) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _config_from(args)
     _check_output_dir("--out", args.out)
-    dataset = _load(args, cfg.quantization_bins)
+    dataset = _load(args)
     return _save(args, "pretrain", pretrain(dataset, cfg), cfg)
 
 
@@ -178,7 +174,7 @@ def _cmd_finetune(args) -> int:
         raise ValueError(f"--dim {args.dim} differs from the checkpoint's dim {ckpt.dim}")
     cfg = replace(_config_from(args), dim=ckpt.dim)
     _check_output_dir("--out", args.out)
-    dataset = _load(args, cfg.quantization_bins)
+    dataset = _load(args)
     return _save(args, "finetune", finetune(ckpt.to_table(), dataset, cfg), cfg)
 
 
@@ -193,21 +189,21 @@ def _cmd_evaluate(args) -> int:
     ks = _parse_ks(args.ks)
     ckpt = load_checkpoint(args.checkpoint)
     _check_output_dir("--report", args.report)
-    dataset = _load(args, TrainConfig().quantization_bins)
+    dataset = _load(args)
     return _write_report(args, evaluate(ckpt.to_table(), dataset, ks, seed=ckpt.seed))
 
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from(args)
     _check_output_dir("--report", args.report)
-    dataset = _load(args, cfg.quantization_bins)
+    dataset = _load(args)
     return _write_report(args, run_ablation(dataset, cfg))
 
 
 def _cmd_coldstart(args) -> int:
     cfg = _config_from(args)
     _check_output_dir("--report", args.report)
-    dataset = _load(args, cfg.quantization_bins)
+    dataset = _load(args)
     return _write_report(args, cold_start_eval(dataset, cfg, args.ratio))
 
 

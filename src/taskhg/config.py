@@ -40,12 +40,15 @@ def check_eval_ks(ks) -> tuple:
     return ks
 
 
-# Adam's constants, which no command sets. `TrainConfig.fingerprint`
-# hashes them under their `adam_*` keys, so a checkpoint's fingerprint
-# covers the whole update rule.
+# Constants that no command sets. `TrainConfig.fingerprint` hashes them
+# under these keys, so a checkpoint's fingerprint covers the whole update
+# rule and the default bin count of a manifest's continuous attributes.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+QUANTIZATION_BINS = 5
+# The checkpoint header stores the seed as an int64.
+MAX_SEED = 2**63 - 1
 
 
 @dataclass
@@ -65,7 +68,6 @@ class TrainConfig:
     ta_layers: int = 1
     aux_encoder_layers: int = 1
     eval_ks: tuple = (10, 20)
-    quantization_bins: int = 5
     ta_variant: TAVariant = TAVariant.FULL
     unified_attributes: bool = True
     uniformity_weight: float = 1.0
@@ -83,13 +85,15 @@ class TrainConfig:
         for name, low in (
             ("dim", 1), ("epochs_pretrain", 0), ("epochs_finetune", 0), ("batch_size", 1),
             ("negatives_per_positive", 1), ("seed", 0), ("ta_layers", 1),
-            ("aux_encoder_layers", 1), ("quantization_bins", 2),
+            ("aux_encoder_layers", 1),
         ):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.seed > MAX_SEED:
+            raise ValueError(f"seed must be <= {MAX_SEED}, got {self.seed}")
         for name, ok, rule in (
             ("gamma", lambda v: v >= 0.0, "finite and >= 0"),
             ("beta", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -106,9 +110,10 @@ class TrainConfig:
         return self
 
     def fingerprint(self) -> str:
-        """Stable hash of the full configuration and Adam's constants,
+        """Stable hash of the full configuration and the constants above,
         stored in checkpoints; NumPy numbers hash as Python ones."""
-        payload = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_epsilon": ADAM_EPSILON}
+        payload = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2,
+                   "adam_epsilon": ADAM_EPSILON, "quantization_bins": QUANTIZATION_BINS}
         blob = json.dumps(
             {**payload, **asdict(self)}, sort_keys=True,
             default=lambda v: v.value if isinstance(v, Enum) else v.item(),

@@ -35,12 +35,8 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
 
 
 def edge_array(edges) -> np.ndarray:
-    """(user, item) pairs as a sorted, duplicate-free int64 (n, 2) array.
-
-    Rows are in row-major order, the order of the sorted tuples. `edges` is
-    an (n, 2) array or any iterable of pairs; pairs already in that order
-    are only copied.
-    """
+    """(user, item) pairs, from an (n, 2) array or any iterable of pairs,
+    as a duplicate-free int64 (n, 2) array in row-major order."""
     pairs = np.array(
         edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
     ).reshape(-1, 2)
@@ -57,12 +53,9 @@ def edge_array(edges) -> np.ndarray:
 class InteractionDataset:
     """User-item edges with a train/test split plus auxiliary task hypergraphs.
 
-    The split is held as two read-only `edge_array`s, `train_array` and
-    `test_array`: int64 (n, 2) arrays of (user, item) rows in row-major
-    order, without duplicates. The constructor takes each side of the split
-    as a set or list of pairs or as an (n, 2) array. `train_edges` and
-    `test_edges` are frozenset views of the two arrays, made on first use
-    for callers that want set semantics; the package reads only the arrays.
+    Each side of the split, given as pairs or an (n, 2) array, is held as a
+    read-only `edge_array` (`train_array`, `test_array`); `train_edges` and
+    `test_edges` are frozenset views of them, which the package never reads.
     """
 
     def __init__(self, num_users, num_items, train_edges, test_edges, auxiliary_tasks=None):
@@ -146,13 +139,9 @@ class InteractionDataset:
 
 
 def split_interactions(edges, train_fraction: float, seed: int):
-    """Uniform per-edge split; users left without train edges get one back.
-
-    The edges are taken as an `edge_array` and permuted under the seed; the
-    first round(train_fraction * n) of the permutation are train edges.
-    Each user then left with no train edge gets back their test edge with
-    the smallest item. Returns (train, test) as `edge_array`s.
-    """
+    """Uniform per-edge split into (train, test) `edge_array`s: the first
+    round(train_fraction * n) edges of a seeded permutation train, and each
+    user left with no train edge gets back their smallest test item."""
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if seed < 0:
@@ -188,21 +177,15 @@ def task_positive_pairs(task: TaskHypergraph) -> np.ndarray:
 
 
 def sample_negative_hyperedges(rng, task: TaskHypergraph, nodes) -> np.ndarray:
-    """One uniform non-incident hyperedge per node entry (rejection sampling).
-
+    """One uniform non-incident hyperedge per node entry (rejection sampling);
     BPR item negatives are this on the user-side recommendation task.
 
-    The result and the generator's end state are those of the plain loop
-    that, node by node, calls `rng.integers(m)` until the draw is not
-    incident to the node. The same values are drawn in bulk instead:
-    `integers(m, size=k)` yields the next k scalar draws. The first buffer
-    holds one draw per node; an empty buffer is refilled with one draw per
-    node not yet resolved, each of which is sure to use at least one, so
-    nothing is drawn that the loop would not draw. Windows of up to
-    `_WINDOW` (node, draw) pairs, the i-th node against the i-th unused
-    draw, are tested with one binary search on `incidence_keys`. All pairs
-    before the first rejection are accepted; the rejected draw is used up,
-    and the next window starts at the rejecting node with the next draw.
+    The result and the generator's end state are those of the loop that,
+    node by node, calls `rng.integers(m)` until the draw is not incident.
+    `integers(m, size=k)` gives the next k of those draws, so a buffer of
+    one draw per unresolved node draws nothing the loop would not. Each
+    window of (node, draw) pairs is accepted up to its first rejection,
+    which uses up its draw.
     """
     graph = task.graph
     m = graph.num_hyperedges
@@ -248,13 +231,13 @@ def synthetic_records(
     interactions_per_user: int = 2,
     relation_partners: int = 2,
 ):
-    """Raw records of the planted block model: edges, attributes, relations.
+    """Raw records of the planted block model: edges (an `edge_array`),
+    attributes and relations.
 
-    Users and items are partitioned into aligned co-preference blocks; each
-    user draws `interactions_per_user` items, within their own block except
-    with probability `noise`. The attribute records label every item with
-    its block; the relation records link each item to a few block partners.
-    The edges are returned as an `edge_array`.
+    Users and items fall into aligned blocks; each user draws
+    `interactions_per_user` items in their own block, or, with probability
+    `noise`, outside it. Every item's attribute is its block, and its
+    relation record links it to a few partners in that block.
     """
     for name, value, low in (
         ("num_users", num_users, 1),

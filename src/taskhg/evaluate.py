@@ -1,10 +1,9 @@
 """Top-K ranking evaluation: Recall@K and NDCG@K with deterministic ties.
 
-Scores come from the downstream encoder: one hypergraph convolution over
-the recommendation hypergraphs, then user-item inner products, made for
-one block of users at a time. A user's items in the user-side hypergraph
-are masked out of the ranking; ties break by ascending item index. Only
-each user's top max(ks) items are selected and ordered.
+Scores are user-item inner products after the downstream encoder (one
+convolution over the recommendation pair), one block of users at a time.
+A user's items in the user-side hypergraph are masked out of the ranking;
+ties break by ascending item index.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class EvalReport:
 # Cells of one block of scores (users x items) that evaluation holds at a
 # time: 8 MB of float64, however many users are evaluated.
 SCORE_BLOCK_CELLS = 1 << 20
-# Items per bucket of `top_k_items`' bound, the measured fastest width
-# (see CHANGES.md); any width gives the same ranking.
+# Items per bucket of `top_k_items`' bound (measured in CHANGES.md); any
+# width gives the same ranking.
 BUCKET_WIDTH = 16
 
 
@@ -66,14 +65,12 @@ def rank_items(score_row: np.ndarray) -> np.ndarray:
 def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
     """`rank_items(row)[:k]` for every row of a score block, without a full sort.
 
-    Item j + a·g, for a < items // g, goes to bucket j of g >= k buckets of
-    about `BUCKET_WIDTH` items, a strided view of the block. The k buckets
-    with the largest maxima hold k items scoring at least the k-th largest
-    maximum, so the row's top k all do. A NaN counts as the smallest
-    maximum: a row with fewer than k finite scores gets bound -inf, and
-    one with fewer than k NaN-free buckets gets bound NaN. Every item not
-    below the bound is a candidate, ties and NaNs included (`_first_k`
-    ranks NaNs last), so every row has at least k.
+    The bound is the k-th largest of g >= k strided bucket maxima (about
+    `BUCKET_WIDTH` items each): the top k buckets hold k items scoring at
+    least it, so the row's top k all do. A NaN counts as the smallest
+    maximum: a row with fewer than k finite scores gets bound -inf, one
+    with fewer than k NaN-free buckets NaN. Every item not below the
+    bound, ties and NaNs included, is a candidate, so every row has k.
     """
     n_rows, n_items = block.shape
     k = min(k, n_items)
@@ -91,15 +88,13 @@ def top_k_items(block: np.ndarray, k: int) -> np.ndarray:
 
 def _first_k(block: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
     """Each row's first k candidates in `rank_items` order, for a block
-    whose rows each have at least k. `flat` holds the candidates' ascending
+    whose rows each have at least k; `flat` holds the candidates' ascending
     flat indices into the block.
 
-    An unstable sort of the negated scores gives each candidate a dense
-    rank: equal scores share one, so -0.0 ties with +0.0, and NaNs tie and
-    rank last. The integer key rank · items + item is unique within a row,
-    so its unstable sort breaks ties by ascending item; a stable sort of
-    the row numbers, in the narrowest unsigned dtype that holds them (a
-    radix sort up to 65,536 rows), then groups the rows in key order.
+    Candidates get dense score ranks (-0.0 ties with +0.0; NaNs tie and
+    rank last); the key rank * items + item is unique within a row, so
+    sorting it breaks ties by ascending item, and a stable sort of the row
+    numbers then groups the rows in key order.
     """
     n_rows, n_items = block.shape
     rows = flat // n_items
@@ -119,27 +114,17 @@ def _first_k(block: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
 def evaluate_scores(user_out, item_out, seen, ks, tests, users):
     """Mean Recall@K / NDCG@K over `users` from the encoded user and item tables.
 
-    Scores are `user_out @ item_out.T`, made for a block of users at a time;
-    each user's row of `seen`, a users x items CSR incidence, is masked.
-    BLAS picks its kernel by the product's shape, so a score's last bits can
-    depend on the block's size; only scores within an ulp or so can swap.
-    The blocks therefore have the same rows on every schedule. A user's row
-    of `tests`, the users x items CSR incidence of the test edges, holds
-    their test items; users without one are skipped.
+    Scores are `user_out @ item_out.T`, a block of users at a time, with
+    each user's row of `seen` (users x items CSR) masked; users with no
+    test item in `tests` (the same shape) are skipped. A score's last bits
+    can depend on the BLAS kernel that the block's shape picks, so the
+    blocks have the same rows on every schedule.
 
-    Under `schedule.step_pool`, with at least two blocks, the worker
-    scores the even-numbered blocks and the calling thread the odd ones;
-    otherwise the calling thread scores them all in order. Each
-    thread scores its blocks into one block buffer made by the calling
-    thread, and each block writes only its own users' columns of the
-    per-user metrics, so at most two blocks, about 10 MB each with their
-    ranking scratch, are held at once.
-
-    Each metric is computed for a whole block from one hit matrix, with the
-    arithmetic of the one-user oracles `recall_at_k` and `ndcg_at_k` in
-    `tests/oracles.py`: gains are summed in rank order and the means over
-    users in user order, so the results are bit-identical to averaging
-    those oracles user by user, on either schedule.
+    Under `schedule.step_pool`, with two blocks or more, the worker scores
+    the even-numbered blocks and this thread the odd ones, each into one
+    buffer made on this thread. Gains are summed in rank order and means
+    in user order, so the results are bit-identical to averaging the
+    one-user oracles of `tests/oracles.py`, on either schedule.
     """
     users = np.asarray(users, dtype=np.intp)
     test_counts = np.diff(tests.indptr)
@@ -194,11 +179,8 @@ def evaluate_scores(user_out, item_out, seen, ks, tests, users):
 
 
 def encode_for_inference(table: EmbeddingTable, rec_user_task, rec_item_task):
-    """Downstream encoder, as in finetuning: one layer over the recommendation pair.
-
-    As in finetuning, the user encoder runs on the step pool's worker beside
-    the item encoder on the calling thread; the outputs are the same either way.
-    """
+    """Downstream encoder, as in finetuning: one layer over the recommendation
+    pair, user and item sides as one `run_pair`."""
     return run_pair(
         lambda: encode_auxiliary_task_traced(rec_user_task.graph, table.user_emb, 1).node_emb,
         lambda: encode_auxiliary_task_traced(rec_item_task.graph, table.item_emb, 1).node_emb,

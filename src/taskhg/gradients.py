@@ -1,22 +1,11 @@
 """Hand-derived reverse-mode gradients for the joint pretraining objective.
 
-The computation graph is fixed and shallow (encoders -> transitional
-attention -> losses), so instead of a general autograd engine each forward
-operator has a matching adjoint here, chained in reverse. Every path is
-covered: the attention softmax and tanh, the degree-normalized
-aggregations, every recommendation loss, the auxiliary hyperedge-ranking
-and attribute cross-entropy losses, and the optional linear heads of the
-ablation variants. Encoders and TA stacks share one reverse loop, as they
-share one forward loop. Each loss exists once, as a (value, gradients)
-function with batch-mean normalization, and gives every gradient on a
-node or hyperedge table in one form, `BatchRows`: the batch's rows, which
-the reverse half that reads them sums into the table-sized array. Where
-a recommendation stack's loss reads few of its rows, the step runs its
-final layer on the batch's rows in both passes, with the same bits (see
-`_final_rows`). A full step returns the loss, one gradient dict keyed
-like the optimizer's parameter blocks, and the attention arrays.
-Correctness is pinned by central finite differences and by independent
-scalar oracles in the test suite.
+Each forward operator of the fixed graph (encoders -> transitional
+attention -> losses) has its adjoint here, and encoders and TA stacks
+share one reverse loop. Each loss is one batch-mean (value, gradients)
+function that gives every table gradient as `BatchRows`, summed into the
+table-sized array by the reverse half that reads it. Finite differences
+and scalar oracles in the test suite pin every path.
 """
 
 from __future__ import annotations
@@ -45,12 +34,9 @@ from .tasks import NodeSide
 
 
 def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows):
-    """Add one attending layer's task gradients into g_zs / g_w and its
-    attention's share into g_q, which becomes the layer's g_eps in place.
-
-    g_q holds the layer's hyperedges, which are each task's rows `rows`
-    (see `TATrace.operator`); their task gradients are added there.
-    """
+    """Add one attending layer's task gradients, on each task's rows
+    `rows`, into g_zs / g_w, and its attention's share into g_q, which
+    becomes the layer's g_eps in place."""
     zs = [z[rows] for z in trace.task_embs]
     a = layer.a
     # g_s = (gamma * g_q) * (1 - a**2); then `buf` takes each product in turn.
@@ -85,8 +71,8 @@ def _attention_reverse(trace: TATrace, layer, g_q, g_zs, g_w, rows):
 
 
 # The largest share of a graph's incidences that the batch's rows may hold
-# for a final layer to run on them with every hyperedge (see CHANGES.md
-# for the measured crossover).
+# for a final layer to run on them with every hyperedge (measured
+# crossover in CHANGES.md).
 NODE_ROWS_SHARE = 1 / 3
 
 
@@ -104,13 +90,10 @@ def _holds_few_incidences(graph, nodes) -> bool:
 
 def _final_rows(graph, index, may_reach):
     """The `rows` of a stack whose loss reads its output at `index` only
-    (see `model.ta_forward_traced`), or None for a dense final layer.
-
-    The layer runs on the distinct nodes of `index` and the hyperedges
-    they reach where `may_reach` (a stack attending with `full` or `sum`)
-    and they reach few; else on those nodes and every hyperedge where
-    they hold few incidences. Each test reads only the batch's degrees.
-    """
+    (see `model.ta_forward_traced`), or None for a dense final layer: the
+    distinct nodes of `index` with the hyperedges they reach where
+    `may_reach` (a `full` or `sum` stack) and they reach few, else with
+    every hyperedge where they hold few incidences."""
     nodes = sorted_unique(index)
     if may_reach and _reaches_few_hyperedges(graph, nodes):
         return nodes, True
@@ -123,16 +106,12 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
     """Reverse of the convolution stack, each layer on its
     `trace.operator`: (g_input, g_task_embs, g_concat_weight).
 
-    g_out is the gradient on the stack's node output (the restricted
-    nodes' rows only, with a restriction): the loss's `BatchRows`, summed
-    and then scaled by `scale`, or an array taken as it is. g_edge (or
-    None) is the gradient on its final layer's hyperedge embeddings. A
-    layer on reached hyperedges adds each task's gradient on their rows
-    only; every other row is an exact zero in the dense reverse, as the
-    `full` and `sum` reverses work row by row, and each of those rows is
-    first written here, so its sums start from +0.0 as the dense ones do.
-    The gradient made from the batch rows lives until the reverse
-    returns; each layer's g_eps is its g_q, updated in place.
+    g_out, on the stack's (restricted) node output, is a loss's
+    `BatchRows`, summed then scaled by `scale`, or an array taken as it
+    is; g_edge (or None) is on the final layer's hyperedge output. A layer
+    on reached hyperedges writes task gradients on their rows only: every
+    other row is an exact zero in the dense reverse, which works row by
+    row, and each written row's sums start from +0.0 as the dense ones do.
     """
     if isinstance(g_out, BatchRows):
         g_out = g_out.dense()
@@ -156,24 +135,15 @@ def _reverse(trace: TATrace, g_out, g_edge=None, scale=1.0):
 
 
 def encoder_backward(trace: TATrace, g_node, g_edge=None) -> np.ndarray:
-    """Backpropagate through an encoder to its input node embeddings.
-
-    g_node is the gradient on the final node embeddings (a dense array or
-    a loss's `BatchRows`), g_edge the gradient on the final layer's
-    hyperedge embeddings (may be None).
-    """
+    """The gradient on an encoder's input, from g_node on its node output
+    (an array or `BatchRows`) and g_edge (or None) on its hyperedge output."""
     return _reverse(trace, g_node, g_edge)[0]
 
 
 def ta_backward(trace: TATrace, g_out, scale=1.0):
-    """Backpropagate g_out through the transitional attention stack.
-
-    g_out is a dense array or a loss's `BatchRows`, which is summed and
-    scaled by `scale` first (see `_reverse`).
-    Returns (g_input, g_task_embs, g_concat_weight): the gradient on the
-    layer-0 side input, per-task gradients on the opposite-side node
-    embeddings, and the gradient on the concat head when that variant ran.
-    """
+    """Backpropagate g_out through a TA stack (see `_reverse`):
+    (g_input, per-task g on the opposite side's tables, g_concat_weight
+    or None)."""
     return _reverse(trace, g_out, scale=scale)
 
 
@@ -199,12 +169,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _scatter_rows(num_rows, index, rows):
-    """Sum `rows[k]` into row `index[k]` of a (num_rows, d) zero array.
-
-    One sparse product with a 0/1 selection matrix whose columns are in
-    batch order: each output row adds its terms in the order of `index`,
-    exactly as np.add.at into zeros would, in one pass over the output.
-    """
+    """Sum `rows[k]` into row `index[k]` of a (num_rows, d) zero array,
+    each row's terms in the order of `index`, as np.add.at into zeros."""
     order = np.argsort(index, kind="stable")
     return csr_from_sorted(index[order], order, (num_rows, len(index))) @ rows
 
@@ -274,11 +240,9 @@ def _norm_backward(g_hat, hat, norms):
 def _uniformity_grad(hat_rows, gram=None):
     """Value and gradient (in normalized space) of the Gaussian uniformity term.
 
-    Squared distances come from the Gram matrix, ||x||^2 + ||y||^2 - 2 x.y,
-    clamped at 0 against rounding; the row norms are taken explicitly
-    because zero rows normalize to zero. The Gram matrix is the one (n, n)
-    array; it is written into `gram` when given (any (n, n) float64 array,
-    overwritten), so the caller decides who allocates and frees it.
+    Squared distances are ||x||^2 + ||y||^2 - 2 x.y clamped at 0, with
+    explicit row norms, as zero rows normalize to zero. The Gram matrix
+    is written into `gram` when given, so the caller owns that (n, n) array.
     """
     n = hat_rows.shape[0]
     if n < 2:
@@ -301,12 +265,9 @@ def _uniformity_grad(hat_rows, gram=None):
 
 
 class _SphereRows:
-    """One side of the `au` loss: the batch's sorted unique rows of one table.
-
-    `inv` maps each pair to its row among them. The Gram buffer is made
-    here, on the thread that builds the side; `au_grad` builds both on
-    the calling thread.
-    """
+    """One side of the `au` loss: the batch's sorted unique rows of one
+    table; `inv` maps each pair to its row among them. The Gram buffer is
+    made here, so `au_grad` allocates both on the calling thread."""
 
     def __init__(self, out, batch):
         self.num_rows = len(out)
@@ -324,17 +285,12 @@ class _SphereRows:
 
 
 def au_grad(user_out, item_out, users, items, uniformity_weight):
-    """Alignment plus uniformity on the unit sphere.
+    """Alignment plus uniformity on the unit sphere, over the batch's
+    unique rows only: every step works row by row, so the bits are those
+    of the whole tables, whose other rows get exact zeros.
 
-    Only the batch's unique rows are normalized and go through the
-    normalization's reverse. Every step works row by row, so the bits are
-    those of the same arithmetic over both whole tables, in which the rows
-    outside the batch get exact zeros (see `BatchRows`).
-
-    Under a step pool, the side with more unique rows computes its
-    uniformity term on the worker. This thread computes the other side's
-    term, the alignment term and that side's reverse, then the worker
-    side's reverse once the pair is done.
+    Under a step pool the worker computes the larger side's uniformity
+    term; this thread does the rest, then that side's reverse.
     """
     n = len(users)
     user = _SphereRows(user_out, users)
@@ -356,12 +312,7 @@ def au_grad(user_out, item_out, users, items, uniformity_weight):
 
 
 def rec_loss_grad(kind: LossKind, user_out, item_out, users, pos, neg, uniformity_weight=1.0):
-    """Dispatch to the configured recommendation-term loss; only `au` splits its work.
-
-    Returns (loss, user gradient, item gradient), each gradient as the
-    `BatchRows` of its table, so the table-sized arrays are made by the
-    reverse halves that read them.
-    """
+    """The configured recommendation loss: (loss, user `BatchRows`, item `BatchRows`)."""
     if len(users) == 0:
         raise ValueError("empty recommendation batch")
     if kind == LossKind.ALIGNMENT:
@@ -497,31 +448,20 @@ def pretrain_loss_and_grad(
     batch: PretrainBatch,
     extra_params: dict | None = None,
 ):
-    """Forward the full model on one batch; return (loss, grads, attention arrays).
+    """Forward the full model on one batch: (loss, grads, attention arrays).
 
-    The scalar is the joint objective: beta-weighted recommendation loss
-    plus (1 - beta)-weighted sum of per-task losses (each normalized by
-    its batch size) plus the L2 term on both embedding blocks. grads maps
-    "user", "item" and then each extra_params block, in that order, to its
-    gradient; a head with no batch this step gets a zero gradient. The
-    attention arrays are every weight array the TA stacks computed.
+    The loss is beta * recommendation loss + (1 - beta) * the sum of the
+    auxiliary losses + lambda_reg * L2 of both tables. grads maps "user",
+    "item", then each extra_params block, in that order, to its gradient
+    (zeros for a head with no batch this step).
 
-    Under a step pool (see `taskhg.schedule`) the step runs as four pairs:
-    the forward halves, the `au` loss's pair (see `au_grad`), then two
-    reverse stages. Stage 1 runs the user-side TA backward on the worker;
-    this thread runs the item-side TA backward and every auxiliary loss.
-    Each TA backward takes its table's loss rows and beta, and makes the
-    scaled gradient itself (see `_reverse`). Stage 2 runs one half per
-    table, items on the worker: the backward of every encoder whose input
-    is that table, then the table's gradient summed as the TA stack's,
-    each task's in `aux_tasks` order, and the L2 term.
-
-    Each TA stack's final layer runs on the batch's rows, in both passes,
-    where `_final_rows` chooses them, once per stack per step; the
-    recommendation loss then reads the stack's compact output.
-
-    Each table-sized array lives only until its last reader is done
-    (`test_step_peak_memory_is_bounded_in_table_sizes` bounds the peak).
+    Under a step pool the step runs as four pairs: the forward halves, the
+    `au` loss's, then two reverse stages. Stage 1 runs the user-side TA
+    backward on the worker, and the item-side one and every auxiliary loss
+    here. Stage 2 runs one half per table, items on the worker: every
+    encoder backward that reads the table, then its gradient summed as the
+    TA stack's, each task's in `aux_tasks` order, and the L2 term. Each
+    table-sized array lives only until its last reader is done.
     """
     extra_params = extra_params or {}
     users, pos, neg = batch.rec_users, batch.rec_pos_items, batch.rec_neg_items
@@ -588,14 +528,11 @@ def finetune_loss_and_grad(
     pos,
     neg=None,
 ):
-    """One-layer downstream encoder plus the configured finetuning loss.
+    """One-layer encoders plus the finetuning loss: (loss, grads, []).
 
-    Returns (loss, grads, []): finetuning computes no attention. The
-    user and item encoders, forward and backward, run as pairs, and so
-    does the `au` loss. Each encoder runs on the batch's rows where
-    `_final_rows` chooses them. The encoders' outputs go after the loss;
-    each encoder backward makes its side's loss gradient from the batch
-    rows and drops it when it returns.
+    The user and item encoders, forward and backward, run as pairs, each
+    on the rows `_final_rows` chooses; each backward makes its side's
+    table-sized loss gradient and drops it when it returns.
     """
     items = pos if neg is None else np.append(pos, neg)
     user_rows = _final_rows(rec_user_task.graph, users, False)

@@ -1,28 +1,15 @@
 """Sparse binary hypergraphs and the degree-normalized convolution primitive.
 
-The convolution is a two-step mean aggregation with no learned weights:
-node embeddings are averaged into their hyperedges, then hyperedge
-embeddings are averaged back into their member nodes. Entities of degree
-zero map to the zero vector, which keeps the operator total and linear.
+The convolution is a weight-free two-step mean: nodes into their
+hyperedges, then hyperedges back into their members; degree-zero
+entities map to the zero vector. The forward sums the members, then
+scales the sums by the inverse degrees; pre-scaling its input would
+change its rounding. The adjoints multiply by scaled transposes, which
+add the products of scaling the input first, in the same order.
 
-Each aggregation is one sparse product into a fresh array. The forward
-sums the members first and then scales the sums in place by the inverse
-degrees. The adjoints instead multiply by scaled transposes, built once
-per hypergraph: CSC matrices that share the other incidence matrix's
-arrays and hold the inverse degrees as values. The kernel then adds
-inv * g for each member, the same rounded products, in the same order,
-as scaling the input rows first would give, without the scaled copy of
-the input. Pre-scaling the forward the same way would change its
-rounding.
-
-A `Restriction` is the operator of one layer whose output is read at a
-few nodes R only: the fields the four products read, restricted to R and
-to the hyperedges E that R reaches, or to R and every hyperedge. The
-products take either operator and check their input against the columns
-of the matrix they multiply. Every sparse product sums an output row's
-terms in ascending index order starting from +0.0; such a sum is never
--0.0, so leaving out terms that are exact zeros changes no bit of it, and
-each restricted product gives the dense one's rows.
+Every sparse product sums an output row's terms in ascending index order
+from +0.0, and such a sum is never -0.0, so leaving out exact-zero terms
+changes no bit: a `Restriction`'s products give the dense ones' rows.
 """
 
 from __future__ import annotations
@@ -36,20 +23,15 @@ from .errors import ConstructionError
 class Hypergraph:
     """Immutable 0/1 incidence structure with cached degrees.
 
-    Rows of the incidence matrix are nodes, columns are hyperedges. Both
-    the CSR matrix and its transpose in CSR form are built once at
-    construction so that each traversal direction runs on its natural
-    layout with a fixed (ascending-index) summation order. The two adjoint
-    operators are CSC transposes of them: `incidence_by_edge_degree` is
-    H diag(1/deg_e), sharing its sparsity arrays with `incidence_t`, and
-    `incidence_t_by_node_degree` is H^T diag(1/deg_v), sharing them with
-    `incidence`.
+    Rows of `incidence` (CSR) are nodes, columns hyperedges; `incidence_t`
+    is its transpose in CSR. The adjoint operators
+    `incidence_by_edge_degree` = H diag(1/deg_e) and
+    `incidence_t_by_node_degree` = H^T diag(1/deg_v) are CSC matrices
+    sharing the other matrix's sparsity arrays.
 
-    `incidence_keys` encodes every incidence (v, e) as the int64 key
-    v * num_hyperedges + e, in ascending order, followed by one sentinel
-    larger than any key. A batch of (node, hyperedge) pairs is tested for
-    membership with one `searchsorted` on it; the sentinel keeps every
-    insertion point a valid index, so the test is `keys[pos] == query`.
+    `incidence_keys` holds every incidence (v, e) as the ascending int64
+    key v * num_hyperedges + e, then a sentinel larger than any key, so a
+    `searchsorted` position is always a valid index for `keys[pos] == query`.
     """
 
     __slots__ = (
@@ -136,8 +118,7 @@ def build_hypergraph(memberships, num_nodes: int, num_hyperedges: int) -> Hyperg
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """`np.unique` of a 1-d array: one sort and one mask, several times
-    faster than `np.unique` itself on NumPy 2.4."""
+    """`np.unique` of a 1-d array, as one sort and one mask."""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
@@ -162,11 +143,7 @@ def _check_rows(name: str, emb: np.ndarray, expected: int) -> np.ndarray:
 
 
 def aggregate_nodes_to_hyperedges(h: Hypergraph | Restriction, node_emb: np.ndarray) -> np.ndarray:
-    """Average member-node embeddings into each hyperedge.
-
-    Row eps of the result is the arithmetic mean of the embeddings of the
-    nodes incident to eps; hyperedges with no members get the zero vector.
-    """
+    """Each hyperedge's mean member-node embedding (zero for no members)."""
     node_emb = _check_rows("node_emb", node_emb, h.incidence_t.shape[1])
     sums = h.incidence_t @ node_emb
     sums *= h.inv_hyperedge_degrees[:, None]
@@ -174,10 +151,7 @@ def aggregate_nodes_to_hyperedges(h: Hypergraph | Restriction, node_emb: np.ndar
 
 
 def aggregate_hyperedges_to_nodes(h: Hypergraph | Restriction, edge_emb: np.ndarray) -> np.ndarray:
-    """Average incident-hyperedge embeddings into each node.
-
-    Isolated nodes get the zero vector.
-    """
+    """Each node's mean incident-hyperedge embedding (zero when isolated)."""
     edge_emb = _check_rows("edge_emb", edge_emb, h.incidence.shape[1])
     sums = h.incidence @ edge_emb
     sums *= h.inv_node_degrees[:, None]
@@ -202,14 +176,14 @@ def aggregate_hyperedges_to_nodes_adjoint(
 
 class Restriction:
     """The operator of one layer whose output is read only at the
-    distinct, ascending `nodes` of `graph`: the `Hypergraph` fields the
-    `aggregate_*` products read, on those nodes' rows and the hyperedges
-    they reach (`edges`, ascending) or, with `edges` None, every hyperedge.
+    distinct, ascending `nodes` of `graph`: the fields the `aggregate_*`
+    products read, on those nodes and the hyperedges they reach (`edges`,
+    ascending) or, with `edges` None, every hyperedge.
 
-    Each product gives the dense one's rows at `nodes` or `edges` from its
-    input's rows there; node->hyperedge reads, and its adjoint writes,
-    every node. The input rows left out reach none of those outputs, or
-    are zero in the dense reverse; the adjoint rows left out are zero.
+    Each product gives the dense one's rows at `nodes` or `edges`;
+    node->hyperedge reads, and its adjoint writes, every node. The input
+    rows left out reach none of those outputs, or are zero in the dense
+    reverse.
     """
 
     __slots__ = (
@@ -257,7 +231,6 @@ class Restriction:
 
 def _scaled_transpose(mat: sp.csr_matrix, scale: np.ndarray) -> sp.csc_matrix:
     """(diag(scale) @ mat).T for a 0/1 CSR matrix, sharing its indices and
-    indptr. Its product adds scale[i] * x[i] into each output row in
-    ascending i: the terms, and the order, of scaling x's rows first."""
+    indptr; its product adds scale[i] * x[i] in ascending i."""
     data = np.repeat(scale, np.diff(mat.indptr))
     return sp.csc_matrix((data, mat.indices, mat.indptr), shape=mat.shape[::-1])

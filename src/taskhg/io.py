@@ -7,10 +7,9 @@ dropped, from the manifest too):
   relations     anchor_id<TAB>comma-joined related ids
 
 A JSON manifest enumerates the auxiliary tasks; the recommendation task is
-implicit in the interactions file. Every file goes through one reader,
-which returns its two columns, and every id column is mapped with one call.
-Node ids may be arbitrary strings: any non-dense id space is densified
-deterministically and the mapping is persisted next to the data.
+implicit in the interactions file. Ids may be arbitrary strings: a
+non-dense id space is densified deterministically and the mapping is
+persisted next to the data.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import QUANTIZATION_BINS, TrainConfig
 from .data import InteractionDataset, split_interactions
 from .errors import (
     CheckpointFormatError,
@@ -36,6 +35,7 @@ from .evaluate import EvalReport
 from .hypergraph import sorted_unique
 from .model import EmbeddingTable
 from .tasks import (
+    REC_TASK_ID,
     NodeSide,
     TaskKind,
     build_attribute_hypergraph,
@@ -54,8 +54,8 @@ class TaskDeclaration:
     kind: TaskKind
     side: NodeSide
     path: str
-    value_kind: str = "categorical"
-    bins: int | None = None
+    value_kind: str
+    bins: int
 
 
 @dataclass
@@ -106,7 +106,7 @@ def parse_manifest(path) -> TaskManifest:
         _check_string(path, "path", file_path)
         if kind == TaskKind.RECOMMENDATION:
             raise DataError("the recommendation task is implicit; do not declare it")
-        if task_id in seen_ids or task_id == "rec":
+        if task_id in seen_ids or task_id == REC_TASK_ID:
             raise DataError(f"duplicate or reserved task id {task_id!r}")
         seen_ids.add(task_id)
         if kind == TaskKind.RELATION_PREDICTION:
@@ -121,9 +121,9 @@ def parse_manifest(path) -> TaskManifest:
                 f"task {task_id!r}: value_kind must be 'categorical' or 'continuous', "
                 f"got {value_kind!r}"
             )
-        bins = entry.get("bins")
+        bins = QUANTIZATION_BINS if entry.get("bins") is None else entry["bins"]
         # type(...) is int rejects floats, strings and JSON true/false.
-        if bins is not None and (type(bins) is not int or bins < 2):
+        if type(bins) is not int or bins < 2:
             raise DataError(f"task {task_id!r}: bins must be an integer >= 2, got {bins!r}")
         tasks.append(
             TaskDeclaration(
@@ -166,15 +166,11 @@ class DatasetStats:
 
 
 def _read_pairs(root: Path, name: str, continuous: bool = False):
-    """The two tab-separated fields of every line of `root / name`, as two lists.
-
-    Lines are those of `str.splitlines` after `read_text` has dropped a
-    leading byte-order mark and turned CRLF and CR into LF; blank ones are
-    skipped. A check over the joined lines' tabs and LFs finds every line
-    well formed, and one `split` takes all the fields; only when it fails
-    does a line scan name the first bad line.
-    With `continuous`, the second fields are returned as floats; one that is
-    not a finite float raises DataError naming `name` and its line.
+    """The two tab-separated fields of every non-blank line of `root / name`
+    (lines of `str.splitlines`, a leading byte-order mark dropped), as two
+    lists; DataError names the first line without exactly one tab. With
+    `continuous`, the second fields are floats, and one that is not finite
+    is a DataError naming `name` and its line.
     """
     path = root / name
     try:
@@ -267,11 +263,8 @@ class _IdMapper:
 
 def _replace_file(path, *chunks):
     """Write the bytes-like `chunks`, in order, to `path` through a temp
-    file in the same directory.
-
-    A concurrent reader sees the old file or the new one, never a partial
-    one, and a failed write leaves the old file as it was.
-    """
+    file beside it: a reader sees the old file or the new one, and a
+    failed write leaves the old one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -283,21 +276,15 @@ def _replace_file(path, *chunks):
         tmp.unlink(missing_ok=True)
 
 
-def load_dataset(
-    root,
-    manifest,
-    train_fraction: float | None = None,
-    split_seed: int = 0,
-    quantization_bins: int = 5,
-):
+def load_dataset(root, manifest, train_fraction: float | None = None, split_seed: int = 0):
     """Parse a dataset directory into an InteractionDataset plus statistics.
 
-    With train_fraction set, interactions are split deterministically under
+    `manifest` is a path, relative to `root` or absolute. With
+    train_fraction set, interactions are split deterministically under
     split_seed; otherwise everything lands in the train set.
     """
     root = Path(root)
-    if not isinstance(manifest, TaskManifest):
-        manifest = parse_manifest(root / manifest if not Path(manifest).is_absolute() else manifest)
+    manifest = parse_manifest(root / manifest)
     user_column, item_column = _read_pairs(root, manifest.interactions_path)
     if not user_column:
         raise DataError(f"interactions file {manifest.interactions_path} is empty")
@@ -325,8 +312,7 @@ def load_dataset(
         if decl.kind == TaskKind.ATTRIBUTE_PREDICTION:
             total_attributes += len(values)
             task = build_attribute_hypergraph(
-                decl.task_id, decl.side, *ids, values, decl.bins or quantization_bins,
-                mapper.count, decl.value_kind,
+                decl.task_id, decl.side, *ids, values, decl.bins, mapper.count, decl.value_kind,
             )
         else:
             task, skipped = build_relation_hypergraph(
@@ -421,7 +407,6 @@ def write_synthetic_dataset(
 
 @dataclass
 class Checkpoint:
-    format_version: int
     dim: int
     num_users: int
     num_items: int
@@ -488,7 +473,6 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: {block} row {int(np.argmin(finite))} holds a non-finite value"
             )
     return Checkpoint(
-        format_version=version,
         dim=dim,
         num_users=num_users,
         num_items=num_items,

@@ -1,17 +1,12 @@
 """Model forward pass: embedding table, task encoders, transitional attention.
 
-The only trainable parameters of the base model are the initial user and
-item embeddings. Auxiliary tasks are encoded with weight-free hypergraph
-convolutions; the transitional attention (TA) layer then fuses, per
-recommendation hyperedge, an attention-weighted mix of the corresponding
-entity's task-specific embeddings into the hyperedge before the node
-update. Both run one layer loop: an encoder is a TA stack with no tasks.
-The loop records, in a `TATrace`, the intermediates the reverse pass in
-`gradients` needs; the TA settings (gamma, depth, variant) and the
-encoder depth are read from the `TrainConfig`. Each layer runs the
-`hypergraph.aggregate_*` products on its operator: the graph, or, for a
-final layer whose output a caller reads on a few rows only, the graph's
-`Restriction` to them, in both passes.
+The user and item embeddings are the base model's only parameters.
+Auxiliary tasks are encoded by weight-free hypergraph convolutions; the
+transitional attention (TA) layer fuses, per recommendation hyperedge, an
+attention-weighted mix of that entity's task embeddings into the
+hyperedge before the node update. An encoder is a TA stack with no tasks,
+so both run one layer loop, which records in a `TATrace` what the reverse
+pass in `gradients` reads.
 """
 
 from __future__ import annotations
@@ -91,14 +86,8 @@ class TALayerTrace:
 class TATrace:
     """Intermediates of one stack of convolution layers, as the reverse
     reads them. With a `restriction`, the final layer's arrays hold its
-    rows: `node_emb` the restricted nodes', and eps, alpha and a the
-    reached hyperedges' when it runs on them.
-
-    With no tasks (or the NO_TA variant) the stack is the plain weight-free
-    encoder; otherwise each layer adds gamma times its task mix `a` to the
-    hyperedges before the node update. A layer keeps its `eps` only where
-    something reads it: every attending layer, for the reverse, and the
-    final layer, as the stack's `edge_emb`.
+    rows only. A layer keeps its `eps` only where something reads it:
+    every attending layer, and the final layer as the stack's `edge_emb`.
     """
 
     graph: Hypergraph
@@ -156,10 +145,8 @@ class TATrace:
 
 def _attend(trace: TATrace, zs: list, eps: np.ndarray, buf: np.ndarray):
     """One layer's (alpha, a): the attention weights (FULL only) and the
-    task mix, from the task embeddings `zs` on eps's hyperedges.
-
-    `buf`, shaped like eps, takes every table-sized product in turn.
-    """
+    task mix, from the task embeddings `zs` on eps's hyperedges. `buf`,
+    shaped like eps, takes every table-sized product in turn."""
     alpha = None
     if trace.variant == TAVariant.FULL:
         sqrt_d = math.sqrt(eps.shape[1])
@@ -182,12 +169,8 @@ def _attend(trace: TATrace, zs: list, eps: np.ndarray, buf: np.ndarray):
 
 
 def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
-    """Run `num_layers` layers from node embeddings x, recording each in `trace`.
-
-    Each layer runs on its `trace.operator`. An attending layer builds its
-    fused hyperedges q = eps + gamma * a in one scratch array, which the
-    node update reads last.
-    """
+    """Run `num_layers` layers, each on its `trace.operator`, from node
+    embeddings x, recording each in `trace`."""
     for k in range(num_layers):
         final = k == num_layers - 1
         op, edges = trace.operator(final)
@@ -211,10 +194,8 @@ def _convolve(trace: TATrace, x: np.ndarray, num_layers: int) -> TATrace:
 def encode_auxiliary_task_traced(
     graph: Hypergraph, x0: np.ndarray, layers: int, rows: tuple | None = None
 ) -> TATrace:
-    """Weight-free hypergraph convolution: a TA stack with no tasks.
-
-    `rows` restricts the final layer, as in `ta_forward_traced`.
-    """
+    """Weight-free hypergraph convolution: a TA stack with no tasks;
+    `rows` as in `ta_forward_traced`."""
     if layers < 1:
         raise ValueError("layers must be >= 1")
     trace = TATrace(graph, restriction=None if rows is None else Restriction(graph, *rows))
@@ -231,17 +212,12 @@ def ta_forward_traced(
 ) -> TATrace:
     """Matrix-form transitional attention over `cfg.ta_layers` layers.
 
-    opposite_tasks is a list of (task_id, node_emb) pairs for auxiliary
-    tasks on the entity type playing the hyperedge role; each layer feeds
-    its node output into the next, and the trace's `node_emb` is the
-    stack's output. With no opposite tasks (or the NO_TA variant) the
-    layer degrades to a weight-free hypergraph convolution.
-
-    `rows` is None, for a dense stack, or the `Restriction` arguments
-    (nodes, reached) of its final layer: the distinct, ascending nodes
-    whose output the caller reads, and whether the layer runs on only the
-    hyperedges they reach, which only a stack attending with `full` or
-    `sum` may do (see `gradients._final_rows`).
+    opposite_tasks holds (task_id, node_emb) pairs of the tasks on the
+    side playing the hyperedge role; with none (or NO_TA) the stack is a
+    weight-free convolution. `rows` is None, for a dense stack, or the
+    final layer's `Restriction` arguments (nodes, reached): the distinct,
+    ascending nodes the caller reads, and whether the layer runs on the
+    hyperedges they reach only, as just `full` and `sum` stacks may.
     """
     x = np.asarray(side_input, dtype=np.float64)
     task_ids = [tid for tid, _ in opposite_tasks]
@@ -287,12 +263,9 @@ def forward_pretrain(
 ) -> TaskActivations:
     """Full pretraining forward: all auxiliary encoders plus both TA sides.
 
-    The CONCAT variant reads its heads `ta_concat_user` / `ta_concat_item`
-    from extra_params. Each TA side reads only the encoders of the opposite
-    side's tasks, so [item-side encoders -> user TA] and [user-side
-    encoders -> item TA] are two independent halves, run by `run_pair`.
-    `user_rows` and `item_rows` are each TA stack's `rows` (see
-    `ta_forward_traced`).
+    Each TA side reads only the encoders of the opposite side's tasks, so
+    the two sides run as one `run_pair`. CONCAT reads its heads from
+    extra_params; `user_rows` and `item_rows` are each stack's `rows`.
     """
     extra_params = extra_params or {}
 

@@ -42,18 +42,11 @@ class AdamState:
     def apply(self, grads: dict, params: dict):
         """Bias-corrected Adam update, in place, one step for all blocks.
 
-        Each block is updated in row slices of about BLOCK_CELLS cells; every
-        intermediate goes to a pair of scratch buffers, and `grads` is only
-        read. The operations and their order are those of the textbook
-        expression, so the result does not depend on the slice size. The
-        first half of every block's rows runs on the step pool's worker and
-        the second half on the calling thread, each in its own slices and
-        with its own scratch pair, so the two threads update the same
-        number of rows to within one per block.
-
-        The same halves are first checked for non-finite values as a pair
-        of their own; DivergenceError names the first non-finite block in
-        `grads` order, and then no parameter, moment or count has changed.
+        Row slices of about BLOCK_CELLS cells run the textbook expression's
+        operations in its order through a scratch pair, so the slice size
+        changes no bit; the worker takes the first half of each block's
+        rows. DivergenceError names the first non-finite block in `grads`
+        order, before any parameter, moment or count changes.
         """
         halves = ([], [])  # (worker's, this thread's) row slices
         for name, g in grads.items():

@@ -1,15 +1,9 @@
-"""Builders that turn raw interaction/relation/attribute records into task hypergraphs.
+"""Builders that turn interaction, relation and attribute records into task hypergraphs.
 
-Three construction rules are supported:
-  * recommendation: users and items alternately play the hyperedge role
-    for each other, giving a transposed pair of incidence matrices;
-  * relation prediction: each homogeneous relation record becomes one
-    hyperedge over its anchor plus related nodes;
-  * attribute prediction: each distinct attribute value (or quantization
-    bin for continuous values) becomes one hyperedge over its holders.
-
-Every task hypergraph is indexed over the full user or item set, so
-entities that do not participate in a task are simply isolated.
+Recommendation gives a transposed pair (users and items each play the
+hyperedge role for the other); a relation record is one hyperedge over
+its anchor and related nodes; an attribute value (or bin) is one
+hyperedge over its holders. Every task spans its whole user or item set.
 """
 
 from __future__ import annotations
@@ -49,12 +43,8 @@ class TaskHypergraph:
 
 
 def build_recommendation_hypergraphs(interactions, num_users: int, num_items: int):
-    """Build the transposed pair of recommendation hypergraphs.
-
-    The user-side graph connects, per item, all users who interacted with
-    it; the item-side graph is its exact transpose. `interactions` is an
-    (n, 2) int array of (user, item) rows or any iterable of pairs.
-    """
+    """The (user-side, item-side) recommendation tasks from (user, item)
+    pairs: one hyperedge per item over its users, and the transpose."""
     user_graph = build_hypergraph(interactions, num_users, num_items)
     if not user_graph.nnz:
         raise DataError("a recommendation task needs at least one interaction")
@@ -67,15 +57,13 @@ def build_recommendation_hypergraphs(interactions, num_users: int, num_items: in
 def build_relation_hypergraph(
     task_id: str, side: NodeSide, anchors, related, counts, num_nodes: int
 ):
-    """Build a relation-prediction hypergraph; one hyperedge per record.
+    """Build a relation-prediction task: (task, skipped record count).
 
     Record r is anchor `anchors[r]` with the next `counts[r]` ids of
-    `related`; its hyperedge connects the anchor together with its related
-    set. Records with no related id are skipped and counted. Each hyperedge
-    is labelled by its member indices in ascending order, joined by commas,
-    and the hyperedges are ordered by their labels compared as text
-    ("10,11" before "2,3"), records with equal labels in input order.
-    Returns (task, skipped_count).
+    `related`, one hyperedge over them all; records with no related id are
+    skipped. A hyperedge's label is its ascending member indices joined by
+    commas; hyperedges are ordered by label as text ("10,11" before "2,3"),
+    equal labels in input order.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     related = np.asarray(related, dtype=np.int64)
@@ -121,13 +109,12 @@ def build_attribute_hypergraph(
     task_id: str, side: NodeSide, nodes, values, bins: int, num_nodes: int,
     value_kind: str = "categorical",
 ) -> TaskHypergraph:
-    """Build an attribute-prediction hypergraph; one hyperedge per value.
+    """Build an attribute-prediction task: one hyperedge per label that occurs.
 
-    `nodes[k]` holds `values[k]`. A "categorical" value is its own label; a
-    "continuous" one is quantized into `bins` uniform-width bins over the
-    observed range, labelled `bin_<b>`. Hyperedges are created for the
-    labels that actually occur, in canonical order: sorted strings, or
-    ascending bin numbers. Any other value_kind raises ValueError.
+    `nodes[k]` holds `values[k]`. A "categorical" value is its own label,
+    in sorted order; a "continuous" one falls into one of `bins`
+    uniform-width bins over the observed range, labelled `bin_<b>` in bin
+    order. Any other value_kind raises ValueError.
     """
     if value_kind == "continuous":
         keys = quantize_continuous(values, bins)
@@ -148,12 +135,9 @@ def build_attribute_hypergraph(
 
 
 def quantize_continuous(values, bins: int) -> list[int]:
-    """Map real values to uniform-width bin indices over [min, max].
-
-    The maximum value maps to the last bin; a constant input maps
-    everything to bin 0. Non-finite values raise DataError naming the
-    offending record.
-    """
+    """Uniform-width bin indices over [min, max]: the maximum is in the
+    last bin, a constant input all in bin 0, and a non-finite value a
+    DataError naming its record."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     values = [float(v) for v in values]

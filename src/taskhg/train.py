@@ -1,12 +1,10 @@
 """Pretraining and finetuning.
 
 Pretraining jointly optimizes the recommendation loss (through the
-transitional attention stack) and one ranking loss per auxiliary task,
-all against the shared embedding table. Finetuning continues with a
-single weight-free convolution on the recommendation hypergraphs only.
-Both stages run through one minibatch loop and differ only in their step
-function. They are deterministic for a fixed seed: shuffling, negative
-sampling, and initialization each draw from their own seeded stream.
+transitional attention stack) and one loss per auxiliary task; finetuning
+continues through one weight-free convolution on the recommendation
+hypergraphs. Both run one minibatch loop with their own step function,
+and every random draw comes from its own seeded stream.
 """
 
 from __future__ import annotations
@@ -62,16 +60,13 @@ class TrainingLog:
 
 
 @dataclass
-class PretrainResult:
+class TrainResult:
+    """A stage's trained table and log; `extra_params` holds pretraining's
+    ablation heads."""
+
     table: EmbeddingTable
     log: TrainingLog
     extra_params: dict = field(default_factory=dict)
-
-
-@dataclass
-class FinetuneResult:
-    table: EmbeddingTable
-    log: TrainingLog
 
 
 def _init_extra_params(dataset: InteractionDataset, config: TrainConfig) -> dict:
@@ -107,14 +102,10 @@ def _check_table(table: EmbeddingTable, dataset: InteractionDataset, config: Tra
 def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params, step_for_epoch):
     """Minibatch Adam over the shuffled training pairs; returns the log.
 
-    Owns everything the two stages share: the shuffle, the repeat for k
-    negatives, negative sampling, the divergence check, the Adam update and
-    the per-epoch mean loss. `step_for_epoch(steps)` runs once per epoch
-    after the shuffle and returns the step function, which maps
-    (step, users, items, negs) to (loss, gradients keyed like `params`,
-    attention arrays). The stage's pool (`step_pool`, none below two
-    CPUs) runs the independent halves of each step and of the update;
-    every random draw is made here or in the step function, on this thread.
+    `step_for_epoch(steps)` runs once per epoch, after the shuffle, and
+    returns the step function, which maps (step, users, items, negs) to
+    (loss, gradients keyed like `params`, attention arrays). Every random
+    draw is made on this thread, here or in the step function.
     """
     log = TrainingLog()
     shuffle_rng = rng_for(config.seed, STREAM_SHUFFLE + stream_offset)
@@ -164,7 +155,7 @@ def _train_loop(stage, dataset, config, epochs, loss_kind, stream_offset, params
 
 def pretrain(
     dataset: InteractionDataset, config: TrainConfig, table: EmbeddingTable | None = None
-) -> PretrainResult:
+) -> TrainResult:
     """Joint multitask pretraining; returns the trained embedding table."""
     config.validate()
     rec_user_task, rec_item_task = dataset.rec_pair()
@@ -175,7 +166,7 @@ def pretrain(
         table = table.copy()
     extra = _init_extra_params(dataset, config)
     if config.epochs_pretrain == 0:
-        return PretrainResult(table, TrainingLog(), extra)
+        return TrainResult(table, TrainingLog(), extra)
 
     aux_rng = rng_for(config.seed, STREAM_AUX)
     aux_tasks = dataset.auxiliary_tasks
@@ -218,18 +209,18 @@ def pretrain(
         "pretrain", dataset, config, config.epochs_pretrain, config.pretrain_loss, 0,
         params, step_for_epoch,
     )
-    return PretrainResult(table, log, extra)
+    return TrainResult(table, log, extra)
 
 
 def finetune(
     table: EmbeddingTable, dataset: InteractionDataset, config: TrainConfig
-) -> FinetuneResult:
+) -> TrainResult:
     """Continue training through one recommendation-hypergraph convolution."""
     config.validate()
     _check_table(table, dataset, config)
     table = table.copy()
     if config.epochs_finetune == 0:
-        return FinetuneResult(table, TrainingLog())
+        return TrainResult(table, TrainingLog())
     rec_user_task, rec_item_task = dataset.rec_pair()
 
     def step(index, users, items, negs):
@@ -242,4 +233,4 @@ def finetune(
         "finetune", dataset, config, config.epochs_finetune, config.finetune_loss, 100,
         params, lambda steps: step,
     )
-    return FinetuneResult(table, log)
+    return TrainResult(table, log)

@@ -219,7 +219,8 @@ class TestExitCodes:
             ["--lr", "-1"],
             ["--lambda-reg", "-5"],
             ["--uniformity-weight", "nan", "--pretrain-loss", "au"],
-            ["--quantization-bins", "1"],
+            # Past the checkpoint header's int64 field.
+            ["--seed", "9223372036854775808"],
             # No training step runs, so only the config check can reject it.
             ["--gamma", "inf", "--epochs-pretrain", "0"],
         ],
@@ -556,12 +557,12 @@ class TestExitCodes:
 
 DATA_FLAGS = {"-h", "--help", "--data", "--manifest", "--train-fraction", "--split-seed"}
 # The training flags as written out by hand before they were generated from
-# TrainConfig; every field but seed and the Adam constants has one.
+# TrainConfig; every field but seed has one.
 CONFIG_FLAGS = {
     "--dim", "--gamma", "--beta", "--lambda-reg", "--lr", "--epochs-pretrain",
     "--epochs-finetune", "--batch-size", "--negatives-per-positive", "--pretrain-loss",
-    "--finetune-loss", "--ta-layers", "--aux-encoder-layers", "--ks", "--quantization-bins",
-    "--ta-variant", "--non-unified-attributes", "--uniformity-weight",
+    "--finetune-loss", "--ta-layers", "--aux-encoder-layers", "--ks", "--ta-variant",
+    "--non-unified-attributes", "--uniformity-weight",
 }
 COMMAND_FLAGS = {
     "pretrain": {"--seed", "--out"},
@@ -604,14 +605,14 @@ class TestGeneratedFlags:
             "--lr", "0.5", "--epochs-pretrain", "3", "--epochs-finetune", "4",
             "--batch-size", "32", "--negatives-per-positive", "2", "--pretrain-loss", "au",
             "--finetune-loss", "bpr_pos", "--ta-layers", "2", "--aux-encoder-layers", "3",
-            "--ks", "5,50", "--quantization-bins", "7", "--ta-variant", "concat",
+            "--ks", "5,50", "--ta-variant", "concat",
             "--non-unified-attributes", "--uniformity-weight", "0.5",
         ])
         assert _config_from(args) == TrainConfig(
             dim=16, gamma=0.25, beta=0.75, lambda_reg=0.001, lr=0.5, epochs_pretrain=3,
             epochs_finetune=4, batch_size=32, negatives_per_positive=2, seed=5,
             pretrain_loss=LossKind.AU, finetune_loss=LossKind.BPR_POS, ta_layers=2,
-            aux_encoder_layers=3, eval_ks=(5, 50), quantization_bins=7,
+            aux_encoder_layers=3, eval_ks=(5, 50),
             ta_variant=TAVariant.CONCAT, unified_attributes=False, uniformity_weight=0.5,
         )
 

@@ -81,7 +81,6 @@ config_flags = st.fixed_dictionaries(
         "--ta-variant": st.sampled_from(["full", "no_ta", "sum", "concat"]),
         "--gamma": st.sampled_from(["0", "0.5"]),
         "--negatives-per-positive": st.sampled_from(["1", "2"]),
-        "--quantization-bins": st.sampled_from(["2", "5"]),
         "--ta-layers": st.sampled_from(["1", "2"]),
         "--train-fraction": st.sampled_from(["0.5", "0.8", "1.0"]),
         "--split-seed": st.sampled_from(["0", "3"]),
@@ -90,9 +89,9 @@ config_flags = st.fixed_dictionaries(
 BAD_FLAGS = [
     {"--dim": "0"}, {"--dim": "x"}, {"--batch-size": "0"}, {"--lr": "1e300"},
     {"--lr": "nan"}, {"--ks": "3,3"}, {"--ks": ""}, {"--pretrain-loss": "x"},
-    {"--gamma": "inf"}, {"--quantization-bins": "1"}, {"--train-fraction": "0"},
-    {"--train-fraction": "nan"}, {"--split-seed": "-1"}, {"--negatives-per-positive": "0"},
-    {"--seed": "-1"},
+    {"--gamma": "inf"}, {"--train-fraction": "0"}, {"--train-fraction": "nan"},
+    {"--split-seed": "-1"}, {"--negatives-per-positive": "0"}, {"--seed": "-1"},
+    {"--seed": "9223372036854775808"},
 ]
 bad_flags = st.sampled_from([{}] * 2 * len(BAD_FLAGS) + BAD_FLAGS)
 CHAIN = ("pretrain", "finetune", "evaluate")

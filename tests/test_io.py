@@ -218,6 +218,27 @@ class TestLoadDataset:
         assert task.graph.num_hyperedges == 2
         assert task.hyperedge_labels == ("bin_0", "bin_1")
 
+    def test_continuous_attribute_without_bins_gets_five(self, tmp_path):
+        root = write_dataset(
+            tmp_path,
+            "".join(f"0\t{i}\n" for i in range(10)),
+            tasks=[{
+                "id": "rating", "kind": "attribute", "side": "items",
+                "path": "r.tsv", "value_kind": "continuous",
+            }],
+            files=[("r.tsv", "".join(f"{i}\t{i}.5\n" for i in range(10)))],
+        )
+        dataset, _ = load_dataset(root, "manifest.json")
+        task = dataset.auxiliary_tasks[0]
+        assert task.hyperedge_labels == ("bin_0", "bin_1", "bin_2", "bin_3", "bin_4")
+        assert task.graph.incidence.indices.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_manifest_path_may_be_absolute(self, tmp_path):
+        root = write_dataset(tmp_path / "data", "0\t0\n1\t1\n")
+        manifest = (root / "manifest.json").rename(tmp_path / "elsewhere.json")
+        _, stats = load_dataset(root, manifest)
+        assert stats.num_interactions == 2
+
     @pytest.mark.parametrize(
         "text, named",
         [

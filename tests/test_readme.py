@@ -60,6 +60,26 @@ def test_library_example_runs(capsys):
     assert 0.0 <= recall <= 1.0 and 0.0 <= ndcg <= 1.0
 
 
+ROOT_EXPORTS = {
+    "TrainConfig", "LossKind", "TAVariant",
+    "InteractionDataset", "generate_synthetic_dataset",
+    "load_dataset", "write_synthetic_dataset", "save_checkpoint", "load_checkpoint",
+    "build_hypergraph", "NodeSide", "build_attribute_hypergraph", "build_relation_hypergraph",
+    "EmbeddingTable", "init_embeddings",
+    "pretrain", "finetune", "TrainResult", "evaluate", "EvalReport",
+    "run_ablation", "cold_start_eval",
+    "TaskHGError", "DataError", "DivergenceError",
+}
+
+
+def test_root_exports_are_the_ones_the_library_section_names():
+    import taskhg
+
+    assert set(taskhg.__all__) - {"__version__"} == ROOT_EXPORTS
+    library = section("Library")
+    assert [n for n in sorted(ROOT_EXPORTS) if not re.search(rf"\b{n}\b", library)] == []
+
+
 def test_cli_block_runs(tmp_path):
     for argv, proc in run_cli_block(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr.decode())

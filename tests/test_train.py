@@ -44,7 +44,7 @@ class TestConfig:
         ("negatives_per_positive", 0),
         ("aux_encoder_layers", 0),
         ("dim", 0),
-        ("quantization_bins", 1),
+        ("seed", 2**63),
         ("eval_ks", (5, 5)),
         ("eval_ks", (2.5,)),
         ("eval_ks", (True, 2)),
